@@ -10,7 +10,6 @@
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
-#include "runtime/adaptive_pipeline.h"
 
 namespace scbnn::bench {
 
@@ -185,48 +184,10 @@ std::uint64_t peak_rss_bytes(pid_t pid) {
 
 std::unique_ptr<runtime::Servable> make_frozen_servable(
     const std::string& entry, unsigned bits, runtime::RuntimeConfig rc) {
-  constexpr std::uint64_t kSeed = 7;
-  const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
-  nn::Rng base_rng(kSeed);
-  nn::Network base = hybrid::build_lenet(lenet, base_rng);
-
-  const auto rung_for = [&](unsigned rung_bits) {
-    runtime::AdaptiveRung rung;
-    rung.bits = rung_bits;
-    const auto qw = nn::quantize_conv_weights(hybrid::base_conv1_weights(base),
-                                              rung_bits);
-    hybrid::FirstLayerConfig flc;
-    flc.bits = rung_bits;
-    flc.soft_threshold = 0.30;
-    flc.seed = static_cast<std::uint32_t>(kSeed | 1u);
-    rung.engine = hybrid::make_first_layer_engine(
-        hybrid::FirstLayerDesign::kScProposed, qw, flc);
-    nn::Rng tail_rng(kSeed + 1);
-    rung.tail = hybrid::build_tail(lenet, tail_rng);
-    hybrid::copy_tail_params(base, rung.tail);
-    return rung;
-  };
-
-  if (entry == "adaptive") {
-    std::vector<runtime::AdaptiveRung> rungs;
-    rungs.push_back(rung_for(3));
-    rungs.push_back(rung_for(6));
-    return std::make_unique<runtime::AdaptivePipeline>(std::move(rungs), 0.5,
-                                                       rc);
-  }
-
-  const auto qw =
-      nn::quantize_conv_weights(hybrid::base_conv1_weights(base), bits);
-  hybrid::FirstLayerConfig flc;
-  flc.bits = bits;
-  flc.soft_threshold = 0.30;
-  flc.seed = static_cast<std::uint32_t>(kSeed | 1u);
-  auto engine = std::make_unique<runtime::InferenceEngine>(entry, qw, flc, rc);
-  nn::Rng tail_rng(kSeed + 1);
-  nn::Network tail = hybrid::build_tail(lenet, tail_rng);
-  hybrid::copy_tail_params(base, tail);
-  engine->set_tail(std::move(tail));
-  return engine;
+  hybrid::ModelBundle bundle =
+      entry == "adaptive" ? make_frozen_bundle("sc-proposed", {3, 6})
+                          : make_frozen_bundle(entry, {bits});
+  return hybrid::instantiate_servable(bundle, std::move(rc));
 }
 
 }  // namespace scbnn::bench

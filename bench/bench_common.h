@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "hybrid/bundle.h"
-#include "runtime/inference_engine.h"
+#include "runtime/adaptive_pipeline.h"
 #include "runtime/process_stats.h"
 #include "runtime/servable.h"
 
@@ -70,16 +70,17 @@ class Flags {
 /// Milliseconds elapsed since `start` on the serving clock.
 [[nodiscard]] double ms_since(runtime::ServeClock::time_point start);
 
-/// Build a deterministic frozen-weight Servable for the serving benches: a
-/// registry backend name yields a fixed-precision InferenceEngine with an
-/// attached tail, "adaptive" yields a 3/6-bit sc-proposed escalation
-/// ladder. No training — these benches measure serving behavior, so frozen
-/// random weights with shared tails are enough, and construction is
-/// deterministic (two calls with equal arguments are bit-identical).
+/// Build a deterministic frozen-weight Servable for the serving benches:
+/// instantiate_servable over make_frozen_bundle. A registry backend name
+/// yields a one-rung model at `bits`, "adaptive" a 3/6-bit sc-proposed
+/// escalation ladder. No training — these benches measure serving
+/// behavior, so frozen random weights with shared tails are enough, and
+/// construction is deterministic (two calls with equal arguments are
+/// bit-identical).
 [[nodiscard]] std::unique_ptr<runtime::Servable> make_frozen_servable(
     const std::string& entry, unsigned bits, runtime::RuntimeConfig rc);
 
-/// The same frozen-weight model as make_frozen_servable, packaged as a
+/// The frozen-weight model behind make_frozen_servable, packaged as a
 /// ModelBundle — the artifact fleet shards cold-start from. A ladder with
 /// one entry yields a fixed-precision bundle, more entries an escalation
 /// ladder (bits strictly increasing). Deterministic: equal arguments give

@@ -34,7 +34,6 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
 #include "runtime/percentile.h"
 #include "runtime/server.h"
 #include "sensor/arrival_schedule.h"

@@ -4,7 +4,7 @@
 // The executor section at the bottom prices the runtime's scheduling
 // primitives themselves: submit round-trip latency, parallel_for fan-out/
 // join cost vs job count, the single-worker inline path, and chunk-steal
-// throughput — central-queue ThreadPool vs WorkStealingExecutor.
+// throughput of the WorkStealingExecutor.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -20,7 +20,6 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "hybrid/sc_first_layer_fast.h"
-#include "runtime/thread_pool.h"
 #include "runtime/work_stealing_executor.h"
 #include "sc/adder_tree.h"
 #include "sc/mse.h"
@@ -273,17 +272,7 @@ BENCHMARK(BM_FastScFirstLayerImage)->Arg(4)->Arg(8);
 
 // --- Executor micro-benchmarks (runtime/) -----------------------------------
 // The overhead of the scheduling layer itself, with trivial task bodies so
-// the numbers are pure executor cost. "central-queue" is the legacy
-// ThreadPool, "work-steal" the WorkStealingExecutor.
-
-void BM_ExecutorSubmitCentralQueue(benchmark::State& state) {
-  runtime::ThreadPool pool(2);
-  for (auto _ : state) {
-    pool.submit([] {}).get();
-  }
-  state.SetLabel("submit+get round trip, 2 workers");
-}
-BENCHMARK(BM_ExecutorSubmitCentralQueue);
+// the numbers are pure executor cost.
 
 void BM_ExecutorSubmitWorkStealing(benchmark::State& state) {
   runtime::WorkStealingExecutor pool(2);
@@ -303,22 +292,6 @@ void BM_ExecutorSubmitInlineSingleWorker(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecutorSubmitInlineSingleWorker);
-
-void BM_ExecutorParallelForCentralQueue(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  runtime::ThreadPool pool(4);
-  std::vector<long> sums(pool.size());
-  for (auto _ : state) {
-    pool.parallel_for(jobs,
-                      [&sums](int job, unsigned worker) {
-                        sums[worker] += job;
-                      });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * jobs);
-  state.SetLabel("fan-out+join, 4 workers");
-}
-BENCHMARK(BM_ExecutorParallelForCentralQueue)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_ExecutorParallelForWorkStealing(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));

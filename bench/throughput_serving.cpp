@@ -2,7 +2,7 @@
 // thread counts.
 //
 // For every registered backend the same image batch is served END TO END
-// (set_tail + classify: threaded first layer, then the vectorized
+// (a one-rung AdaptivePipeline: threaded first layer, then the vectorized
 // zero-allocation tail plan) at 1..8 worker threads: images/sec, latency,
 // and the first-layer/tail stage split come from the runtime's ServeStats,
 // and two referees gate the exit code — cross-thread bit-identity (fixed
@@ -23,11 +23,10 @@
 // back to their canonical name, so the column reads as the fast path's
 // speedup over the seed scalar engine.
 // The executor scaling sweep (second table) serves the same workload
-// through `models` concurrent engines sharing ONE executor, comparing the
-// legacy central-queue ThreadPool against the WorkStealingExecutor (steal
-// on and off) at 1..hw threads — the A/B that justifies the executor
-// replacement. Knobs: --models / SCBNN_BENCH_MODELS (default 4) and
-// --reps / SCBNN_BENCH_REPS (batches per driver thread, default 3).
+// through `models` concurrent pipelines sharing ONE WorkStealingExecutor,
+// with stealing on and off (the control) at 1..hw threads. Knobs:
+// --models / SCBNN_BENCH_MODELS (default 4) and --reps / SCBNN_BENCH_REPS
+// (batches per driver thread, default 3).
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -51,10 +50,9 @@
 #include "nn/loss.h"
 #include "nn/quantize.h"
 #include "obs/trace.h"
+#include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
-#include "runtime/inference_engine.h"
 #include "runtime/server.h"
-#include "runtime/thread_pool.h"
 #include "runtime/work_stealing_executor.h"
 
 namespace {
@@ -176,7 +174,6 @@ struct ScalingRow {
   unsigned threads = 1;
   int models = 1;
   double images_per_sec = 0.0;
-  double speedup_vs_central = 0.0;  // vs ThreadPool at same threads/models
   bool identical_predictions = true;
 };
 
@@ -185,7 +182,6 @@ struct ScalingRow {
 std::shared_ptr<scbnn::runtime::Executor> make_sweep_executor(
     const std::string& kind, unsigned threads) {
   using namespace scbnn::runtime;
-  if (kind == "central-queue") return std::make_shared<ThreadPool>(threads);
   WorkStealingExecutor::Options opt;
   opt.threads = threads;
   opt.steal = (kind == "work-steal");
@@ -225,6 +221,14 @@ int main(int argc, char** argv) {
   const data::DataSplit split =
       data::generate_synthetic_mnist(static_cast<std::size_t>(n), 1, kSeed);
   const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
+  // One fixed-precision model over `backend`, with the same tail every time.
+  const auto make_model = [&](const std::string& backend,
+                              runtime::RuntimeConfig rc) {
+    nn::Rng trng(kSeed + 1);
+    return std::make_unique<runtime::AdaptivePipeline>(
+        runtime::BackendRegistry::instance().create(backend, qw, flc),
+        hybrid::build_tail(lenet, trng), std::move(rc));
+  };
 
   // Committed baseline (seed numbers): explicit flag first, then the
   // build-dir-relative locations the checkout provides.
@@ -275,9 +279,7 @@ int main(int argc, char** argv) {
     for (unsigned threads : kThreadCounts) {
       runtime::RuntimeConfig rc;
       rc.threads = threads;
-      runtime::InferenceEngine engine(backend, qw, flc, rc);
-      nn::Rng trng(kSeed + 1);  // identical tail for every run
-      engine.set_tail(hybrid::build_tail(lenet, trng));
+      const auto model = make_model(backend, rc);
 
       // Tail referee reference, once per backend: the same tail served the
       // slow way — Network::forward on this backend's features, margins via
@@ -286,14 +288,14 @@ int main(int argc, char** argv) {
         nn::Rng rrng(kSeed + 1);
         nn::Network ref_tail = hybrid::build_tail(lenet, rrng);
         reference_margins = nn::softmax_margins(
-            ref_tail.forward(engine.features(split.train.images),
+            ref_tail.forward(model->features(split.train.images),
                              /*training=*/false));
       }
 
-      (void)engine.classify(split.train.images);  // warm-up (pool, arenas)
+      (void)model->classify(split.train.images);  // warm-up (pool, arenas)
       const std::vector<runtime::Prediction> preds =
-          engine.classify(split.train.images);
-      const runtime::BatchStats& stats = engine.last_stats();
+          model->classify(split.train.images);
+      const runtime::ServeStats& stats = model->last_stats();
       const std::vector<int> predictions = labels_of(preds);
 
       Row row;
@@ -358,10 +360,10 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------- executor scaling
-  // models engines share ONE executor; each engine gets a driver thread
+  // models pipelines share ONE executor; each pipeline gets a driver thread
   // serving `reps` batches. Aggregate images/sec per (executor, threads,
-  // models) cell, speedup read against the central-queue pool in the same
-  // cell, predictions refereed against a 1-thread central-queue reference.
+  // models) cell, predictions refereed against a 1-thread work-stealing
+  // reference.
   const int scale_models = static_cast<int>(
       flags.get_long("models", "SCBNN_BENCH_MODELS", 4, 1, 16));
   const int scale_reps = static_cast<int>(
@@ -384,39 +386,31 @@ int main(int argc, char** argv) {
   std::vector<int> scale_reference;
   {
     runtime::RuntimeConfig rc;
-    rc.executor = make_sweep_executor("central-queue", 1);
-    runtime::InferenceEngine engine(scale_backend, qw, flc, rc);
-    nn::Rng trng(kSeed + 1);
-    engine.set_tail(hybrid::build_tail(lenet, trng));
-    scale_reference = labels_of(engine.classify(split.train.images));
+    rc.executor = make_sweep_executor("work-steal", 1);
+    scale_reference =
+        labels_of(make_model(scale_backend, rc)->classify(split.train.images));
   }
 
   std::printf("\nExecutor scaling: %s, %d images/batch, %d reps/model\n\n",
               scale_backend.c_str(), n, scale_reps);
   hw::TableWriter scaling_table(
-      {"executor", "threads", "models", "images/sec", "vs central",
-       "bit-identical"},
-      {20, 7, 6, 12, 10, 13});
+      {"executor", "threads", "models", "images/sec", "bit-identical"},
+      {20, 7, 6, 12, 13});
   scaling_table.print_header();
 
   std::vector<ScalingRow> scaling_rows;
-  std::map<std::pair<unsigned, int>, double> central_ips;
-  for (const char* kind :
-       {"central-queue", "work-steal", "work-steal-nosteal"}) {
+  for (const char* kind : {"work-steal", "work-steal-nosteal"}) {
     for (unsigned threads : scale_threads) {
       for (int models : scale_model_counts) {
         runtime::RuntimeConfig rc;
         rc.executor = make_sweep_executor(kind, threads);
 
-        std::vector<std::unique_ptr<runtime::InferenceEngine>> engines;
+        std::vector<std::unique_ptr<runtime::AdaptivePipeline>> pipelines;
         for (int m = 0; m < models; ++m) {
-          engines.push_back(std::make_unique<runtime::InferenceEngine>(
-              scale_backend, qw, flc, rc));
-          nn::Rng trng(kSeed + 1);  // identical tail for every model
-          engines.back()->set_tail(hybrid::build_tail(lenet, trng));
+          pipelines.push_back(make_model(scale_backend, rc));
         }
-        for (auto& engine : engines) {
-          (void)engine->classify(split.train.images);  // warm-up
+        for (auto& pipeline : pipelines) {
+          (void)pipeline->classify(split.train.images);  // warm-up
         }
 
         std::vector<std::vector<int>> last_predictions(
@@ -428,7 +422,7 @@ int main(int argc, char** argv) {
           drivers.emplace_back([&, m] {
             for (int rep = 0; rep < scale_reps; ++rep) {
               last_predictions[static_cast<std::size_t>(m)] =
-                  labels_of(engines[static_cast<std::size_t>(m)]->classify(
+                  labels_of(pipelines[static_cast<std::size_t>(m)]->classify(
                       split.train.images));
             }
           });
@@ -450,22 +444,11 @@ int main(int argc, char** argv) {
         for (const auto& preds : last_predictions) {
           row.identical_predictions &= (preds == scale_reference);
         }
-        if (std::string(kind) == "central-queue") {
-          central_ips[{threads, models}] = row.images_per_sec;
-        } else {
-          const auto ref = central_ips.find({threads, models});
-          if (ref != central_ips.end() && ref->second > 0.0) {
-            row.speedup_vs_central = row.images_per_sec / ref->second;
-          }
-        }
         scaling_rows.push_back(row);
 
         scaling_table.print_row(
             {row.executor, std::to_string(threads), std::to_string(models),
              hw::TableWriter::fmt(row.images_per_sec, 1),
-             row.speedup_vs_central > 0.0
-                 ? hw::TableWriter::fmt(row.speedup_vs_central) + "x"
-                 : "-",
              row.identical_predictions ? "yes" : "NO"});
       }
     }
@@ -501,13 +484,11 @@ int main(int argc, char** argv) {
   const auto served_ips = [&](obs::TraceMode mode, std::uint64_t every) {
     runtime::RuntimeConfig rc;
     rc.threads = 1;
-    runtime::InferenceEngine engine("sc-proposed-fast", qw, flc, rc);
-    nn::Rng trng(kSeed + 1);
-    engine.set_tail(hybrid::build_tail(lenet, trng));
+    const auto model = make_model("sc-proposed-fast", rc);
     runtime::ServerConfig sc;
     sc.max_batch = 32;
     sc.queue_capacity = static_cast<std::size_t>(n) * 2 + 64;
-    runtime::Server server(engine, sc);
+    runtime::Server server(*model, sc);
     {  // warm-up: pool, arenas, batch former
       auto futures = server.submit_burst(split.train.images.data(), n);
       for (auto& f : futures) (void)f.get();
@@ -558,14 +539,12 @@ int main(int argc, char** argv) {
       }
       runtime::RuntimeConfig rc;
       rc.threads = 1;
-      runtime::InferenceEngine engine(backend, qw, flc, rc);
-      nn::Rng trng(kSeed + 1);
-      engine.set_tail(hybrid::build_tail(lenet, trng));
-      (void)engine.classify(split.train.images);  // warm-up
+      const auto model = make_model(backend, rc);
+      (void)model->classify(split.train.images);  // warm-up
       double best = 0.0;
       for (int k = 0; k < 5; ++k) {
-        (void)engine.classify(split.train.images);
-        best = std::max(best, engine.last_stats().images_per_sec);
+        (void)model->classify(split.train.images);
+        best = std::max(best, model->last_stats().images_per_sec);
       }
       const double ratio = best / floor_ips;
       const bool ok = ratio >= 0.99;
@@ -637,10 +616,9 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "    {\"executor\": \"%s\", \"threads\": %u, "
                  "\"models\": %d, \"images_per_sec\": %.1f, "
-                 "\"speedup_vs_central_queue\": %.2f, "
                  "\"identical_predictions\": %s}%s\n",
                  row.executor.c_str(), row.threads, row.models,
-                 row.images_per_sec, row.speedup_vs_central,
+                 row.images_per_sec,
                  row.identical_predictions ? "true" : "false",
                  i + 1 < scaling_rows.size() ? "," : "");
   }

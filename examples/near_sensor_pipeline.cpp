@@ -32,7 +32,6 @@
 #include "hybrid/experiment.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/model_router.h"
-#include "runtime/thread_pool.h"
 #include "sensor/frame_source.h"
 #include "sensor/sensor_session.h"
 #include "sensor/stream_supervisor.h"
@@ -183,11 +182,12 @@ int main(int argc, char** argv) {
                 adaptive->rung(r).bits, entering, exits[r]);
     entering -= exits[r];
   }
-  // Energy of a fixed kBits design over the stream, from the same per-rung
-  // aggregation the pipeline uses internally.
+  // Energy of a fixed kBits design over the stream, priced like the
+  // pipeline prices its rungs.
   const int kernels = adaptive->rung(0).engine->kernels();
-  const double fixed_j = hw::aggregate_rung_energy_j(
-      {{adaptive->rung(0).engine->name(), kBits, kernels, kFrames}});
+  const double fixed_j =
+      kFrames * hw::backend_energy_per_frame_j(
+                    adaptive->rung(0).engine->name(), kBits, kernels);
   std::printf("adaptive first-layer energy: %.1f nJ vs %.1f nJ fixed "
               "%u-bit — %.1f%% saved at %+d correct\n",
               adaptive_energy_j * 1e9, fixed_j * 1e9, kBits,

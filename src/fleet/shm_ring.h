@@ -208,12 +208,14 @@ class SpscRing {
 
   /// Wait until at least one slot is readable (spin, then timed futex
   /// park). Returns the number readable; 0 only when the ring is closed
-  /// and fully drained.
+  /// and fully drained. The producer may push its last items between an
+  /// empty size() and close(), so after seeing closed() the count is read
+  /// again — the close flag orders after every push before it.
   std::size_t wait_nonempty() noexcept {
     for (int spin = 0; spin < kSpinIters; ++spin) {
       const std::size_t n = size();
       if (n > 0) return n;
-      if (closed()) return 0;
+      if (closed()) return size();
       detail::cpu_relax();
     }
     while (true) {
@@ -221,7 +223,7 @@ class SpscRing {
           ctl_->data_bell.load(std::memory_order_acquire);
       std::size_t n = size();
       if (n > 0) return n;
-      if (closed()) return 0;
+      if (closed()) return size();
       ctl_->consumer_parked.store(1, std::memory_order_seq_cst);
       n = size();
       if (n > 0) {

@@ -53,15 +53,6 @@ double backend_sc_cycles_per_frame(const std::string& backend, unsigned bits,
   return 0.0;
 }
 
-double aggregate_rung_energy_j(const std::vector<RungEnergy>& rungs) {
-  double total = 0.0;
-  for (const RungEnergy& rung : rungs) {
-    total += static_cast<double>(rung.images) *
-             backend_energy_per_frame_j(rung.backend, rung.bits, rung.kernels);
-  }
-  return total;
-}
-
 TableWriter::TableWriter(std::vector<std::string> headers,
                          std::vector<int> widths)
     : headers_(std::move(headers)), widths_(std::move(widths)) {

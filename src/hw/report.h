@@ -82,20 +82,6 @@ struct PaperTables12 {
 [[nodiscard]] double backend_sc_cycles_per_frame(const std::string& backend,
                                                  unsigned bits, int kernels);
 
-/// One precision rung's traffic in an adaptive serving pipeline: `images`
-/// frames entered a `backend` first layer running at `bits` precision.
-struct RungEnergy {
-  std::string backend;
-  unsigned bits = 8;
-  int kernels = 32;
-  long images = 0;
-};
-
-/// Total first-layer energy (J) of a pipeline run: every frame entering a
-/// rung pays that backend's per-frame cost at the rung's precision.
-[[nodiscard]] double aggregate_rung_energy_j(
-    const std::vector<RungEnergy>& rungs);
-
 /// Fixed-width console table writer used by the bench harness.
 class TableWriter {
  public:

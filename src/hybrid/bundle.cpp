@@ -343,13 +343,6 @@ std::unique_ptr<runtime::Servable> instantiate_servable(
   if (bundle.rungs.empty()) {
     throw std::invalid_argument("instantiate_servable: bundle has no rungs");
   }
-  if (bundle.rungs.size() == 1) {
-    BundleRung& rung = bundle.rungs.front();
-    auto engine = std::make_unique<runtime::InferenceEngine>(
-        registry.create(bundle.backend, rung.qw, rung.flc), config);
-    engine->set_tail(tail_twin(bundle.lenet, bundle.trained_seed, rung.tail));
-    return engine;
-  }
   return std::make_unique<runtime::AdaptivePipeline>(
       instantiate_bundle_ladder(bundle, 0, registry),
       bundle.confidence_margin, config);

@@ -31,7 +31,6 @@
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
-#include "runtime/inference_engine.h"
 #include "runtime/servable.h"
 
 namespace scbnn::hybrid {
@@ -132,11 +131,10 @@ void save_bundle(ModelBundle& bundle, const std::string& path);
 [[nodiscard]] std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
     ModelBundle& bundle, std::size_t first_rung = 0);
 
-/// A ready-to-serve backend from a bundle, with zero training: a
-/// single-rung bundle yields an InferenceEngine with its tail attached, a
-/// multi-rung bundle an AdaptivePipeline escalating at the bundle's
-/// confidence margin. `config` may carry a shared executor so many bundles
-/// serve from one pool.
+/// A ready-to-serve backend from a bundle, with zero training: an
+/// AdaptivePipeline over every rung, escalating at the bundle's confidence
+/// margin (a single-rung bundle is a fixed-precision model). `config` may
+/// carry a shared executor so many bundles serve from one pool.
 [[nodiscard]] std::unique_ptr<runtime::Servable> instantiate_servable(
     ModelBundle& bundle, const runtime::BackendRegistry& registry,
     runtime::RuntimeConfig config = {});

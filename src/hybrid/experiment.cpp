@@ -169,8 +169,12 @@ DesignPointResult evaluate_design_point(PreparedExperiment& prep,
   if (design != FirstLayerDesign::kBinaryQuantized) {
     // Same soft threshold on the reference so the metric measures SC
     // arithmetic noise, not the intentional dead zone.
-    runtime::InferenceEngine ref(backend_name(FirstLayerDesign::kBinaryQuantized),
-                                 qw, flc, config.runtime_config());
+    // features() never runs the reference's tail; it only completes the
+    // rung.
+    nn::Rng ref_rng(config.seed + 1);
+    HybridNetwork ref(
+        make_first_layer_engine(FirstLayerDesign::kBinaryQuantized, qw, flc),
+        build_tail(config.lenet, ref_rng), config.runtime_config());
     nn::Tensor ref_feat = ref.features(prep.data.test.images);
     std::size_t same = 0;
     for (std::size_t i = 0; i < ref_feat.size(); ++i) {
@@ -224,20 +228,22 @@ std::vector<TrainedRung> train_precision_ladder(PreparedExperiment& prep,
     rung.flc.seed = static_cast<std::uint32_t>(config.seed | 1u);
 
     nn::Rng rng(config.seed + 1);
-    rung.tail = build_tail(config.lenet, rng);
-    copy_tail_params(prep.base, rung.tail);
-
-    runtime::InferenceEngine rt(
-        make_first_layer_engine(design, rung.qw, rung.flc),
-        config.runtime_config());
-    nn::Tensor features = rt.features(prep.data.train.images);
-    nn::Adam opt(config.retrain_lr);
+    nn::Network tail = build_tail(config.lenet, rng);
+    copy_tail_params(prep.base, tail);
+    HybridNetwork hybrid(make_first_layer_engine(design, rung.qw, rung.flc),
+                         std::move(tail), config.runtime_config());
+    const nn::Tensor features = hybrid.features(prep.data.train.images);
     nn::TrainConfig tc;
     tc.epochs = config.retrain_epochs;
     tc.batch_size = config.batch_size;
     tc.verbose = config.verbose;
     tc.shuffle_seed = config.seed + bits;
-    (void)nn::fit(rung.tail, opt, features, prep.data.train.labels, tc);
+    (void)hybrid.retrain(features, prep.data.train.labels, tc,
+                         config.retrain_lr);
+
+    nn::Rng twin_rng(config.seed + 1);
+    rung.tail = build_tail(config.lenet, twin_rng);
+    nn::copy_params(hybrid.tail(), rung.tail);
     rungs.push_back(std::move(rung));
   }
   return rungs;

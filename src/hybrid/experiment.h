@@ -16,7 +16,6 @@
 #include "hybrid/first_layer.h"
 #include "hybrid/hybrid_network.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
 
 namespace scbnn::hybrid {
 

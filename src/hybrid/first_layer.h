@@ -10,7 +10,7 @@
 //
 // Batched evaluation is the primary entry point: engines process a run of
 // images against caller-provided per-thread scratch, so the serving runtime
-// (runtime::InferenceEngine) can chunk a batch across a thread pool without
+// (runtime::AdaptivePipeline) can chunk a batch across its executor without
 // per-image allocation. Results are independent of batch split and thread
 // count — same seed, same features, bit for bit.
 #pragma once
@@ -68,7 +68,7 @@ class FirstLayerEngine {
 
   /// Tensor convenience: [N,1,28,28] -> [N, kernels, 28, 28], evaluated on
   /// the calling thread. Throughput paths should go through
-  /// runtime::InferenceEngine, which chunks batches across a thread pool.
+  /// runtime::AdaptivePipeline, which chunks batches across its executor.
   [[nodiscard]] nn::Tensor compute_batch(const nn::Tensor& images) const;
 };
 

@@ -73,12 +73,11 @@ const nn::Tensor& base_conv1_weights(nn::Network& base) {
 HybridNetwork::HybridNetwork(std::unique_ptr<FirstLayerEngine> first_layer,
                              nn::Network tail,
                              runtime::RuntimeConfig runtime_config)
-    : runtime_(std::move(first_layer), runtime_config) {
-  runtime_.set_tail(std::move(tail));
-}
+    : pipeline_(std::move(first_layer), std::move(tail),
+                std::move(runtime_config)) {}
 
 nn::Tensor HybridNetwork::features(const nn::Tensor& images) {
-  return runtime_.features(images);
+  return pipeline_.features(images);
 }
 
 std::vector<nn::EpochStats> HybridNetwork::retrain(
@@ -94,14 +93,12 @@ double HybridNetwork::evaluate(const nn::Tensor& test_features,
 }
 
 std::vector<int> HybridNetwork::predict(const nn::Tensor& images) {
-  // Attached-tail overload: vectorized plan tail, bit-identical labels to
-  // runtime_.predict(images, tail()).
-  return runtime_.predict(images);
+  return tail().predict(features(images));
 }
 
 std::vector<runtime::Prediction> HybridNetwork::classify(
     const nn::Tensor& images) {
-  return runtime_.Servable::classify(images);
+  return pipeline_.Servable::classify(images);
 }
 
 }  // namespace scbnn::hybrid

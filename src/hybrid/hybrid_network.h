@@ -19,7 +19,7 @@
 #include "hybrid/first_layer.h"
 #include "nn/network.h"
 #include "nn/trainer.h"
-#include "runtime/inference_engine.h"
+#include "runtime/adaptive_pipeline.h"
 
 namespace scbnn::hybrid {
 
@@ -48,12 +48,11 @@ void copy_tail_params(nn::Network& base, nn::Network& tail);
 /// First-layer conv weights of a base model.
 [[nodiscard]] const nn::Tensor& base_conv1_weights(nn::Network& base);
 
-/// A frozen first-layer engine plus a trainable binary tail. The first
-/// layer runs through the batched serving runtime: features/predict chunk
-/// each batch across a thread pool with bit-identical results at any
-/// thread count. The tail lives inside the runtime engine, so the whole
-/// network is directly a runtime::Servable (see servable()) and can sit
-/// behind a runtime::Server without any adapter.
+/// A frozen first-layer engine plus a trainable binary tail, held as a
+/// one-rung runtime::AdaptivePipeline: features() chunks each batch across
+/// the executor with bit-identical results at any thread count, and the
+/// whole network is directly a runtime::Servable (see servable()) that can
+/// sit behind a runtime::Server without any adapter.
 class HybridNetwork {
  public:
   HybridNetwork(std::unique_ptr<FirstLayerEngine> first_layer,
@@ -72,7 +71,8 @@ class HybridNetwork {
   [[nodiscard]] double evaluate(const nn::Tensor& test_features,
                                 std::span<const int> labels);
 
-  /// End-to-end prediction from raw images.
+  /// End-to-end prediction from raw images: the tail's Network::predict
+  /// (logit argmax) on this network's features.
   [[nodiscard]] std::vector<int> predict(const nn::Tensor& images);
 
   /// End-to-end classification with per-image softmax margins.
@@ -80,21 +80,16 @@ class HybridNetwork {
       const nn::Tensor& images);
 
   [[nodiscard]] const FirstLayerEngine& first_layer() const {
-    return runtime_.engine();
+    return *pipeline_.rung(0).engine;
   }
-  [[nodiscard]] nn::Network& tail() { return runtime_.tail(); }
-  [[nodiscard]] runtime::InferenceEngine& runtime() noexcept {
-    return runtime_;
-  }
+  [[nodiscard]] nn::Network& tail() { return pipeline_.tail(); }
   /// This network as a request-serving backend for runtime::Server.
-  [[nodiscard]] runtime::Servable& servable() noexcept { return runtime_; }
-  /// Serving stats of the most recent features()/predict() batch.
-  [[nodiscard]] const runtime::BatchStats& last_stats() const noexcept {
-    return runtime_.last_stats();
+  [[nodiscard]] runtime::AdaptivePipeline& servable() noexcept {
+    return pipeline_;
   }
 
  private:
-  runtime::InferenceEngine runtime_;
+  runtime::AdaptivePipeline pipeline_;
 };
 
 /// Misclassification rate (%) = 100 * (1 - accuracy), the paper's metric.

@@ -36,7 +36,7 @@ enum class SpanName : std::uint32_t {
   kRingPush,         // instant: request entered a shard's request ring
   kShardBatchBegin,  // instant: shard formed a batch (flight-recorder key)
   kShardBatch,       // shard-side batch: SLO pass + classify + respond
-  kPipelineRung,     // one rung of AdaptivePipeline::run_ladder
+  kPipelineRung,     // one rung of AdaptivePipeline::classify
   kFirstLayer,       // stochastic/binary first layer stage
   kTail,             // float tail stage
   kParallelFor,      // executor fan-out (jobs, workers)

@@ -9,6 +9,7 @@
 #include "hw/report.h"
 #include "nn/loss.h"
 #include "obs/trace.h"
+#include "runtime/work_stealing_executor.h"
 #include "sc/simd.h"
 
 namespace scbnn::runtime {
@@ -17,9 +18,8 @@ namespace {
 
 using Clock = ServeClock;
 
-double ms_since(Clock::time_point start) {
-  return ms_between(start, Clock::now());
-}
+constexpr std::size_t kPixels =
+    static_cast<std::size_t>(hybrid::kImageSize) * hybrid::kImageSize;
 
 std::vector<AdaptiveRung> validate_rungs(std::vector<AdaptiveRung> rungs) {
   if (rungs.empty()) {
@@ -46,7 +46,69 @@ std::vector<AdaptiveRung> validate_rungs(std::vector<AdaptiveRung> rungs) {
   return rungs;
 }
 
+std::vector<AdaptiveRung> one_rung(
+    std::unique_ptr<hybrid::FirstLayerEngine> engine, nn::Network tail) {
+  if (!engine) {
+    throw std::invalid_argument("AdaptivePipeline: null first-layer engine");
+  }
+  std::vector<AdaptiveRung> rungs(1);
+  rungs[0].bits = engine->bits();
+  rungs[0].engine = std::move(engine);
+  rungs[0].tail = std::move(tail);
+  return rungs;
+}
+
+/// `buf`'s storage, grown to at least `n` elements and never shrunk. The
+/// contents are scratch, so outgrowing the capacity frees the old block
+/// before allocating the new one instead of copying it.
+template <class T>
+T* grow(std::vector<T>& buf, std::size_t n) {
+  if (buf.size() < n) {
+    if (buf.capacity() < n) std::vector<T>().swap(buf);
+    buf.resize(n);
+  }
+  return buf.data();
+}
+
+/// Record a stage span over clock points already measured for the stats
+/// (ServeClock and the trace clock are both steady_clock).
+void record_stage(obs::SpanName name, std::uint64_t trace_id, int images,
+                  Clock::time_point start, Clock::time_point end) {
+  const auto to_ns = [](Clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               t.time_since_epoch())
+        .count();
+  };
+  obs::TraceSpan span;
+  span.trace_id = trace_id;
+  span.name = name;
+  span.arg0 = static_cast<std::uint64_t>(images);
+  span.start_ns = to_ns(start);
+  span.dur_ns = std::max<std::int64_t>(to_ns(end) - to_ns(start), 1);
+  obs::record_span(span);
+}
+
 }  // namespace
+
+const RuntimeConfig& RuntimeConfig::validate() const {
+  if (chunk_images < 1) {
+    throw std::invalid_argument(
+        "RuntimeConfig: chunk_images must be >= 1, got " +
+        std::to_string(chunk_images));
+  }
+  if (threads > Executor::kMaxThreads) {
+    throw std::invalid_argument(
+        "RuntimeConfig: threads must be <= " +
+        std::to_string(Executor::kMaxThreads) + " (0 = auto), got " +
+        std::to_string(threads));
+  }
+  return *this;
+}
+
+std::shared_ptr<Executor> RuntimeConfig::resolve_executor() const {
+  return executor ? executor
+                  : std::make_shared<WorkStealingExecutor>(threads);
+}
 
 AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
                                    double confidence_margin,
@@ -58,217 +120,215 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
   if (confidence_margin < 0.0 || confidence_margin > 1.0) {
     throw std::invalid_argument("AdaptivePipeline: margin must be in [0,1]");
   }
-  scratch_.reserve(rungs_.size());
-  for (const AdaptiveRung& rung : rungs_) {
-    auto& per_worker = scratch_.emplace_back();
-    per_worker.reserve(pool_->size());
-    for (unsigned w = 0; w < pool_->size(); ++w) {
-      per_worker.push_back(rung.engine->make_scratch());
-    }
-  }
-  // Vectorized tail plans per rung; a plan-incompatible tail leaves a null
-  // slot and that rung serves through Network::forward instead.
-  plans_.reserve(rungs_.size());
-  arenas_.resize(rungs_.size());
+  state_.resize(rungs_.size());
+  int max_kernels = 0;
+  int max_classes = 0;
   for (std::size_t r = 0; r < rungs_.size(); ++r) {
-    std::unique_ptr<nn::InferencePlan> plan;
-    try {
-      plan = std::make_unique<nn::InferencePlan>(
-          rungs_[r].tail, rungs_[r].engine->kernels(), hybrid::kImageSize,
-          hybrid::kImageSize);
-    } catch (const std::invalid_argument&) {
-      plan = nullptr;
+    AdaptiveRung& rung = rungs_[r];
+    const hybrid::FirstLayerEngine& engine = *rung.engine;
+    RungState& s = state_[r];
+    // A tail the plan cannot run throws std::invalid_argument naming the
+    // offending layer.
+    s.plan = std::make_unique<nn::InferencePlan>(
+        rung.tail, engine.kernels(), hybrid::kImageSize, hybrid::kImageSize);
+    s.scratch.reserve(pool_->size());
+    s.arenas.reserve(pool_->size());
+    for (unsigned w = 0; w < pool_->size(); ++w) {
+      s.scratch.push_back(engine.make_scratch());
+      s.arenas.push_back(s.plan->make_arena(config_.chunk_images));
     }
-    if (plan) {
-      arenas_[r].reserve(pool_->size());
-      for (unsigned w = 0; w < pool_->size(); ++w) {
-        arenas_[r].push_back(plan->make_arena(config_.chunk_images));
-      }
-    }
-    plans_.push_back(std::move(plan));
+    s.energy_j = hw::backend_energy_per_frame_j(engine.name(), rung.bits,
+                                                engine.kernels());
+    s.sc_cycles = hw::backend_sc_cycles_per_frame(engine.name(), rung.bits,
+                                                  engine.kernels());
+    max_kernels = std::max(max_kernels, engine.kernels());
+    max_classes = std::max(max_classes, s.plan->classes());
   }
+  stats_.rungs.resize(rungs_.size());
+  // Reserved (not yet touched) for one chunk per worker, so batches up to
+  // that size never regrow the buffers: a regrown buffer can strand its
+  // old block below later allocations and raise peak memory.
+  const std::size_t frames =
+      static_cast<std::size_t>(config_.chunk_images) * pool_->size();
+  active_.reserve(frames);
+  survivors_.reserve(frames * kPixels);
+  feats_.reserve(frames * static_cast<std::size_t>(max_kernels) *
+                 hybrid::kOutputsPerKernel);
+  logits_.reserve(frames * static_cast<std::size_t>(max_classes));
 }
+
+AdaptivePipeline::AdaptivePipeline(
+    std::unique_ptr<hybrid::FirstLayerEngine> engine, nn::Network tail,
+    RuntimeConfig config)
+    : AdaptivePipeline(one_rung(std::move(engine), std::move(tail)), 0.0,
+                       std::move(config)) {}
 
 int AdaptivePipeline::max_rung() const noexcept {
   const int top = static_cast<int>(rungs_.size()) - 1;
   return std::clamp(max_rung_.load(std::memory_order_relaxed), 0, top);
 }
 
-double AdaptivePipeline::rung_cycles_per_image(std::size_t i) const {
-  const AdaptiveRung& r = rungs_.at(i);
-  return hw::sc_cycles_per_frame(r.bits, r.engine->kernels());
+nn::Network& AdaptivePipeline::tail() {
+  // The caller may retrain through this reference: re-pack the plan's
+  // Dense weight copies before the next batch.
+  state_.front().plan_stale = true;
+  return rungs_.front().tail;
 }
 
-std::vector<AdaptiveOutcome> AdaptivePipeline::classify_outcomes(
-    const nn::Tensor& images) {
-  check_image_batch(images, "AdaptivePipeline::classify_outcomes");
-  return run_ladder(images.data(), images.dim(0));
+void AdaptivePipeline::run_first_layer(std::size_t r, const float* images,
+                                       int m, float* out) {
+  const hybrid::FirstLayerEngine& engine = *rungs_[r].engine;
+  RungState& s = state_[r];
+  const int chunk = config_.chunk_images;
+  const std::size_t out_stride =
+      static_cast<std::size_t>(engine.kernels()) * hybrid::kOutputsPerKernel;
+  pool_->parallel_for((m + chunk - 1) / chunk, [&](int job, unsigned worker) {
+    const int first = job * chunk;
+    engine.compute_batch(images + static_cast<std::size_t>(first) * kPixels,
+                         std::min(chunk, m - first),
+                         out + static_cast<std::size_t>(first) * out_stride,
+                         *s.scratch[worker]);
+  });
 }
 
-std::vector<AdaptiveOutcome> AdaptivePipeline::run_ladder(const float* images,
-                                                          int n) {
-  constexpr std::size_t kPixels =
-      static_cast<std::size_t>(hybrid::kImageSize) * hybrid::kImageSize;
-
-  stats_ = PipelineStats{};
-  stats_.images = n;
-  stats_.threads = pool_->size();
-  stats_.rungs.assign(rungs_.size(), RungStats{});
-  for (std::size_t r = 0; r < rungs_.size(); ++r) {
-    stats_.rungs[r].bits = rungs_[r].bits;
+void AdaptivePipeline::run_tail(std::size_t r, const float* feats, int m,
+                                float* logits) {
+  RungState& s = state_[r];
+  if (s.plan_stale) {
+    s.plan->refresh_params();
+    s.plan_stale = false;
   }
+  const nn::InferencePlan& plan = *s.plan;
+  const int chunk = config_.chunk_images;
+  const sc::simd::Level level = sc::simd::active_level();
+  pool_->parallel_for((m + chunk - 1) / chunk, [&](int job, unsigned worker) {
+    const int first = job * chunk;
+    plan.run(feats + static_cast<std::size_t>(first) * plan.input_size(),
+             std::min(chunk, m - first),
+             logits + static_cast<std::size_t>(first) * plan.classes(),
+             s.arenas[worker], level);
+  });
+}
 
-  std::vector<AdaptiveOutcome> out(static_cast<std::size_t>(n));
-  std::vector<int> active(static_cast<std::size_t>(n));
-  std::iota(active.begin(), active.end(), 0);
-
-  // Sampled once per batch: every frame of this batch climbs the same
-  // (possibly supervisor-shortened) ladder, and the last allowed rung
-  // accepts all of its survivors.
-  const auto last_rung = static_cast<std::size_t>(max_rung());
-  stats_.rung_cap = static_cast<int>(last_rung);
-
-  const auto batch_start = Clock::now();
-  std::vector<hw::RungEnergy> energy;  // per-rung traffic for the hw model
-  nn::Tensor survivors;  // dense sub-batch of escalated images (rung > 0)
-  for (std::size_t r = 0; r <= last_rung && !active.empty(); ++r) {
-    AdaptiveRung& rung = rungs_[r];
-    RungStats& rs = stats_.rungs[r];
-    const auto rung_start = Clock::now();
-    const int m = static_cast<int>(active.size());
-    obs::SpanScope rung_span(obs::SpanName::kPipelineRung,
-                             obs::ambient_trace_id(), r,
-                             static_cast<std::uint64_t>(m), rung.bits);
-
-    // Rung 0 sees the full batch in place; later rungs compact the
-    // unconfident survivors into a dense sub-batch so the chunked first
-    // layer and the tail forward stay contiguous.
-    const float* batch = images;
-    if (r > 0) {
-      survivors = nn::Tensor(
-          {m, 1, hybrid::kImageSize, hybrid::kImageSize});
-      for (int j = 0; j < m; ++j) {
-        const float* src =
-            images +
-            static_cast<std::size_t>(active[static_cast<std::size_t>(j)]) *
-                kPixels;
-        std::copy(src, src + kPixels,
-                  survivors.data() + static_cast<std::size_t>(j) * kPixels);
-      }
-      batch = survivors.data();
-    }
-
-    const int k = rung.engine->kernels();
-    nn::Tensor features({m, k, hybrid::kImageSize, hybrid::kImageSize});
-    const std::size_t out_stride = static_cast<std::size_t>(k) * kPixels;
-    const int chunk = config_.chunk_images;
-    const int jobs = (m + chunk - 1) / chunk;
-    const auto first_layer_start = Clock::now();
-    pool_->parallel_for(jobs, [&](int job, unsigned worker) {
-      const int first = job * chunk;
-      const int count = std::min(chunk, m - first);
-      rung.engine->compute_batch(
-          batch + static_cast<std::size_t>(first) * kPixels, count,
-          features.data() + static_cast<std::size_t>(first) * out_stride,
-          *scratch_[r][worker]);
-    });
-    const auto tail_start = Clock::now();
-    stats_.first_layer_ms += ms_between(first_layer_start, tail_start);
-
-    // Tail + margins: with a plan, the vectorized fast path runs
-    // executor-parallel over the same deterministic chunk homes as the
-    // first layer (per-image independence keeps it bit-identical to the
-    // serial reference); without one, Network::forward batch math on the
-    // calling thread.
-    std::vector<nn::SoftmaxMargin> margins;
-    if (plans_[r]) {
-      const nn::InferencePlan& plan = *plans_[r];
-      const int classes = plan.classes();
-      logits_.resize(static_cast<std::size_t>(m) * classes);
-      const sc::simd::Level level = sc::simd::active_level();
-      pool_->parallel_for(jobs, [&](int job, unsigned worker) {
-        const int first = job * chunk;
-        const int count = std::min(chunk, m - first);
-        plan.run(features.data() +
-                     static_cast<std::size_t>(first) * plan.input_size(),
-                 count,
-                 logits_.data() + static_cast<std::size_t>(first) * classes,
-                 arenas_[r][worker], level);
-      });
-      margins.resize(static_cast<std::size_t>(m));
-      for (int j = 0; j < m; ++j) {
-        margins[static_cast<std::size_t>(j)] = nn::softmax_margin_row(
-            logits_.data() + static_cast<std::size_t>(j) * classes, classes);
-      }
-    } else {
-      const nn::Tensor logits =
-          rung.tail.forward(features, /*training=*/false);
-      margins = nn::softmax_margins(logits);
-    }
-    stats_.tail_ms += ms_since(tail_start);
-
-    const double cycles_per_image = rung_cycles_per_image(r);
-    energy.push_back({rung.engine->name(), rung.bits, k, m});
-    const bool last = r == last_rung;
-    std::vector<int> next;
-    for (int j = 0; j < m; ++j) {
-      const int idx = active[static_cast<std::size_t>(j)];
-      const nn::SoftmaxMargin& sm = margins[static_cast<std::size_t>(j)];
-      AdaptiveOutcome& o = out[static_cast<std::size_t>(idx)];
-      o.predicted = sm.best;
-      o.rung = static_cast<int>(r);
-      o.bits_used = rung.bits;
-      o.margin = sm.margin;
-      o.cycles += cycles_per_image;
-      if (sm.margin < confidence_margin_ && !last) next.push_back(idx);
-    }
-
-    rs.images_in = m;
-    rs.images_exited = m - static_cast<int>(next.size());
-    rs.sc_cycles = static_cast<double>(m) * cycles_per_image;
-    rs.energy_j = hw::aggregate_rung_energy_j({energy.back()});
-    rs.latency_ms = ms_since(rung_start);
-    active = std::move(next);
-  }
-
-  stats_.set_timing(n, pool_->size(), ms_since(batch_start));
-  stats_.energy_j = hw::aggregate_rung_energy_j(energy);
-  for (const RungStats& rs : stats_.rungs) stats_.sc_cycles += rs.sc_cycles;
+nn::Tensor AdaptivePipeline::features(const nn::Tensor& images) {
+  check_image_batch(images, "AdaptivePipeline::features");
+  const int n = images.dim(0);
+  nn::Tensor out({n, rungs_.front().engine->kernels(), hybrid::kImageSize,
+                  hybrid::kImageSize});
+  run_first_layer(0, images.data(), n, out.data());
   return out;
+}
+
+std::vector<int> AdaptivePipeline::predict(const nn::Tensor& images) {
+  const std::vector<Prediction> preds = Servable::classify(images);
+  std::vector<int> labels(preds.size());
+  std::transform(preds.begin(), preds.end(), labels.begin(),
+                 [](const Prediction& p) { return p.label; });
+  return labels;
 }
 
 ServeStats AdaptivePipeline::classify(const float* images, int n,
                                       Prediction* out) {
-  const std::vector<AdaptiveOutcome> outcomes = run_ladder(images, n);
-  for (int i = 0; i < n; ++i) {
-    const AdaptiveOutcome& o = outcomes[static_cast<std::size_t>(i)];
-    Prediction& p = out[i];
-    p = Prediction{};
-    p.label = o.predicted;
-    p.margin = o.margin;
-    p.rung = o.rung;
-    p.bits_used = o.bits_used;
-    p.rung_cap = stats_.rung_cap;
+  const auto batch_start = Clock::now();
+  // Sampled once per batch: every frame of this batch climbs the same
+  // (possibly supervisor-shortened) ladder, and the last allowed rung
+  // accepts all of its survivors.
+  const auto last_rung = static_cast<std::size_t>(max_rung());
+  const std::uint64_t trace_id = obs::ambient_trace_id();
+  const bool traced = obs::trace_sampled(trace_id);
+
+  static_cast<ServeStats&>(stats_) = ServeStats{};
+  stats_.rung_cap = static_cast<int>(last_rung);
+  for (std::size_t r = 0; r < rungs_.size(); ++r) {
+    stats_.rungs[r] = RungStats{};
+    stats_.rungs[r].bits = rungs_[r].bits;
   }
+
+  // active[0, m) are the batch indices still climbing the ladder.
+  int* const active = grow(active_, static_cast<std::size_t>(n));
+  std::iota(active, active + n, 0);
+  int m = n;
+  for (std::size_t r = 0; r <= last_rung && m > 0; ++r) {
+    const AdaptiveRung& rung = rungs_[r];
+    const RungState& s = state_[r];
+    const auto rung_start = Clock::now();
+    obs::SpanScope rung_span(obs::SpanName::kPipelineRung, trace_id, r,
+                             static_cast<std::uint64_t>(m), rung.bits);
+
+    // Rung 0 sees the full batch in place; later rungs gather the
+    // unconfident survivors into a dense sub-batch so the chunked first
+    // layer and the tail stay contiguous.
+    const float* batch = images;
+    if (r > 0) {
+      float* const survivors =
+          grow(survivors_, static_cast<std::size_t>(m) * kPixels);
+      for (int j = 0; j < m; ++j) {
+        std::copy_n(images + static_cast<std::size_t>(active[j]) * kPixels,
+                    kPixels, survivors + static_cast<std::size_t>(j) * kPixels);
+      }
+      batch = survivors;
+    }
+
+    const auto first_layer_start = Clock::now();
+    float* const feats =
+        grow(feats_, static_cast<std::size_t>(m) * rung.engine->kernels() *
+                         hybrid::kOutputsPerKernel);
+    run_first_layer(r, batch, m, feats);
+    const auto tail_start = Clock::now();
+
+    const int classes = s.plan->classes();
+    float* const logits =
+        grow(logits_, static_cast<std::size_t>(m) * classes);
+    run_tail(r, feats, m, logits);
+    const bool last = r == last_rung;
+    int escalated = 0;
+    for (int j = 0; j < m; ++j) {
+      const int idx = active[j];
+      const nn::SoftmaxMargin sm = nn::softmax_margin_row(
+          logits + static_cast<std::size_t>(j) * classes, classes);
+      Prediction& p = out[idx];
+      p = Prediction{};
+      p.label = sm.best;
+      p.margin = sm.margin;
+      p.rung = static_cast<int>(r);
+      p.bits_used = rung.bits;
+      p.rung_cap = stats_.rung_cap;
+      // Compacts in place: escalated <= j, so no index is overwritten
+      // before it is read.
+      if (sm.margin < confidence_margin_ && !last) active[escalated++] = idx;
+    }
+    const auto rung_end = Clock::now();
+
+    stats_.first_layer_ms += ms_between(first_layer_start, tail_start);
+    stats_.tail_ms += ms_between(tail_start, rung_end);
+    if (traced) {
+      record_stage(obs::SpanName::kFirstLayer, trace_id, m,
+                   first_layer_start, tail_start);
+      record_stage(obs::SpanName::kTail, trace_id, m, tail_start, rung_end);
+    }
+    RungStats& rs = stats_.rungs[r];
+    rs.images_in = m;
+    rs.images_exited = m - escalated;
+    rs.latency_ms = ms_between(rung_start, rung_end);
+    rs.sc_cycles = static_cast<double>(m) * s.sc_cycles;
+    rs.energy_j = static_cast<double>(m) * s.energy_j;
+    stats_.sc_cycles += rs.sc_cycles;
+    stats_.energy_j += rs.energy_j;
+    m = escalated;
+  }
+
+  stats_.set_timing(n, pool_->size(), ms_between(batch_start, Clock::now()));
   return stats_;
 }
 
 std::string AdaptivePipeline::name() const {
+  if (rungs_.size() == 1) return rungs_.front().engine->name();
   std::string bits;
   for (const AdaptiveRung& rung : rungs_) {
     if (!bits.empty()) bits += "/";
     bits += std::to_string(rung.bits);
   }
   return "adaptive(" + bits + "-bit " + rungs_.front().engine->name() + ")";
-}
-
-std::vector<int> AdaptivePipeline::predict(const nn::Tensor& images) {
-  const std::vector<AdaptiveOutcome> outcomes = classify_outcomes(images);
-  std::vector<int> predictions(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    predictions[i] = outcomes[i].predicted;
-  }
-  return predictions;
 }
 
 }  // namespace scbnn::runtime

@@ -1,34 +1,66 @@
-// Batched adaptive-precision serving pipeline.
+// The serving core: a hybrid model as a ladder of precision rungs.
 //
-// The paper's dynamic energy-accuracy trade-off (run the stochastic first
-// layer at few bits, escalate to high precision only for uncertain inputs)
-// as a first-class serving construct: an ordered ladder of precision rungs,
-// each a {bits, FirstLayerEngine, retrained binary tail} triple. A batch
-// enters the cheapest rung, the first layer is chunked across the shared
-// executor, the rung's tail scores every image, and only the images whose
-// softmax top1-top2 margin falls below the confidence threshold are
-// compacted into a dense sub-batch and escalated to the next rung.
+// The paper's model family is indexed by precision: an n-bit stochastic
+// first layer paired with the binary tail retrained for n bits. A rung is
+// one {bits, FirstLayerEngine, retrained tail} triple; a fixed-precision
+// model is simply a one-rung pipeline. For more rungs the pipeline runs
+// the paper's dynamic energy-accuracy trade-off: a batch enters the
+// cheapest rung, the first layer and the tail are chunked across the
+// executor, and only the frames whose softmax top1-top2 margin falls below
+// the confidence threshold are compacted into a dense sub-batch and
+// escalated to the next rung.
+//
+// Warm-path contract: after one warm-up batch, classify() performs zero
+// heap allocations. Every rung shares one set of grow-only buffers
+// (features, logits, survivors, active indices) — rungs run one after
+// another, so the buffers are sized by the largest rung, not their sum —
+// each tail runs out of per-worker plan arenas, and Predictions are
+// written in place.
 //
 // Determinism contract: escalation decisions depend only on per-image
 // arithmetic (first-layer features are bit-identical at any chunking, the
-// tail forward is per-image independent), so predictions, margins, and
-// cycle totals are bit-identical across thread counts and match a serial
-// rung-by-rung escalation of each image.
+// tail plan is per-image independent and bit-exact against
+// Network::forward), so predictions, margins, and cycle totals are
+// bit-identical across thread counts and match a serial rung-by-rung
+// escalation of each image.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hybrid/first_layer.h"
 #include "nn/inference_plan.h"
 #include "nn/network.h"
 #include "runtime/executor.h"
-#include "runtime/inference_engine.h"
 #include "runtime/servable.h"
 
 namespace scbnn::runtime {
+
+struct RuntimeConfig {
+  unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
+  int chunk_images = 8;  ///< images per work item handed to a worker
+  /// Shared executor to compute on. When set, the pipeline joins this pool
+  /// instead of spawning a private one (`threads` is then ignored — the
+  /// pool is already sized), so any number of models can serve from one
+  /// fixed set of workers without oversubscription. When null (the
+  /// default), a private WorkStealingExecutor of `threads` workers is
+  /// built.
+  std::shared_ptr<Executor> executor;
+
+  /// Reject nonsense before any pool or scratch is built: chunk_images must
+  /// be >= 1 and threads must not exceed Executor::kMaxThreads (0 stays
+  /// the documented "auto" setting). Throws std::invalid_argument naming
+  /// the offending field; returns *this so constructors can validate in
+  /// their initializer lists.
+  const RuntimeConfig& validate() const;
+
+  /// The executor this config resolves to: the shared executor if set,
+  /// otherwise a fresh private WorkStealingExecutor of `threads` workers.
+  [[nodiscard]] std::shared_ptr<Executor> resolve_executor() const;
+};
 
 /// One precision rung: a frozen first-layer engine and the binary tail
 /// retrained for that precision. Rungs are ordered cheapest first and must
@@ -46,8 +78,9 @@ struct RungStats {
   int images_in = 0;      ///< images entering this rung
   int images_exited = 0;  ///< images accepted (confident or last rung)
   double latency_ms = 0.0;
-  double sc_cycles = 0.0;  ///< SC cycles spent: images_in * kernels * 2^bits
-  double energy_j = 0.0;   ///< first-layer energy from the 65nm model
+  /// SC cycles spent: images_in * kernels * 2^bits (0 for binary rungs).
+  double sc_cycles = 0.0;
+  double energy_j = 0.0;  ///< first-layer energy from the 65nm model
 };
 
 /// Whole-pipeline statistics for one classify() batch: the shared serving
@@ -64,41 +97,45 @@ struct PipelineStats : ServeStats {
   }
 };
 
-/// Per-image result of an adaptive classification.
-struct AdaptiveOutcome {
-  int predicted = -1;
-  int rung = 0;            ///< index of the accepting rung
-  unsigned bits_used = 0;  ///< precision of the accepting rung
-  double margin = 0.0;     ///< softmax margin at acceptance
-  double cycles = 0.0;     ///< total SC cycles spent (all rungs tried)
-};
-
 class AdaptivePipeline : public Servable {
  public:
   /// `rungs` must be non-empty, engines non-null, bits strictly increasing
-  /// and matching each engine's precision;
+  /// and matching each engine's precision, and every tail
+  /// InferencePlan-compatible (Conv2D/Dense/MaxPool2/ReLU/Dropout);
   /// `confidence_margin` in [0, 1] is the minimum softmax top1-top2 gap to
   /// accept a rung's verdict without escalating. Throws
   /// std::invalid_argument on any violation (config included).
   AdaptivePipeline(std::vector<AdaptiveRung> rungs, double confidence_margin,
                    RuntimeConfig config = {});
 
-  /// Serve one [N,1,28,28] batch through the ladder, returning the full
-  /// per-image escalation record. Updates last_stats(). Named distinctly
-  /// from classify() so the same expression never silently changes return
-  /// type between AdaptivePipeline and Servable& call sites.
-  [[nodiscard]] std::vector<AdaptiveOutcome> classify_outcomes(
-      const nn::Tensor& images);
+  /// A fixed-precision model: one rung at the engine's precision, nothing
+  /// to escalate to.
+  AdaptivePipeline(std::unique_ptr<hybrid::FirstLayerEngine> engine,
+                   nn::Network tail, RuntimeConfig config = {});
 
-  /// classify_outcomes() reduced to the predicted class indices.
+  /// [N,1,28,28] -> [N, kernels, 28, 28] ternary features of rung 0's first
+  /// layer, chunked across the executor — the frozen-layer pass tail
+  /// retraining consumes. Leaves last_stats() alone.
+  [[nodiscard]] nn::Tensor features(const nn::Tensor& images);
+
+  /// Serve one [N,1,28,28] batch and keep only the labels.
   [[nodiscard]] std::vector<int> predict(const nn::Tensor& images);
+
+  /// Mutable access to rung 0's tail, the one features() feeds
+  /// (retraining happens in place). Marks that rung's plan stale: the next
+  /// batch re-packs its parameters from the (possibly retrained) tail
+  /// before running.
+  [[nodiscard]] nn::Network& tail();
 
   // ------------------------------------------------------------- Servable
   /// Ladder escalation over `n` contiguous frames; Predictions carry the
-  /// accepting rung, its precision, and the margin. Updates last_stats().
+  /// accepting rung, its precision, and the margin. Updates last_stats()
+  /// with whole-call timing, the first_layer_ms/tail_ms stage split, and
+  /// the per-rung breakdown. Allocation-free once warm.
   ServeStats classify(const float* images, int n, Prediction* out) override;
   using Servable::classify;
-  /// "adaptive(<bits>/<bits>/...-bit <backend>)".
+  /// The backend name for a one-rung pipeline (e.g. "sc-proposed");
+  /// "adaptive(<bits>/<bits>/...-bit <backend>)" for a ladder.
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] unsigned threads() const noexcept override {
     return pool_->size();
@@ -106,7 +143,7 @@ class AdaptivePipeline : public Servable {
   /// Escalation cap for precision-degrading load shedding: subsequent
   /// batches stop escalating past rung `cap` (clamped to the ladder; the
   /// last allowed rung accepts every survivor). The cap is sampled once
-  /// per run_ladder() call, so a batch is internally consistent, and with
+  /// per classify() call, so a batch is internally consistent, and with
   /// the cap at the ladder top predictions are bit-identical to the
   /// uncapped pipeline. Safe to call from a supervisor thread while the
   /// batch former classifies.
@@ -141,32 +178,42 @@ class AdaptivePipeline : public Servable {
     return config_;
   }
 
-  /// SC cycles one image costs at rung `i` — kernels taken from the rung's
-  /// engine, not assumed to be 32.
-  [[nodiscard]] double rung_cycles_per_image(std::size_t i) const;
+  /// SC cycles one image costs at rung `i` (hw::backend_sc_cycles_per_frame
+  /// with the rung engine's own kernel count; 0 for binary rungs).
+  [[nodiscard]] double rung_cycles_per_image(std::size_t i) const {
+    return state_.at(i).sc_cycles;
+  }
 
  private:
-  /// The ladder core shared by both classify() flavors: escalate `n`
-  /// contiguous frames and return per-image outcomes, refreshing stats_.
-  [[nodiscard]] std::vector<AdaptiveOutcome> run_ladder(const float* images,
-                                                        int n);
+  /// One rung's compiled serving state: its tail plan, one first-layer
+  /// scratch and one plan arena per executor worker, and its hardware
+  /// cost per frame, priced once at construction.
+  struct RungState {
+    std::unique_ptr<nn::InferencePlan> plan;
+    bool plan_stale = false;  ///< tail() handed out mutable access
+    std::vector<std::unique_ptr<hybrid::FirstLayerEngine::Scratch>> scratch;
+    std::vector<nn::InferencePlan::Arena> arenas;
+    double energy_j = 0.0;
+    double sc_cycles = 0.0;
+  };
+
+  /// Rung `r`'s first layer over `m` contiguous frames into `out`
+  /// ([m, kernels, 28, 28]), chunked across the executor.
+  void run_first_layer(std::size_t r, const float* images, int m, float* out);
+  /// Rung `r`'s tail plan over `m` feature images into `logits`
+  /// ([m, classes]), on the same deterministic chunk homes. Re-packs a
+  /// stale plan first.
+  void run_tail(std::size_t r, const float* feats, int m, float* logits);
 
   std::vector<AdaptiveRung> rungs_;
   std::atomic<int> max_rung_{kUncappedRung};
   double confidence_margin_;
   RuntimeConfig config_;
   std::shared_ptr<Executor> pool_;  ///< private or shared (config.executor)
-  // scratch_[rung][worker]: each rung's engine keeps one workspace per pool
-  // worker, reused across batches.
-  std::vector<std::vector<std::unique_ptr<hybrid::FirstLayerEngine::Scratch>>>
-      scratch_;
-  // Vectorized tail plans, one per rung (null => that rung falls back to
-  // Network::forward on the calling thread), with arenas_[rung][worker]
-  // mirroring scratch_. Rung tails are frozen after construction, so the
-  // packed parameters never go stale.
-  std::vector<std::unique_ptr<nn::InferencePlan>> plans_;
-  std::vector<std::vector<nn::InferencePlan::Arena>> arenas_;
-  std::vector<float> logits_;  ///< grow-only per-rung logits buffer
+  std::vector<RungState> state_;  ///< parallel to rungs_
+  // Grow-only warm-path buffers shared by every rung.
+  std::vector<float> feats_, logits_, survivors_;
+  std::vector<int> active_;  ///< frames still climbing, as batch indices
   PipelineStats stats_;
 };
 

@@ -1,18 +1,14 @@
 // The compute-executor contract of the serving runtime.
 //
-// Every engine, adaptive-pipeline rung, batch former, and router model
-// fans its first-layer batches out through one of these. Two
-// implementations exist:
+// Every pipeline rung and router model fans its first-layer and tail
+// batches out through one of these. The implementation is
+// WorkStealingExecutor (work_stealing_executor.h): per-worker Chase-Lev
+// deques, lock-free parallel_for chunk claiming, futex parking, optional
+// topology-aware pinning — the executor behind make_shared_executor() and
+// RuntimeConfig::resolve_executor(). Its steal-off mode is the scaling
+// benches' control.
 //
-//   - WorkStealingExecutor (work_stealing_executor.h): per-worker
-//     Chase-Lev deques, lock-free parallel_for chunk claiming, futex
-//     parking, optional topology-aware pinning. The default behind
-//     make_shared_executor() and RuntimeConfig::resolve_executor().
-//   - ThreadPool (thread_pool.h): the original central-mutex pool, kept
-//     as the reference implementation the scaling benches A/B against.
-//
-// parallel_for's contract is shared by both and load-bearing for the
-// whole runtime:
+// parallel_for's contract is load-bearing for the whole runtime:
 //
 //   - fn receives (job, worker) where `worker` is a stable slot id in
 //     [0, size()): jobs run only on executor workers (plus the documented
@@ -36,9 +32,7 @@
 namespace scbnn::runtime {
 
 /// On-demand aggregate of the per-worker counters an executor maintains.
-/// Plain data; a snapshot, not a live view. The legacy ThreadPool reports
-/// only `workers` (it predates the counters); the WorkStealingExecutor
-/// fills everything.
+/// Plain data; a snapshot, not a live view.
 struct ExecutorStats {
   unsigned workers = 0;
   std::uint64_t tasks_run = 0;      ///< submitted tasks executed

@@ -126,61 +126,12 @@ std::size_t ModelRouter::queue_depth(const std::string& id) const {
 void ModelRouter::register_metrics(obs::MetricsRegistry& registry) {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   for (const auto& [id, entry] : models_) {
-    const obs::Labels labels{{"model", id}};
-    std::weak_ptr<Entry> weak = entry;
-    auto counter = [&](const char* name, const char* help,
-                       long ServerStats::* field) {
-      registry.counter_fn(name, help, labels, [weak, field] {
-        const std::shared_ptr<Entry> entry = weak.lock();
-        if (!entry) return std::uint64_t{0};
-        return static_cast<std::uint64_t>(
-            std::max(0L, entry->server->stats().*field));
-      });
-    };
-    counter("scbnn_server_accepted_total", "Requests admitted to the queue",
-            &ServerStats::accepted);
-    counter("scbnn_server_rejected_total",
-            "Requests refused by admission control", &ServerStats::rejected);
-    counter("scbnn_server_completed_total",
-            "Futures resolved with a Prediction", &ServerStats::completed);
-    counter("scbnn_server_failed_total",
-            "Futures resolved with an exception", &ServerStats::failed);
-    counter("scbnn_server_batches_total", "Dispatches to the backend",
-            &ServerStats::batches);
-    registry.gauge_fn("scbnn_server_queue_depth",
-                      "Requests waiting for dispatch", labels, [weak] {
-                        const std::shared_ptr<Entry> entry = weak.lock();
-                        return entry ? static_cast<double>(
-                                           entry->server->queue_depth())
-                                     : 0.0;
-                      });
-    registry.gauge_fn("scbnn_server_mean_batch_size",
-                      "Mean coalesced batch size", labels, [weak] {
-                        const std::shared_ptr<Entry> entry = weak.lock();
-                        return entry
-                                   ? entry->server->stats().mean_batch_size()
-                                   : 0.0;
-                      });
-    registry.gauge_fn("scbnn_server_energy_joules",
-                      "Summed backend energy estimate", labels, [weak] {
-                        const std::shared_ptr<Entry> entry = weak.lock();
-                        return entry ? entry->server->stats().energy_j : 0.0;
-                      });
-    registry.gauge_fn(
-        "scbnn_executor_workers", "Compute executor threads", labels,
-        [weak] {
-          const std::shared_ptr<Entry> entry = weak.lock();
-          return entry ? static_cast<double>(
-                             entry->server->executor_stats().workers)
-                       : 0.0;
-        });
-    registry.counter_fn(
-        "scbnn_executor_steals_total", "Work-stealing executor steals",
-        labels, [weak] {
-          const std::shared_ptr<Entry> entry = weak.lock();
-          return entry ? entry->server->executor_stats().steals
-                       : std::uint64_t{0};
-        });
+    // Aliasing handle: it points at the server but owns the whole entry, so
+    // a scrape that overlaps a deregistration keeps the backend alive too
+    // (the executor views call into it).
+    Server::register_metrics(
+        registry, id,
+        std::shared_ptr<const Server>(entry, entry->server.get()));
   }
 }
 

@@ -9,7 +9,7 @@
 // without touching anyone else's.
 //
 // Compute is meant to be shared: instantiate every model's Servable with
-// the same RuntimeConfig::executor so N models multiplex one ThreadPool
+// the same RuntimeConfig::executor so N models multiplex one executor
 // instead of spawning N pools that oversubscribe the machine. The router
 // itself adds only one lightweight batch-former thread per model.
 //
@@ -86,11 +86,11 @@ class ModelRouter {
   /// queue-depth signal overload monitoring watches.
   [[nodiscard]] std::size_t queue_depth(const std::string& id) const;
 
-  /// Register registry views for every currently-registered model (the
-  /// scbnn_server_*/scbnn_executor_* families, labeled model=<id>).
-  /// Callbacks hold weak references, so a model deregistered later simply
-  /// exports zeros instead of dangling. The router must outlive exports
-  /// from `registry`.
+  /// Register registry views for every currently-registered model: the
+  /// same scbnn_server_*/scbnn_executor_* series a bare Server exports,
+  /// labeled model=<id>. Callbacks hold weak handles to each model's
+  /// entry: a scrape keeps the model's server and backend alive until it
+  /// returns, and a model deregistered later exports zeros.
   void register_metrics(obs::MetricsRegistry& registry);
 
   /// Drain and remove every model. Idempotent; after shutdown every

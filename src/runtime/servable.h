@@ -1,10 +1,10 @@
 // The request-level serving contract of the runtime layer.
 //
 // A Servable is anything that can turn a contiguous run of 28x28 frames
-// into per-frame Predictions with aggregate ServeStats: the fixed-precision
-// InferenceEngine (first layer + one tail) and the multi-rung
-// AdaptivePipeline both implement it, so the request Server, the benches,
-// and the examples can treat "a backend" as one type. The contract's
+// into per-frame Predictions with aggregate ServeStats. The one model
+// implementation is AdaptivePipeline (a fixed-precision model is its
+// one-rung case); the request Server, the fleet shards, the benches, and
+// the examples all treat "a backend" as this one type. The contract's
 // load-bearing clause is determinism: a frame's Prediction depends only on
 // the frame's pixels (plus the backend's frozen state), never on how the
 // caller grouped frames into batches — that is what lets the Server
@@ -66,9 +66,7 @@ struct Prediction {
   }
 };
 
-/// Aggregate statistics for one batched classify() call — the stats/energy
-/// plumbing previously duplicated between InferenceEngine's BatchStats and
-/// AdaptivePipeline's PipelineStats totals.
+/// Aggregate statistics for one batched classify() call.
 struct ServeStats {
   int images = 0;
   unsigned threads = 1;
@@ -80,10 +78,10 @@ struct ServeStats {
   /// SC cycles spent on the batch; 0 for backends without an SC notion.
   double sc_cycles = 0.0;
   /// Stage split of latency_ms: time in the stochastic first layer vs the
-  /// binary tail (conv/dense GEMMs + margins). Both 0 when the backend
-  /// doesn't separate stages (e.g. features()-only calls fill first_layer_ms
-  /// and leave tail_ms 0). They need not sum exactly to latency_ms — glue
-  /// (prediction fill, stats) stays outside both.
+  /// binary tail (conv/dense GEMMs + margins + prediction fill), summed
+  /// over rungs. Both 0 when the backend doesn't separate stages. They
+  /// need not sum exactly to latency_ms — glue (survivor compaction,
+  /// stats) stays outside both.
   double first_layer_ms = 0.0;
   double tail_ms = 0.0;
 

@@ -231,12 +231,20 @@ ServerStats Server::stats() const {
 
 void Server::register_metrics(obs::MetricsRegistry& registry,
                               const std::string& model) {
+  register_metrics(registry, model, self_);
+}
+
+void Server::register_metrics(obs::MetricsRegistry& registry,
+                              const std::string& model,
+                              std::weak_ptr<const Server> server) {
   const obs::Labels labels{{"model", model}};
   auto counter = [&](const char* name, const char* help,
                      long ServerStats::* field) {
-    registry.counter_fn(name, help, labels, [this, field] {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      return static_cast<std::uint64_t>(std::max(0L, stats_.*field));
+    registry.counter_fn(name, help, labels, [server, field] {
+      const std::shared_ptr<const Server> s = server.lock();
+      if (!s) return std::uint64_t{0};
+      std::lock_guard<std::mutex> lock(s->stats_mutex_);
+      return static_cast<std::uint64_t>(std::max(0L, s->stats_.*field));
     });
   };
   counter("scbnn_server_accepted_total", "Requests admitted to the queue",
@@ -250,32 +258,41 @@ void Server::register_metrics(obs::MetricsRegistry& registry,
   counter("scbnn_server_batches_total", "Dispatches to the backend",
           &ServerStats::batches);
 
-  registry.gauge_fn("scbnn_server_queue_depth",
-                    "Requests waiting for dispatch", labels,
-                    [this] { return static_cast<double>(queue_.size()); });
-  registry.gauge_fn("scbnn_server_mean_batch_size",
-                    "Mean coalesced batch size", labels,
-                    [this] { return stats().mean_batch_size(); });
-  registry.gauge_fn("scbnn_server_energy_joules",
-                    "Summed backend energy estimate", labels,
-                    [this] { return stats().energy_j; });
-  registry.gauge_fn(
-      "scbnn_server_mean_queue_wait_ms", "Mean request queue wait", labels,
-      [this] {
-        const ServerStats s = stats();
-        return s.completed > 0 ? s.queue_wait_ms_sum / s.completed : 0.0;
-      });
+  auto gauge = [&](const char* name, const char* help,
+                   double (*read)(const Server&)) {
+    registry.gauge_fn(name, help, labels, [server, read] {
+      const std::shared_ptr<const Server> s = server.lock();
+      return s ? read(*s) : 0.0;
+    });
+  };
+  gauge("scbnn_server_queue_depth", "Requests waiting for dispatch",
+        [](const Server& s) { return static_cast<double>(s.queue_depth()); });
+  gauge("scbnn_server_mean_batch_size", "Mean coalesced batch size",
+        [](const Server& s) { return s.stats().mean_batch_size(); });
+  gauge("scbnn_server_energy_joules", "Summed backend energy estimate",
+        [](const Server& s) { return s.stats().energy_j; });
+  gauge("scbnn_server_mean_queue_wait_ms", "Mean request queue wait",
+        [](const Server& s) {
+          const ServerStats st = s.stats();
+          return st.completed > 0 ? st.queue_wait_ms_sum / st.completed : 0.0;
+        });
+  gauge("scbnn_executor_workers", "Compute executor threads",
+        [](const Server& s) {
+          return static_cast<double>(s.executor_stats().workers);
+        });
 
-  registry.gauge_fn("scbnn_executor_workers", "Compute executor threads",
-                    labels, [this] {
-                      return static_cast<double>(executor_stats().workers);
-                    });
-  registry.counter_fn("scbnn_executor_steals_total",
-                      "Work-stealing executor steals", labels,
-                      [this] { return executor_stats().steals; });
-  registry.counter_fn("scbnn_executor_parallel_for_total",
-                      "parallel_for fan-outs dispatched", labels,
-                      [this] { return executor_stats().parallel_fors; });
+  auto executor_counter = [&](const char* name, const char* help,
+                              std::uint64_t ExecutorStats::* field) {
+    registry.counter_fn(name, help, labels, [server, field] {
+      const std::shared_ptr<const Server> s = server.lock();
+      return s ? s->executor_stats().*field : std::uint64_t{0};
+    });
+  };
+  executor_counter("scbnn_executor_steals_total",
+                   "Work-stealing executor steals", &ExecutorStats::steals);
+  executor_counter("scbnn_executor_parallel_for_total",
+                   "parallel_for fan-outs dispatched",
+                   &ExecutorStats::parallel_fors);
 }
 
 }  // namespace scbnn::runtime

@@ -22,12 +22,14 @@
 //   - Graceful shutdown: shutdown() (and the destructor) stop admissions,
 //     drain every queued request through the backend, resolve all futures,
 //     and join the batch former — the same drain-then-join semantics as
-//     ThreadPool.
+//     the executor.
 #pragma once
 
 #include <cstddef>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -106,11 +108,21 @@ class Server {
   [[nodiscard]] ServerStats stats() const;
 
   /// Register registry views over this server's live stats (admission
-  /// counters, queue depth, batching, energy) and its backend's executor
-  /// counters, labeled model=`model`. The Server must outlive exports
-  /// from `registry`; re-registration with the same label is idempotent.
+  /// counters, queue depth, batching, queue wait, energy) and its
+  /// backend's executor counters, labeled model=`model`. Exports after the
+  /// Server is gone read zeros; exports must not race its destruction.
+  /// Re-registration with the same label is idempotent.
   void register_metrics(obs::MetricsRegistry& registry,
                         const std::string& model);
+
+  /// The one list of per-model series behind both the overload above and
+  /// ModelRouter::register_metrics: views over whatever `server` still
+  /// points to at scrape time, zeros once it has expired. Each view holds
+  /// a locked `server` while it reads, and the executor views call into
+  /// the backend, so the handle should own the backend as well.
+  static void register_metrics(obs::MetricsRegistry& registry,
+                               const std::string& model,
+                               std::weak_ptr<const Server> server);
 
   /// The backend's compute-executor counters (fleet-wide totals when the
   /// backend shares its executor with other models).
@@ -136,6 +148,9 @@ class Server {
   ServerStats stats_;
   std::once_flag shutdown_once_;
   std::thread batch_former_;
+  /// Non-owning handle to this server for its own registry views. Declared
+  /// last, so it expires before any other member is torn down.
+  const std::shared_ptr<const Server> self_{this, [](const Server*) {}};
 };
 
 }  // namespace scbnn::runtime

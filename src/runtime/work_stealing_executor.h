@@ -1,6 +1,6 @@
 // Work-stealing, topology-aware executor — the runtime's default.
 //
-// Architecture (vs the central-mutex ThreadPool it replaces):
+// Architecture (vs a central-mutex pool):
 //
 //   - Submitted tasks flow through per-worker structures only: a worker
 //     pushes/pops the bottom of its own bounded Chase-Lev deque (LIFO),
@@ -26,10 +26,9 @@
 //     identity of results with stealing on vs off; submitted-task
 //     stealing is disabled with it.
 //
-// Contract deltas vs the legacy pool, both deliberate:
-//   - size()==1 executors run submit() inline on the caller (the legacy
-//     pool inlined parallel_for but still round-tripped submit through
-//     the queue); the returned future is already resolved.
+// Two deliberate contract details:
+//   - size()==1 executors run submit() inline on the caller; the returned
+//     future is already resolved.
 //   - parallel_for() from inside a worker of this executor runs inline
 //     under that worker's slot instead of deadlocking — nested fan-out
 //     degrades to serial.

@@ -1,20 +1,21 @@
 // Adaptive-precision pipeline tests: ladder validation, escalation edge
 // cases, per-rung stats, kernel-derived cycle accounting, thread-count
 // bit-identity, and equivalence with a serial rung-by-rung escalation
-// reference (and with the single-image ProgressiveClassifier adapter).
+// reference.
 #include "runtime/adaptive_pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
 #include "hw/report.h"
 #include "hybrid/experiment.h"
-#include "hybrid/progressive.h"
 #include "nn/loss.h"
 #include "nn/quantize.h"
+#include "obs/trace.h"
 
 namespace scbnn::runtime {
 namespace {
@@ -52,6 +53,16 @@ std::vector<AdaptiveRung> make_rungs(nn::Network& base,
     rungs.push_back(std::move(rung));
   }
   return rungs;
+}
+
+/// SC cycles a frame accepted at `rung` spent: one pass of every rung it
+/// entered, summed cheapest first.
+double cycles_spent(const AdaptivePipeline& pipeline, int rung) {
+  double cycles = 0.0;
+  for (int r = 0; r <= rung; ++r) {
+    cycles += pipeline.rung_cycles_per_image(static_cast<std::size_t>(r));
+  }
+  return cycles;
 }
 
 class AdaptivePipelineTest : public ::testing::Test {
@@ -116,12 +127,13 @@ TEST_F(AdaptivePipelineTest, RuntimeConfigValidatedOnConstruction) {
 
 TEST_F(AdaptivePipelineTest, ZeroMarginExitsEveryImageAtRungZero) {
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 0.0);
-  const auto outcomes = pipeline.classify_outcomes(split_.train.images);
+  const auto outcomes = pipeline.classify(split_.train.images);
   const int n = split_.train.images.dim(0);
-  for (const AdaptiveOutcome& o : outcomes) {
+  for (const Prediction& o : outcomes) {
     EXPECT_EQ(o.rung, 0);
     EXPECT_EQ(o.bits_used, 3u);
-    EXPECT_DOUBLE_EQ(o.cycles, pipeline.rung_cycles_per_image(0));
+    EXPECT_DOUBLE_EQ(cycles_spent(pipeline, o.rung),
+                     pipeline.rung_cycles_per_image(0));
   }
   const PipelineStats& stats = pipeline.last_stats();
   ASSERT_EQ(stats.rungs.size(), 2u);
@@ -134,14 +146,14 @@ TEST_F(AdaptivePipelineTest, ZeroMarginExitsEveryImageAtRungZero) {
 
 TEST_F(AdaptivePipelineTest, ImpossibleMarginEscalatesEveryImageToLastRung) {
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 1.0);
-  const auto outcomes = pipeline.classify_outcomes(split_.train.images);
+  const auto outcomes = pipeline.classify(split_.train.images);
   const int n = split_.train.images.dim(0);
   const double all_rungs = pipeline.rung_cycles_per_image(0) +
                            pipeline.rung_cycles_per_image(1);
-  for (const AdaptiveOutcome& o : outcomes) {
+  for (const Prediction& o : outcomes) {
     EXPECT_EQ(o.rung, 1);
     EXPECT_EQ(o.bits_used, 6u);
-    EXPECT_DOUBLE_EQ(o.cycles, all_rungs);
+    EXPECT_DOUBLE_EQ(cycles_spent(pipeline, o.rung), all_rungs);
   }
   const PipelineStats& stats = pipeline.last_stats();
   EXPECT_EQ(stats.rungs[0].images_in, n);
@@ -155,12 +167,12 @@ TEST_F(AdaptivePipelineTest, MarginExactlyAtThresholdAcceptsWithoutEscalating) {
   // confidence threshold: >= semantics must accept at rung 0.
   const nn::Tensor one = data::head(split_.train, 1).images;
   AdaptivePipeline probe(make_rungs(base_, tiny_lenet(), {3u, 6u}), 0.0);
-  const double margin = probe.classify_outcomes(one)[0].margin;
+  const double margin = probe.classify(one)[0].margin;
   ASSERT_GT(margin, 0.0);
   ASSERT_LE(margin, 1.0);
 
   AdaptivePipeline exact(make_rungs(base_, tiny_lenet(), {3u, 6u}), margin);
-  const auto outcome = exact.classify_outcomes(one)[0];
+  const auto outcome = exact.classify(one)[0];
   EXPECT_EQ(outcome.rung, 0);
   EXPECT_DOUBLE_EQ(outcome.margin, margin);
 
@@ -168,7 +180,7 @@ TEST_F(AdaptivePipelineTest, MarginExactlyAtThresholdAcceptsWithoutEscalating) {
   const double above = std::nextafter(margin, 2.0);
   if (above <= 1.0) {
     AdaptivePipeline strict(make_rungs(base_, tiny_lenet(), {3u, 6u}), above);
-    EXPECT_EQ(strict.classify_outcomes(one)[0].rung, 1);
+    EXPECT_EQ(strict.classify(one)[0].rung, 1);
   }
 }
 
@@ -179,18 +191,18 @@ TEST_F(AdaptivePipelineTest, MaxRungCapShortensTheLadderAndRestores) {
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 1.0);
   EXPECT_EQ(pipeline.max_rung(), 1);
 
-  const std::vector<AdaptiveOutcome> uncapped =
-      pipeline.classify_outcomes(split_.train.images);
-  for (const AdaptiveOutcome& o : uncapped) {
+  const std::vector<Prediction> uncapped =
+      pipeline.classify(split_.train.images);
+  for (const Prediction& o : uncapped) {
     EXPECT_EQ(o.rung, 1);
     EXPECT_EQ(o.bits_used, 6u);
   }
 
   pipeline.set_max_rung(0);
   EXPECT_EQ(pipeline.max_rung(), 0);
-  const std::vector<AdaptiveOutcome> capped =
-      pipeline.classify_outcomes(split_.train.images);
-  for (const AdaptiveOutcome& o : capped) {
+  const std::vector<Prediction> capped =
+      pipeline.classify(split_.train.images);
+  for (const Prediction& o : capped) {
     EXPECT_EQ(o.rung, 0);
     EXPECT_EQ(o.bits_used, 3u);
   }
@@ -202,11 +214,11 @@ TEST_F(AdaptivePipelineTest, MaxRungCapShortensTheLadderAndRestores) {
   // Values past the ladder clamp; restoring reproduces the uncapped run.
   pipeline.set_max_rung(Servable::kUncappedRung);
   EXPECT_EQ(pipeline.max_rung(), 1);
-  const std::vector<AdaptiveOutcome> restored =
-      pipeline.classify_outcomes(split_.train.images);
+  const std::vector<Prediction> restored =
+      pipeline.classify(split_.train.images);
   ASSERT_EQ(restored.size(), uncapped.size());
   for (std::size_t i = 0; i < restored.size(); ++i) {
-    EXPECT_EQ(restored[i].predicted, uncapped[i].predicted);
+    EXPECT_EQ(restored[i].label, uncapped[i].label);
     EXPECT_EQ(restored[i].rung, uncapped[i].rung);
     EXPECT_DOUBLE_EQ(restored[i].margin, uncapped[i].margin);
   }
@@ -226,7 +238,7 @@ TEST_F(AdaptivePipelineTest, CycleAccountingDerivesKernelsFromEngine) {
   EXPECT_DOUBLE_EQ(pipeline.rung_cycles_per_image(1),
                    hw::sc_cycles_per_frame(6, 8));
   EXPECT_NE(pipeline.rung_cycles_per_image(0),
-            hybrid::ProgressiveClassifier::fixed_cycles(3));  // 32-kernel
+            hw::sc_cycles_per_frame(3, 32));  // the paper's 32 kernels
 }
 
 TEST_F(AdaptivePipelineTest, BitIdenticalAcrossThreadCounts) {
@@ -237,20 +249,20 @@ TEST_F(AdaptivePipelineTest, BitIdenticalAcrossThreadCounts) {
     rc.chunk_images = 3;  // 14 images -> 5 uneven chunks
     AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 5u, 7u}),
                               margin, rc);
-    auto outcomes = pipeline.classify_outcomes(split_.train.images);
+    auto preds = pipeline.classify(split_.train.images);
     EXPECT_EQ(pipeline.last_stats().threads, threads);
-    return outcomes;
+    return std::make_pair(preds, pipeline.last_stats().sc_cycles);
   };
-  const auto serial = run(1);
-  const auto threaded = run(4);
+  const auto [serial, serial_cycles] = run(1);
+  const auto [threaded, threaded_cycles] = run(4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].predicted, threaded[i].predicted) << "image " << i;
+    EXPECT_EQ(serial[i].label, threaded[i].label) << "image " << i;
     EXPECT_EQ(serial[i].rung, threaded[i].rung) << "image " << i;
     EXPECT_EQ(serial[i].bits_used, threaded[i].bits_used) << "image " << i;
     EXPECT_EQ(serial[i].margin, threaded[i].margin) << "image " << i;
-    EXPECT_EQ(serial[i].cycles, threaded[i].cycles) << "image " << i;
   }
+  EXPECT_EQ(serial_cycles, threaded_cycles);
 }
 
 TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
@@ -259,11 +271,18 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
   const double margin = 0.35;
   auto ref_rungs = make_rungs(base_, tiny_lenet(), {3u, 5u, 7u});
   const int n = split_.train.images.dim(0);
-  std::vector<AdaptiveOutcome> expected(static_cast<std::size_t>(n));
+  struct Expected {
+    int label = -1;
+    int rung = 0;
+    unsigned bits_used = 0;
+    double margin = 0.0;
+    double cycles = 0.0;
+  };
+  std::vector<Expected> expected(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const float* image = split_.train.images.data() +
                          static_cast<std::size_t>(i) * 784;
-    AdaptiveOutcome& o = expected[static_cast<std::size_t>(i)];
+    Expected& o = expected[static_cast<std::size_t>(i)];
     for (std::size_t r = 0; r < ref_rungs.size(); ++r) {
       AdaptiveRung& rung = ref_rungs[r];
       const int k = rung.engine->kernels();
@@ -271,7 +290,7 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
       rung.engine->compute(image, features.data());
       const auto margins =
           nn::softmax_margins(rung.tail.forward(features, false));
-      o.predicted = margins[0].best;
+      o.label = margins[0].best;
       o.rung = static_cast<int>(r);
       o.bits_used = rung.bits;
       o.margin = margins[0].margin;
@@ -285,47 +304,21 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
   rc.chunk_images = 4;
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 5u, 7u}),
                             margin, rc);
-  const auto got = pipeline.classify_outcomes(split_.train.images);
+  const auto got = pipeline.classify(split_.train.images);
   for (int i = 0; i < n; ++i) {
     const auto& e = expected[static_cast<std::size_t>(i)];
     const auto& g = got[static_cast<std::size_t>(i)];
-    EXPECT_EQ(g.predicted, e.predicted) << "image " << i;
+    EXPECT_EQ(g.label, e.label) << "image " << i;
     EXPECT_EQ(g.rung, e.rung) << "image " << i;
     EXPECT_EQ(g.bits_used, e.bits_used) << "image " << i;
     EXPECT_EQ(g.margin, e.margin) << "image " << i;
-    EXPECT_EQ(g.cycles, e.cycles) << "image " << i;
-  }
-}
-
-TEST_F(AdaptivePipelineTest, ProgressiveAdapterMatchesPipeline) {
-  const double margin = 0.35;
-  std::vector<hybrid::PrecisionRung> cls_rungs;
-  for (auto& rung : make_rungs(base_, tiny_lenet(), {3u, 6u})) {
-    hybrid::PrecisionRung pr;
-    pr.bits = rung.bits;
-    pr.engine = std::move(rung.engine);
-    pr.tail = std::move(rung.tail);
-    cls_rungs.push_back(std::move(pr));
-  }
-  hybrid::ProgressiveClassifier cls(std::move(cls_rungs), margin);
-  AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}),
-                            margin);
-  const auto outcomes = pipeline.classify_outcomes(split_.train.images);
-  const int n = split_.train.images.dim(0);
-  for (int i = 0; i < n; ++i) {
-    const auto single = cls.classify(split_.train.images.data() +
-                                     static_cast<std::size_t>(i) * 784);
-    const auto& batched = outcomes[static_cast<std::size_t>(i)];
-    EXPECT_EQ(single.predicted, batched.predicted) << "image " << i;
-    EXPECT_EQ(single.bits_used, batched.bits_used) << "image " << i;
-    EXPECT_EQ(single.margin, batched.margin) << "image " << i;
-    EXPECT_EQ(single.cycles, batched.cycles) << "image " << i;
+    EXPECT_EQ(cycles_spent(pipeline, g.rung), e.cycles) << "image " << i;
   }
 }
 
 TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 0.35);
-  const auto outcomes = pipeline.classify_outcomes(split_.train.images);
+  const auto outcomes = pipeline.classify(split_.train.images);
   const int n = split_.train.images.dim(0);
   const PipelineStats& stats = pipeline.last_stats();
   EXPECT_EQ(stats.images, n);
@@ -336,6 +329,11 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
     cycles += rs.sc_cycles;
     energy += rs.energy_j;
     EXPECT_GE(rs.images_in, rs.images_exited);
+    // Every frame entering a rung pays that rung's per-frame cost.
+    EXPECT_DOUBLE_EQ(rs.energy_j,
+                     rs.images_in *
+                         hw::backend_energy_per_frame_j("sc-proposed",
+                                                        rs.bits, 8));
   }
   EXPECT_EQ(exited, n);  // every image exits exactly once
   EXPECT_DOUBLE_EQ(stats.sc_cycles, cycles);
@@ -343,15 +341,51 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
   EXPECT_GT(stats.energy_j, 0.0);  // sc-proposed has a calibrated model
   EXPECT_GT(stats.images_per_sec, 0.0);
   double outcome_cycles = 0.0;
-  for (const AdaptiveOutcome& o : outcomes) outcome_cycles += o.cycles;
+  for (const Prediction& o : outcomes) {
+    outcome_cycles += cycles_spent(pipeline, o.rung);
+    EXPECT_GE(o.label, 0);
+    EXPECT_LT(o.label, 10);
+    EXPECT_GE(o.margin, 0.0);
+    EXPECT_LE(o.margin, 1.0);
+    EXPECT_TRUE(o.bits_used == 3u || o.bits_used == 6u);
+  }
   EXPECT_DOUBLE_EQ(outcome_cycles, stats.sc_cycles);
+  // The mean lies between the cheap rung alone and every rung.
   EXPECT_GE(stats.mean_cycles_per_image(),
             pipeline.rung_cycles_per_image(0) - 1e-9);
+  EXPECT_LE(stats.mean_cycles_per_image(), cycles_spent(pipeline, 1) + 1e-9);
+}
+
+TEST_F(AdaptivePipelineTest, EmitsStageSpansForEveryRungEntered) {
+  // Margin 1.0 sends every frame through both rungs: each rung records
+  // one first-layer and one tail span under the batch's trace id.
+  AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 6u}), 1.0);
+  constexpr std::uint64_t kTraceId = 0x5eed;
+  obs::set_trace_mode(obs::TraceMode::kAll);
+  {
+    obs::AmbientTrace ambient(kTraceId);
+    (void)pipeline.classify(split_.train.images);
+  }
+  obs::set_trace_mode(obs::TraceMode::kOff);
+  const int n = split_.train.images.dim(0);
+  int first_layer = 0, tail = 0;
+  for (const obs::TraceSpan& span : obs::active_recorder().snapshot()) {
+    if (span.trace_id != kTraceId) continue;
+    if (span.name == obs::SpanName::kFirstLayer) ++first_layer;
+    if (span.name == obs::SpanName::kTail) ++tail;
+    if (span.name == obs::SpanName::kFirstLayer ||
+        span.name == obs::SpanName::kTail) {
+      EXPECT_EQ(span.arg0, static_cast<std::uint64_t>(n));
+      EXPECT_GT(span.dur_ns, 0);
+    }
+  }
+  EXPECT_EQ(first_layer, 2);
+  EXPECT_EQ(tail, 2);
 }
 
 TEST_F(AdaptivePipelineTest, RejectsBadInputShape) {
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u}), 0.5);
-  EXPECT_THROW((void)pipeline.classify_outcomes(nn::Tensor({2, 1, 14, 14})),
+  EXPECT_THROW((void)pipeline.classify(nn::Tensor({2, 1, 14, 14})),
                std::invalid_argument);
 }
 

@@ -18,7 +18,6 @@
 #include "hybrid/experiment.h"
 #include "nn/serialize.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
 
 namespace scbnn::hybrid {
 namespace {
@@ -141,17 +140,9 @@ TEST(BundleRoundTrip, SingleRungConventionalScBitIdentical) {
   std::vector<TrainedRung> ladder = train_precision_ladder(
       art.prep, cfg, bits, FirstLayerDesign::kScConventional);
 
-  // The freshly trained original: engine + tail as an InferenceEngine.
-  runtime::InferenceEngine trained(
-      make_first_layer_engine(FirstLayerDesign::kScConventional,
-                              ladder[0].qw, ladder[0].flc),
-      cfg.runtime_config());
-  {
-    nn::Rng rng(cfg.seed + 1);
-    nn::Network tail = build_tail(cfg.lenet, rng);
-    nn::copy_params(ladder[0].tail, tail);
-    trained.set_tail(std::move(tail));
-  }
+  // The freshly trained original: engine + tail as a one-rung pipeline.
+  runtime::AdaptivePipeline trained(instantiate_ladder(ladder, cfg), 0.0,
+                                    cfg.runtime_config());
   const auto original = trained.classify(art.prep.data.test.images);
 
   ModelBundle bundle = make_bundle(art.prep, cfg, std::move(ladder), 0.5);

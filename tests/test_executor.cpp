@@ -1,5 +1,5 @@
-// WorkStealingExecutor tests: lifecycle and exception safety mirroring the
-// legacy ThreadPool contract, the concurrency contract (concurrent
+// WorkStealingExecutor tests: lifecycle and exception safety of the
+// Executor contract, the concurrency contract (concurrent
 // parallel_for callers, exception mid-steal, shutdown racing stealers),
 // steal-on/off bit identity across the fast SC backends, the
 // zero-allocation guarantee of the parallel_for hot path, per-worker stat
@@ -19,10 +19,11 @@
 
 #include "data/synthetic_mnist.h"
 #include "hybrid/first_layer.h"
+#include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
-#include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
+#include "runtime/adaptive_pipeline.h"
+#include "runtime/backend_registry.h"
 #include "runtime/topology.h"
 #include "runtime/work_stealing_executor.h"
 
@@ -356,6 +357,21 @@ nn::QuantizedConvWeights sample_qweights(int kernels, unsigned bits,
   return nn::quantize_conv_weights(w, bits);
 }
 
+/// A one-rung pipeline over a registry backend, with a small tail (the
+/// feature-level tests below never run it).
+std::unique_ptr<AdaptivePipeline> one_rung(const std::string& backend,
+                                           const nn::QuantizedConvWeights& qw,
+                                           const hybrid::FirstLayerConfig& cfg,
+                                           RuntimeConfig rc) {
+  nn::Rng rng(99);
+  return std::make_unique<AdaptivePipeline>(
+      BackendRegistry::instance().create(backend, qw, cfg),
+      hybrid::build_tail(
+          hybrid::LeNetConfig{static_cast<int>(qw.kernels.size()), 2, 8, 0.0f},
+          rng),
+      std::move(rc));
+}
+
 TEST(WorkStealingExecutor, StealOnOffBitIdenticalAcrossFastBackends) {
   // The determinism acceptance gate: predictions of the fast SC backends
   // must not depend on whether chunks were stolen — the job->output
@@ -375,8 +391,7 @@ TEST(WorkStealingExecutor, StealOnOffBitIdenticalAcrossFastBackends) {
       rc.threads = threads;
       rc.chunk_images = 3;  // 23 images -> uneven chunks
       rc.executor = std::make_shared<WorkStealingExecutor>(opt);
-      InferenceEngine engine(backend, qw, cfg, rc);
-      return engine.features(split.train.images);
+      return one_rung(backend, qw, cfg, rc)->features(split.train.images);
     };
     const nn::Tensor reference = features_with(false, 1);
     for (bool steal : {false, true}) {
@@ -453,15 +468,6 @@ TEST(WorkStealingExecutor, StatsCountersAreCoherent) {
   EXPECT_GE(s.queue_high_water, 1u);  // kTasks queued against 4 workers
 }
 
-TEST(WorkStealingExecutor, LegacyThreadPoolReportsWorkerCountOnly) {
-  ThreadPool pool(2);
-  pool.submit([] {}).get();
-  const ExecutorStats s = pool.stats();
-  EXPECT_EQ(s.workers, 2u);
-  EXPECT_EQ(s.tasks_run, 0u);  // the legacy pool predates the counters
-  EXPECT_EQ(s.steal_attempts, 0u);
-}
-
 TEST(WorkStealingExecutor, ServableExposesExecutorStats) {
   const auto qw = sample_qweights(3, 4, 9);
   hybrid::FirstLayerConfig cfg;
@@ -471,9 +477,9 @@ TEST(WorkStealingExecutor, ServableExposesExecutorStats) {
   RuntimeConfig rc;
   rc.threads = 2;
   rc.executor = make_shared_executor(2);
-  InferenceEngine engine("sc-proposed", qw, cfg, rc);
-  (void)engine.features(split.train.images);
-  const ExecutorStats s = engine.executor_stats();
+  const auto pipeline = one_rung("sc-proposed", qw, cfg, rc);
+  (void)pipeline->features(split.train.images);
+  const ExecutorStats s = pipeline->executor_stats();
   EXPECT_EQ(s.workers, 2u);
   EXPECT_GT(s.parallel_fors, 0u);
   EXPECT_GT(s.chunks_run, 0u);

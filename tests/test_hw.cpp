@@ -238,24 +238,5 @@ TEST(Report, FastBackendsPriceLikeCanonicalDesigns) {
   EXPECT_GT(backend_energy_per_frame_j("sc-proposed-fast", 4), 0.0);
 }
 
-TEST(Report, AggregateRungEnergySumsPerRungTraffic) {
-  EXPECT_DOUBLE_EQ(aggregate_rung_energy_j({}), 0.0);
-  const double per_frame_3 = backend_energy_per_frame_j("sc-proposed", 3);
-  const double per_frame_8 = backend_energy_per_frame_j("sc-proposed", 8);
-  ASSERT_GT(per_frame_3, 0.0);
-  // Every frame entering a rung pays that rung's per-frame cost.
-  EXPECT_DOUBLE_EQ(aggregate_rung_energy_j({{"sc-proposed", 3, 32, 100}}),
-                   100.0 * per_frame_3);
-  EXPECT_DOUBLE_EQ(aggregate_rung_energy_j({{"sc-proposed", 3, 32, 100},
-                                            {"sc-proposed", 8, 32, 25}}),
-                   100.0 * per_frame_3 + 25.0 * per_frame_8);
-  // Unmodeled rungs contribute nothing rather than poisoning the total.
-  EXPECT_DOUBLE_EQ(aggregate_rung_energy_j({{"no-such-chip", 3, 32, 1000},
-                                            {"sc-proposed", 3, 32, 100}}),
-                   100.0 * per_frame_3);
-  // Zero-traffic rungs cost nothing.
-  EXPECT_DOUBLE_EQ(aggregate_rung_energy_j({{"sc-proposed", 3, 32, 0}}), 0.0);
-}
-
 }  // namespace
 }  // namespace scbnn::hw

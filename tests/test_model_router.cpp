@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,9 +24,9 @@
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
+#include "obs/metrics.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
+#include "runtime/backend_registry.h"
 
 namespace scbnn::runtime {
 namespace {
@@ -42,8 +47,8 @@ hybrid::LeNetConfig tiny_lenet() {
 /// same arguments build bit-identical Servables (same idiom as
 /// tests/test_server.cpp; routing tests need distinguishable models, not
 /// accurate ones).
-std::shared_ptr<InferenceEngine> make_backend(unsigned bits,
-                                              RuntimeConfig rc = {}) {
+std::shared_ptr<AdaptivePipeline> make_backend(unsigned bits,
+                                               RuntimeConfig rc = {}) {
   nn::Rng base_rng(3);
   nn::Network base = hybrid::build_lenet(tiny_lenet(), base_rng);
   const auto qw =
@@ -52,18 +57,60 @@ std::shared_ptr<InferenceEngine> make_backend(unsigned bits,
   flc.bits = bits;
   flc.soft_threshold = 0.3;
   rc.chunk_images = 3;
-  auto engine = std::make_shared<InferenceEngine>("sc-proposed", qw, flc, rc);
   nn::Rng tail_rng(7);
   nn::Network tail = hybrid::build_tail(tiny_lenet(), tail_rng);
   hybrid::copy_tail_params(base, tail);
-  engine->set_tail(std::move(tail));
-  return engine;
+  return std::make_shared<AdaptivePipeline>(
+      BackendRegistry::instance().create("sc-proposed", qw, flc),
+      std::move(tail), rc);
 }
 
 nn::Tensor test_frames(int n) {
   return data::generate_synthetic_mnist(static_cast<std::size_t>(n), 1, 99)
       .train.images;
 }
+
+/// Test double whose executor_stats() parks until released, so a test can
+/// hold a metrics scrape inside the backend while the model is
+/// deregistered. It reports its own destruction through the shared gate.
+class ParkingStatsServable : public Servable {
+ public:
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    bool destroyed = false;
+  };
+
+  explicit ParkingStatsServable(std::shared_ptr<Gate> gate)
+      : gate_(std::move(gate)) {}
+  ~ParkingStatsServable() override {
+    std::lock_guard<std::mutex> lock(gate_->mutex);
+    gate_->destroyed = true;
+  }
+
+  ServeStats classify(const float* /*images*/, int n,
+                      Prediction* out) override {
+    for (int i = 0; i < n; ++i) out[i] = Prediction{};
+    ServeStats stats;
+    stats.images = n;
+    return stats;
+  }
+  [[nodiscard]] std::string name() const override { return "parking"; }
+  [[nodiscard]] unsigned threads() const noexcept override { return 1; }
+  [[nodiscard]] ExecutorStats executor_stats() const override {
+    const std::shared_ptr<Gate> gate = gate_;  // never touch *this after
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->entered = true;
+    gate->cv.notify_all();
+    gate->cv.wait(lock, [&] { return gate->released; });
+    return {};
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
 
 TEST(ModelRouter, RoutesRequestsToTheNamedModel) {
   const int n = 12;
@@ -126,6 +173,110 @@ TEST(ModelRouter, PerModelStatsAreIsolated) {
   EXPECT_EQ(b.accepted, 1);
   EXPECT_EQ(b.completed, 1);
   EXPECT_EQ(a.rejected + b.rejected, 0);
+}
+
+/// Metric family names a registry exports (its "# TYPE" lines).
+std::set<std::string> series_names(const obs::MetricsRegistry& registry) {
+  std::set<std::string> names;
+  std::istringstream text(registry.prometheus());
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      names.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  return names;
+}
+
+TEST(ModelRouter, ModelsExportTheSameSeriesAsABareServer) {
+  obs::MetricsRegistry bare;
+  const auto direct = make_backend(4);
+  Server server(*direct);
+  server.register_metrics(bare, "m");
+
+  obs::MetricsRegistry routed;
+  ModelRouter router;
+  router.register_model("m", make_backend(4));
+  router.register_metrics(routed);
+
+  const std::set<std::string> names = series_names(bare);
+  EXPECT_EQ(series_names(routed), names);
+  EXPECT_EQ(names.count("scbnn_server_mean_queue_wait_ms"), 1u);
+  EXPECT_EQ(names.count("scbnn_executor_parallel_for_total"), 1u);
+
+  // A deregistered model's views read zeros instead of dangling.
+  const nn::Tensor frames = test_frames(1);
+  (void)router.submit("m", frames.data()).get();
+  EXPECT_NE(routed.prometheus().find(
+                "scbnn_server_completed_total{model=\"m\"} 1\n"),
+            std::string::npos);
+  (void)router.deregister_model("m");
+  EXPECT_NE(routed.prometheus().find(
+                "scbnn_server_completed_total{model=\"m\"} 0\n"),
+            std::string::npos);
+}
+
+TEST(ModelRouter, ScrapeKeepsADeregisteredModelAlive) {
+  // The executor views call into the backend, so a scrape in flight when
+  // its model is deregistered must hold the backend, not just the server.
+  auto gate = std::make_shared<ParkingStatsServable::Gate>();
+  obs::MetricsRegistry registry;
+  ModelRouter router;
+  router.register_model("m", std::make_shared<ParkingStatsServable>(gate));
+  router.register_metrics(registry);
+
+  std::thread scraper([&] { (void)registry.prometheus(); });
+  {
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->cv.wait(lock, [&] { return gate->entered; });
+  }
+  (void)router.deregister_model("m");
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    EXPECT_FALSE(gate->destroyed) << "backend freed under a live scrape";
+    gate->released = true;
+    gate->cv.notify_all();
+  }
+  scraper.join();
+  std::lock_guard<std::mutex> lock(gate->mutex);
+  EXPECT_TRUE(gate->destroyed) << "the finished scrape still owns the model";
+}
+
+TEST(ModelRouter, ScrapesInALoopRaceHotRegistration) {
+  // Sanitizer fodder: a scraper thread loops over every view while the main
+  // thread keeps registering, serving and deregistering one model.
+  obs::MetricsRegistry registry;
+  ModelRouter router;
+  const nn::Tensor frame = test_frames(1);
+  RuntimeConfig rc;
+  rc.threads = 1;
+
+  std::atomic<bool> scraped{false};
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)registry.prometheus();
+      scraped.store(true, std::memory_order_release);
+      // Let registration get at the registry's mutex between scrapes.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  for (int round = 0; round < 100; ++round) {
+    router.register_model("m", make_backend(3, rc));
+    router.register_metrics(registry);
+    if (round == 0) {
+      while (!scraped.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+    (void)router.submit("m", frame.data()).get();
+    EXPECT_EQ(router.deregister_model("m").completed, 1);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_NE(registry.prometheus().find(
+                "scbnn_server_completed_total{model=\"m\"} 0\n"),
+            std::string::npos);
 }
 
 TEST(ModelRouter, UnknownAndInvalidIdsThrow) {

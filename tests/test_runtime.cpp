@@ -1,19 +1,19 @@
-// Serving-runtime tests: thread-pool lifecycle and exception safety, the
-// backend registry, the determinism contract of the batched inference
-// engine (same seed => bit-identical features at any thread count), and
-// the vectorized zero-allocation tail fast path (bit-identity vs the
-// Network::forward reference, warm-path allocation count, InferencePlan
+// Serving-runtime tests: executor sizing, the backend registry, the
+// determinism contract of the serving pipeline's chunked first layer (same
+// seed => bit-identical features at any thread count), and the vectorized
+// tail (bit-identity vs the Network::forward reference, the warm-path
+// allocation count of one-rung and escalating pipelines, InferencePlan
 // error paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
-#include <set>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -28,9 +28,9 @@
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/quantize.h"
+#include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
-#include "runtime/inference_engine.h"
-#include "runtime/thread_pool.h"
+#include "runtime/work_stealing_executor.h"
 #include "sc/simd.h"
 
 // ----------------------------------------------------- allocation counting
@@ -93,110 +93,33 @@ nn::QuantizedConvWeights sample_qweights(int kernels, unsigned bits,
   return nn::quantize_conv_weights(w, bits);
 }
 
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
+/// A one-rung pipeline over a registry backend.
+std::unique_ptr<AdaptivePipeline> one_rung(const std::string& backend,
+                                           const nn::QuantizedConvWeights& qw,
+                                           const hybrid::FirstLayerConfig& cfg,
+                                           RuntimeConfig rc,
+                                           nn::Network tail) {
+  return std::make_unique<AdaptivePipeline>(
+      BackendRegistry::instance().create(backend, qw, cfg), std::move(tail),
+      std::move(rc));
 }
 
-TEST(ThreadPool, TaskExceptionSurfacesInFutureAndPoolSurvives) {
-  ThreadPool pool(2);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 8);
+/// A small plan-compatible tail for a `kernels`-channel first layer.
+nn::Network tiny_tail(int kernels) {
+  nn::Rng rng(99);
+  return hybrid::build_tail(hybrid::LeNetConfig{kernels, 2, 8, 0.0f}, rng);
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++counter;
-      });
-    }
-  }  // ~ThreadPool joins after draining
-  EXPECT_EQ(counter.load(), 32);
-}
+// --------------------------------------------------------------- Executor
 
-TEST(ThreadPool, ParallelForCoversEveryJobOnceWithValidSlots) {
-  ThreadPool pool(4);
-  constexpr int kJobs = 123;
-  std::vector<std::atomic<int>> hits(kJobs);
-  std::vector<std::atomic<int>> slot_seen(kJobs);
-  pool.parallel_for(kJobs, [&](int job, unsigned worker) {
-    ASSERT_LT(worker, pool.size());  // jobs run on pool workers only
-    hits[static_cast<std::size_t>(job)]++;
-    slot_seen[static_cast<std::size_t>(job)] = static_cast<int>(worker);
-  });
-  for (int i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "job " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptionAndStaysUsable) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(50,
-                                 [](int job, unsigned) {
-                                   if (job == 7) {
-                                     throw std::invalid_argument("job 7");
-                                   }
-                                 }),
-               std::invalid_argument);
-  // Pool is reusable after a failed loop.
-  std::atomic<int> counter{0};
-  pool.parallel_for(10, [&](int, unsigned) { ++counter; });
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForZeroJobsIsANoOp) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](int, unsigned) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrowsClearly) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto before = pool.submit([&counter] { ++counter; });
-  before.get();
-  pool.shutdown();
-  // Work submitted now would never run — it must be refused loudly.
-  try {
-    (void)pool.submit([&counter] { ++counter; });
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
-  }
-  EXPECT_THROW(pool.parallel_for(4, [](int, unsigned) {}),
-               std::runtime_error);
-  EXPECT_EQ(counter.load(), 1);
-  pool.shutdown();  // idempotent; the destructor calls it again
-}
-
-TEST(ThreadPool, ResolveThreadsMatchesConstructedPoolSize) {
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve_threads(3), 3u);
-  EXPECT_EQ(ThreadPool::resolve_threads(ThreadPool::kMaxThreads + 7),
-            ThreadPool::kMaxThreads);
+TEST(Executor, ResolveThreadsMatchesConstructedPoolSize) {
+  EXPECT_GE(Executor::resolve_threads(0), 1u);
+  EXPECT_EQ(Executor::resolve_threads(3), 3u);
+  EXPECT_EQ(Executor::resolve_threads(Executor::kMaxThreads + 7),
+            Executor::kMaxThreads);
   for (unsigned requested : {0u, 1u, 4u}) {
-    ThreadPool pool(requested);
-    EXPECT_EQ(pool.size(), ThreadPool::resolve_threads(requested));
+    WorkStealingExecutor pool(requested);
+    EXPECT_EQ(pool.size(), Executor::resolve_threads(requested));
   }
 }
 
@@ -273,29 +196,41 @@ TEST(BackendRegistry, InvalidRegistrationsRejected) {
                std::invalid_argument);
 }
 
-// -------------------------------------------------------- InferenceEngine
+// ------------------------------------------------------ one-rung pipeline
 
-TEST(InferenceEngine, RejectsNullEngineAndBadConfig) {
-  EXPECT_THROW(InferenceEngine(nullptr), std::invalid_argument);
+TEST(OneRungPipeline, RejectsNullEngineAndBadConfig) {
+  EXPECT_THROW(AdaptivePipeline(nullptr, tiny_tail(2)), std::invalid_argument);
   const auto qw = sample_qweights(2, 4, 4);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
   RuntimeConfig rc;
   rc.chunk_images = 0;
-  EXPECT_THROW(InferenceEngine("sc-proposed", qw, cfg, rc),
+  EXPECT_THROW(one_rung("sc-proposed", qw, cfg, rc, tiny_tail(2)),
                std::invalid_argument);
   rc.chunk_images = 8;
-  rc.threads = ThreadPool::kMaxThreads + 1;  // absurd, not silently clamped
-  EXPECT_THROW(InferenceEngine("sc-proposed", qw, cfg, rc),
+  rc.threads = Executor::kMaxThreads + 1;  // absurd, not silently clamped
+  EXPECT_THROW(one_rung("sc-proposed", qw, cfg, rc, tiny_tail(2)),
+               std::invalid_argument);
+}
+
+// A tail the vectorized plan cannot run is refused when the pipeline is
+// built — there is no slower fallback to serve it through.
+TEST(OneRungPipeline, PlanIncompatibleTailThrowsAtConstruction) {
+  const auto qw = sample_qweights(2, 4, 4);
+  hybrid::FirstLayerConfig cfg;
+  cfg.bits = 4;
+  nn::Network tail;
+  tail.add<nn::Tanh>();
+  EXPECT_THROW(one_rung("sc-proposed", qw, cfg, {}, std::move(tail)),
                std::invalid_argument);
 }
 
 TEST(RuntimeConfig, ValidateAcceptsDefaultsAndRejectsNonsense) {
   EXPECT_NO_THROW(RuntimeConfig{}.validate());
   RuntimeConfig rc;
-  rc.threads = ThreadPool::kMaxThreads;  // at the cap is still fine
+  rc.threads = Executor::kMaxThreads;  // at the cap is still fine
   EXPECT_NO_THROW(rc.validate());
-  rc.threads = ThreadPool::kMaxThreads + 1;
+  rc.threads = Executor::kMaxThreads + 1;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
   rc.threads = 0;
   rc.chunk_images = -3;
@@ -313,7 +248,7 @@ TEST(RuntimeConfig, ValidateAcceptsDefaultsAndRejectsNonsense) {
   EXPECT_NO_THROW(rc.validate());
 }
 
-TEST(InferenceEngine, FeaturesMatchSerialReference) {
+TEST(OneRungPipeline, FeaturesMatchSerialReference) {
   const auto qw = sample_qweights(3, 4, 5);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
@@ -327,8 +262,8 @@ TEST(InferenceEngine, FeaturesMatchSerialReference) {
   RuntimeConfig rc;
   rc.threads = 3;
   rc.chunk_images = 4;  // 17 images -> 5 uneven chunks
-  InferenceEngine engine("sc-proposed", qw, cfg, rc);
-  const nn::Tensor got = engine.features(split.train.images);
+  const auto pipeline = one_rung("sc-proposed", qw, cfg, rc, tiny_tail(3));
+  const nn::Tensor got = pipeline->features(split.train.images);
 
   ASSERT_EQ(got.shape(), expect.shape());
   for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -336,7 +271,7 @@ TEST(InferenceEngine, FeaturesMatchSerialReference) {
   }
 }
 
-TEST(InferenceEngine, DeterministicAcrossThreadCounts) {
+TEST(OneRungPipeline, DeterministicAcrossThreadCounts) {
   // The acceptance contract: fixed seed => identical predictions whether
   // the batch is served by 1 thread or many.
   const unsigned kSeed = 11;
@@ -351,9 +286,10 @@ TEST(InferenceEngine, DeterministicAcrossThreadCounts) {
     RuntimeConfig rc;
     rc.threads = threads;
     rc.chunk_images = 3;
-    InferenceEngine engine("sc-conventional", qw, cfg, rc);
-    features.push_back(engine.features(split.train.images));
-    EXPECT_EQ(engine.last_stats().threads, threads);
+    const auto pipeline =
+        one_rung("sc-conventional", qw, cfg, rc, tiny_tail(4));
+    features.push_back(pipeline->features(split.train.images));
+    EXPECT_EQ(pipeline->threads(), threads);
   }
   for (std::size_t v = 1; v < features.size(); ++v) {
     ASSERT_EQ(features[v].size(), features[0].size());
@@ -364,7 +300,7 @@ TEST(InferenceEngine, DeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(InferenceEngine, PredictionsIdenticalAt1VsNThreads) {
+TEST(OneRungPipeline, PredictionsIdenticalAt1VsNThreads) {
   const auto qw = sample_qweights(4, 4, 6);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
@@ -385,7 +321,7 @@ TEST(InferenceEngine, PredictionsIdenticalAt1VsNThreads) {
   EXPECT_EQ(predictions_with(1), predictions_with(4));
 }
 
-TEST(InferenceEngine, StatsReportBatchAndEnergy) {
+TEST(OneRungPipeline, StatsReportBatchAndEnergy) {
   const auto qw = sample_qweights(4, 4, 7);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
@@ -393,9 +329,9 @@ TEST(InferenceEngine, StatsReportBatchAndEnergy) {
 
   RuntimeConfig rc;
   rc.threads = 2;
-  InferenceEngine engine("sc-proposed", qw, cfg, rc);
-  (void)engine.features(split.train.images);
-  const BatchStats& stats = engine.last_stats();
+  const auto pipeline = one_rung("sc-proposed", qw, cfg, rc, tiny_tail(4));
+  (void)pipeline->classify(split.train.images);
+  const ServeStats& stats = pipeline->last_stats();
   EXPECT_EQ(stats.images, 10);
   EXPECT_EQ(stats.threads, 2u);
   EXPECT_GE(stats.latency_ms, 0.0);
@@ -406,42 +342,50 @@ TEST(InferenceEngine, StatsReportBatchAndEnergy) {
   EXPECT_GT(stats.sc_cycles, 0.0);
 }
 
+TEST(OneRungPipeline, BinaryBackendSpendsNoScCycles) {
+  const auto qw = sample_qweights(4, 4, 7);
+  hybrid::FirstLayerConfig cfg;
+  cfg.bits = 4;
+  const data::DataSplit split = data::generate_synthetic_mnist(6, 1, 31);
+  const auto pipeline =
+      one_rung("binary-quantized", qw, cfg, {}, tiny_tail(4));
+  EXPECT_EQ(pipeline->name(), "binary-quantized");
+  EXPECT_EQ(pipeline->rung_cycles_per_image(0), 0.0);
+  (void)pipeline->classify(split.train.images);
+  EXPECT_EQ(pipeline->last_stats().sc_cycles, 0.0);
+  EXPECT_GT(pipeline->last_stats().energy_j, 0.0);
+}
+
 // ---------------------------------------------------- vectorized fast tail
 
 constexpr hybrid::LeNetConfig kTestLeNet{4, 3, 16, 0.0f};
 
-// One engine + attached tail, plus an identically-seeded standalone tail
-// to serve as the Network::forward reference.
-struct FastTailRig {
-  InferenceEngine engine;
-  nn::Network ref_tail;
+hybrid::FirstLayerConfig four_bit() {
+  hybrid::FirstLayerConfig c;
+  c.bits = 4;
+  return c;
+}
 
-  explicit FastTailRig(unsigned threads, int chunk_images = 4)
-      : engine("sc-proposed", sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
-               [] {
-                 hybrid::FirstLayerConfig c;
-                 c.bits = 4;
-                 return c;
-               }(),
-               [&] {
-                 RuntimeConfig rc;
-                 rc.threads = threads;
-                 rc.chunk_images = chunk_images;
-                 return rc;
-               }()),
-        ref_tail([] {
-          nn::Rng rng(77);
-          return hybrid::build_tail(kTestLeNet, rng);
-        }()) {
-    nn::Rng rng(77);  // same seed => same weights as ref_tail
-    engine.set_tail(hybrid::build_tail(kTestLeNet, rng));
+nn::Network test_tail() {
+  nn::Rng rng(77);  // same seed => same weights
+  return hybrid::build_tail(kTestLeNet, rng);
+}
+
+// A one-rung pipeline, plus an identically-seeded standalone tail to serve
+// as the Network::forward reference.
+struct FastTailRig {
+  std::unique_ptr<AdaptivePipeline> pipeline;
+  nn::Network ref_tail = test_tail();
+
+  explicit FastTailRig(unsigned threads, int chunk_images = 4) {
+    RuntimeConfig rc;
+    rc.threads = threads;
+    rc.chunk_images = chunk_images;
+    pipeline = one_rung("sc-proposed",
+                        sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
+                        four_bit(), rc, test_tail());
   }
 };
-
-TEST(FastTail, BuildsPlanForTheLeNetTail) {
-  FastTailRig rig(2);
-  EXPECT_TRUE(rig.engine.has_fast_tail());
-}
 
 // The acceptance gate: classify()'s labels AND margins are bit-identical
 // to the Network::forward + softmax_margins reference, across thread
@@ -451,18 +395,17 @@ TEST(FastTail, ClassifyBitIdenticalToReferenceAcrossThreadsAndBatches) {
   const data::DataSplit split = data::generate_synthetic_mnist(16, 1, 41);
   for (const unsigned threads : {1u, 3u}) {
     FastTailRig rig(threads, 3);
-    ASSERT_TRUE(rig.engine.has_fast_tail());
     for (const int n : {1, 7, 16}) {
       nn::Tensor batch({n, 1, 28, 28});
       std::copy(split.train.images.data(),
                 split.train.images.data() + batch.size(), batch.data());
 
-      const nn::Tensor feats = rig.engine.features(batch);
+      const nn::Tensor feats = rig.pipeline->features(batch);
       const nn::Tensor ref_logits = rig.ref_tail.forward(feats, false);
       const auto ref_margins = nn::softmax_margins(ref_logits);
 
       std::vector<Prediction> preds(static_cast<std::size_t>(n));
-      (void)rig.engine.classify(batch.data(), n, preds.data());
+      (void)rig.pipeline->classify(batch.data(), n, preds.data());
       for (int i = 0; i < n; ++i) {
         const auto& rm = ref_margins[static_cast<std::size_t>(i)];
         ASSERT_EQ(preds[static_cast<std::size_t>(i)].label, rm.best)
@@ -480,24 +423,24 @@ TEST(FastTail, ClassifyBitIdenticalToReferenceAcrossThreadsAndBatches) {
 TEST(FastTail, PredictMatchesExternalTailReference) {
   const data::DataSplit split = data::generate_synthetic_mnist(11, 1, 43);
   FastTailRig rig(2);
-  const std::vector<int> fast = rig.engine.predict(split.train.images);
+  const std::vector<int> fast = rig.pipeline->predict(split.train.images);
   const std::vector<int> ref =
-      rig.engine.predict(split.train.images, rig.ref_tail);
+      rig.ref_tail.predict(rig.pipeline->features(split.train.images));
   EXPECT_EQ(fast, ref);
 }
 
 TEST(FastTail, ReportsStageSplit) {
   const data::DataSplit split = data::generate_synthetic_mnist(8, 1, 47);
   FastTailRig rig(2);
-  const auto preds = rig.engine.Servable::classify(split.train.images);
+  const auto preds = rig.pipeline->classify(split.train.images);
   ASSERT_EQ(preds.size(), 8u);
-  const BatchStats& stats = rig.engine.last_stats();
+  const ServeStats& stats = rig.pipeline->last_stats();
   EXPECT_GE(stats.first_layer_ms, 0.0);
   EXPECT_GT(stats.tail_ms, 0.0);
   EXPECT_LE(stats.first_layer_ms + stats.tail_ms, stats.latency_ms + 1e-6);
 }
 
-// Mutating the tail through the engine's accessor must reach the next
+// Mutating the tail through the pipeline's accessor must reach the next
 // classify() — the plan's packed Dense weights are re-packed, not stale.
 TEST(FastTail, RetrainedTailParametersAreNotStale) {
   const data::DataSplit split = data::generate_synthetic_mnist(9, 1, 53);
@@ -509,15 +452,15 @@ TEST(FastTail, RetrainedTailParametersAreNotStale) {
       }
     }
   };
-  nudge(rig.engine.tail());
+  nudge(rig.pipeline->tail());
   nudge(rig.ref_tail);
 
-  const nn::Tensor feats = rig.engine.features(split.train.images);
+  const nn::Tensor feats = rig.pipeline->features(split.train.images);
   const nn::Tensor ref_logits = rig.ref_tail.forward(feats, false);
   const auto ref_margins = nn::softmax_margins(ref_logits);
 
   std::vector<Prediction> preds(9);
-  (void)rig.engine.classify(split.train.images.data(), 9, preds.data());
+  (void)rig.pipeline->classify(split.train.images.data(), 9, preds.data());
   for (int i = 0; i < 9; ++i) {
     ASSERT_EQ(preds[static_cast<std::size_t>(i)].label,
               ref_margins[static_cast<std::size_t>(i)].best)
@@ -530,26 +473,66 @@ TEST(FastTail, RetrainedTailParametersAreNotStale) {
   }
 }
 
-// The tentpole's warm-path contract: after one warm-up batch, classify()
-// performs ZERO heap allocations — features/logits live in grow-only
-// buffers, the plan runs out of per-worker arenas, margins are computed on
-// the stack, and the executor's parallel_for frames are pooled.
-TEST(FastTail, ClassifyWarmPathIsAllocationFree) {
-  const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
-  FastTailRig rig(3);
-  ASSERT_TRUE(rig.engine.has_fast_tail());
-  std::vector<Prediction> preds(12);
-  // Warm up: buffers grow, executor pools its loop frames.
-  (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
-  (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
+// The warm-path contract: after warm-up batches, classify() performs ZERO
+// heap allocations — features/logits/survivors/active indices live in
+// grow-only buffers shared by every rung, each plan runs out of per-worker
+// arenas, margins are computed on the stack, Predictions are written in
+// place, and the executor's parallel_for frames are pooled. `n` frames,
+// then a smaller follow-up batch that must reuse the grown buffers.
+long long warm_classify_allocations(AdaptivePipeline& pipeline,
+                                    const nn::Tensor& images) {
+  const int n = images.dim(0);
+  std::vector<Prediction> preds(static_cast<std::size_t>(n));
+  (void)pipeline.classify(images.data(), n, preds.data());
+  (void)pipeline.classify(images.data(), n, preds.data());
 
   const long long before = g_heap_allocs.load(std::memory_order_relaxed);
-  (void)rig.engine.classify(split.train.images.data(), 12, preds.data());
-  // A smaller batch reuses the grown buffers too.
-  (void)rig.engine.classify(split.train.images.data(), 5, preds.data());
-  const long long after = g_heap_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0)
-      << "warm classify() allocated " << (after - before) << " times";
+  (void)pipeline.classify(images.data(), n, preds.data());
+  (void)pipeline.classify(images.data(), 5, preds.data());
+  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+}
+
+TEST(FastTail, OneRungWarmPathIsAllocationFree) {
+  const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
+  FastTailRig rig(3);
+  EXPECT_EQ(warm_classify_allocations(*rig.pipeline, split.train.images), 0);
+}
+
+// The same contract on a 4->6-bit ladder whose margin escalates some
+// frames but not all, so both rungs, survivor compaction, and the shared
+// buffers' reuse across rungs are on the measured path.
+TEST(FastTail, EscalatingLadderWarmPathIsAllocationFree) {
+  const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
+  const auto ladder = [](double margin) {
+    std::vector<AdaptiveRung> rungs;
+    for (const unsigned bits : {4u, 6u}) {
+      hybrid::FirstLayerConfig cfg;
+      cfg.bits = bits;
+      AdaptiveRung rung;
+      rung.bits = bits;
+      rung.engine = BackendRegistry::instance().create(
+          "sc-proposed", sample_qweights(kTestLeNet.conv1_kernels, bits, 9),
+          cfg);
+      rung.tail = test_tail();
+      rungs.push_back(std::move(rung));
+    }
+    RuntimeConfig rc;
+    rc.threads = 3;
+    return std::make_unique<AdaptivePipeline>(std::move(rungs), margin, rc);
+  };
+  // The median rung-0 margin escalates the less confident half.
+  std::vector<double> margins;
+  for (const Prediction& p : ladder(0.0)->classify(split.train.images)) {
+    margins.push_back(p.margin);
+  }
+  std::sort(margins.begin(), margins.end());
+  const auto pipeline = ladder(margins[margins.size() / 2]);
+
+  EXPECT_EQ(warm_classify_allocations(*pipeline, split.train.images), 0);
+  (void)pipeline->classify(split.train.images);
+  const PipelineStats& stats = pipeline->last_stats();
+  EXPECT_GT(stats.rungs[1].images_in, 0);
+  EXPECT_LT(stats.rungs[1].images_in, stats.rungs[0].images_in);
 }
 
 // ------------------------------------------------------------ InferencePlan

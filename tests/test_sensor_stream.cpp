@@ -18,7 +18,7 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
+#include "runtime/backend_registry.h"
 #include "runtime/model_router.h"
 #include "sensor/frame_source.h"
 #include "sensor/stream_supervisor.h"
@@ -39,7 +39,7 @@ hybrid::LeNetConfig tiny_lenet() {
 }
 
 /// Deterministic fixed-precision backend (shared base model, frozen).
-std::shared_ptr<runtime::InferenceEngine> make_engine_backend() {
+std::shared_ptr<runtime::AdaptivePipeline> make_engine_backend() {
   nn::Rng base_rng(3);
   nn::Network base = hybrid::build_lenet(tiny_lenet(), base_rng);
   const auto qw =
@@ -50,13 +50,12 @@ std::shared_ptr<runtime::InferenceEngine> make_engine_backend() {
   runtime::RuntimeConfig rc;
   rc.threads = 2;
   rc.chunk_images = 3;
-  auto engine =
-      std::make_shared<runtime::InferenceEngine>("sc-proposed", qw, flc, rc);
   nn::Rng tail_rng(7);
   nn::Network tail = hybrid::build_tail(tiny_lenet(), tail_rng);
   hybrid::copy_tail_params(base, tail);
-  engine->set_tail(std::move(tail));
-  return engine;
+  return std::make_shared<runtime::AdaptivePipeline>(
+      runtime::BackendRegistry::instance().create("sc-proposed", qw, flc),
+      std::move(tail), rc);
 }
 
 /// Deterministic two-rung adaptive backend; `margin` tunes how eagerly it

@@ -19,7 +19,7 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/inference_engine.h"
+#include "runtime/backend_registry.h"
 
 namespace scbnn::runtime {
 namespace {
@@ -39,7 +39,7 @@ hybrid::LeNetConfig tiny_lenet() {
 /// Fixed-precision Servable: engine + tail from a shared deterministic base
 /// model. Two calls with the same threads argument build bit-identical
 /// backends.
-std::unique_ptr<InferenceEngine> make_engine_backend(unsigned threads) {
+std::unique_ptr<AdaptivePipeline> make_engine_backend(unsigned threads) {
   nn::Rng base_rng(3);
   nn::Network base = hybrid::build_lenet(tiny_lenet(), base_rng);
   const auto qw =
@@ -50,13 +50,12 @@ std::unique_ptr<InferenceEngine> make_engine_backend(unsigned threads) {
   RuntimeConfig rc;
   rc.threads = threads;
   rc.chunk_images = 3;
-  auto engine =
-      std::make_unique<InferenceEngine>("sc-proposed", qw, flc, rc);
   nn::Rng tail_rng(7);
   nn::Network tail = hybrid::build_tail(tiny_lenet(), tail_rng);
   hybrid::copy_tail_params(base, tail);
-  engine->set_tail(std::move(tail));
-  return engine;
+  return std::make_unique<AdaptivePipeline>(
+      BackendRegistry::instance().create("sc-proposed", qw, flc),
+      std::move(tail), rc);
 }
 
 /// Two-rung adaptive Servable from the same deterministic base model.

@@ -114,27 +114,33 @@ TEST(SpscRing, TryPushBackpressuresWhenFull) {
 TEST(SpscRing, ThreadedProducerConsumerDeliversEverythingInOrder) {
   // Tiny ring + many items: constant wrap-around and backpressure, with
   // both blocking paths (push_wait, wait_nonempty) exercised concurrently.
-  constexpr std::uint64_t kItems = 50000;
-  RingFixture fx(8);
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-      ASSERT_TRUE(fx.ring.push_wait(make_item(i)));
+  // Many short rounds, because every round ends in a close(): the consumer
+  // must drain the producer's last pushes even when close() lands between
+  // its empty size() and its closed() check.
+  constexpr int kRounds = 500;
+  constexpr std::uint64_t kItems = 1000;
+  for (int round = 0; round < kRounds; ++round) {
+    RingFixture fx(8);
+    std::thread producer([&] {
+      for (std::uint64_t i = 0; i < kItems; ++i) {
+        ASSERT_TRUE(fx.ring.push_wait(make_item(i)));
+      }
+      fx.ring.close();
+    });
+    std::uint64_t expect = 0;
+    while (true) {
+      const std::size_t n = fx.ring.wait_nonempty();
+      if (n == 0) break;  // closed and drained
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(fx.ring.peek(i).value, expect + i);
+        EXPECT_EQ(fx.ring.peek(i).check, ~(expect + i));
+      }
+      fx.ring.release(n);
+      expect += n;
     }
-    fx.ring.close();
-  });
-  std::uint64_t expect = 0;
-  while (true) {
-    const std::size_t n = fx.ring.wait_nonempty();
-    if (n == 0) break;  // closed and drained
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(fx.ring.peek(i).value, expect + i);
-      EXPECT_EQ(fx.ring.peek(i).check, ~(expect + i));
-    }
-    fx.ring.release(n);
-    expect += n;
+    producer.join();
+    ASSERT_EQ(expect, kItems) << "round " << round;
   }
-  producer.join();
-  EXPECT_EQ(expect, kItems);
 }
 
 TEST(SpscRing, CloseUnblocksAParkedConsumer) {
