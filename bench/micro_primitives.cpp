@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the simulation kernels: how fast the
-// bit-exact SC substrate itself runs on the host (simulation throughput,
-// not modeled silicon performance — that is table3_power_energy_area).
+// SC substrate and the first-layer engines run on the host (simulation
+// throughput, not modeled silicon performance — that is
+// table3_power_energy_area).
 // The executor section at the bottom prices the runtime's scheduling
 // primitives themselves: submit round-trip latency, parallel_for fan-out/
 // join cost vs job count, the single-worker inline path, and chunk-steal
@@ -19,7 +20,7 @@
 #include "nn/inference_plan.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
-#include "hybrid/sc_first_layer_fast.h"
+#include "runtime/backend_registry.h"
 #include "runtime/work_stealing_executor.h"
 #include "sc/adder_tree.h"
 #include "sc/mse.h"
@@ -130,145 +131,34 @@ void BM_BinaryFirstLayerImage(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryFirstLayerImage);
 
-// --- SIMD kernel micro-benchmarks (sc/simd.h) -------------------------------
-// Each benchmark runs once per implementation level available on this host
-// (scalar always; AVX2/NEON when present), so the scalar vs vectorized
-// words/sec ratio is read directly off one report. items_per_second is
-// 64-bit words through the kernel. The fast-path acceptance bar is
-// vectorized >= 4x scalar on the column/field kernels.
-
-void add_simd_levels(benchmark::internal::Benchmark* b) {
-  for (sc::simd::Level level : sc::simd::available_levels()) {
-    b->Arg(static_cast<int>(level));
-  }
-}
-
-sc::simd::Level bench_level(benchmark::State& state) {
-  const auto level = static_cast<sc::simd::Level>(state.range(0));
-  state.SetLabel(sc::simd::to_string(level));
-  return level;
-}
-
-std::vector<std::uint64_t> random_words(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> v(n);
-  for (auto& w : v) w = rng();
-  return v;
-}
-
-void BM_SimdAndWords(benchmark::State& state) {
-  const auto level = bench_level(state);
-  constexpr std::size_t kWords = 1024;  // L1-resident: measure ALU, not bandwidth
-  const auto x = random_words(kWords, 1), y = random_words(kWords, 2);
-  std::vector<std::uint64_t> z(kWords);
-  for (auto _ : state) {
-    sc::simd::and_words(x.data(), y.data(), z.data(), kWords, level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kWords));
-}
-BENCHMARK(BM_SimdAndWords)->Apply(add_simd_levels);
-
-void BM_SimdTffAddColumns(benchmark::State& state) {
-  // The fused-strip shape the fast engine pushes per tree node at 8 bits:
-  // 4 words x 56 columns.
-  const auto level = bench_level(state);
-  constexpr std::size_t kWordsPerCol = 4, kCols = 56;
-  constexpr std::size_t kTotal = kWordsPerCol * kCols;
-  const auto x = random_words(kTotal, 3), y = random_words(kTotal, 4);
-  std::vector<std::uint64_t> z(kTotal);
-  for (auto _ : state) {
-    sc::simd::tff_add_columns(x.data(), y.data(), z.data(), kWordsPerCol,
-                              kCols, false, level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kTotal));
-}
-BENCHMARK(BM_SimdTffAddColumns)->Apply(add_simd_levels);
-
-void BM_SimdTffAddFields(benchmark::State& state) {
-  // Field-packed stateless TFF at the paper's 4-bit operating point:
-  // every word carries four complete 16-cycle streams.
-  const auto level = bench_level(state);
-  constexpr std::size_t kWords = 1024;  // L1-resident: measure ALU, not bandwidth
-  const auto x = random_words(kWords, 5), y = random_words(kWords, 6);
-  std::vector<std::uint64_t> z(kWords);
-  for (auto _ : state) {
-    sc::simd::tff_add_fields(x.data(), y.data(), z.data(), kWords, 16, false,
-                             level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kWords));
-}
-BENCHMARK(BM_SimdTffAddFields)->Apply(add_simd_levels);
-
-void BM_SimdMuxSelectColumns(benchmark::State& state) {
-  const auto level = bench_level(state);
-  constexpr std::size_t kWordsPerCol = 4, kCols = 56;
-  constexpr std::size_t kTotal = kWordsPerCol * kCols;
-  const auto sel = random_words(kWordsPerCol, 7);
-  const auto x = random_words(kTotal, 8), y = random_words(kTotal, 9);
-  std::vector<std::uint64_t> z(kTotal);
-  for (auto _ : state) {
-    sc::simd::mux_select_columns(sel.data(), x.data(), y.data(), z.data(),
-                                 kWordsPerCol, kCols, level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kTotal));
-}
-BENCHMARK(BM_SimdMuxSelectColumns)->Apply(add_simd_levels);
-
-void BM_SimdPopcountColumns(benchmark::State& state) {
-  const auto level = bench_level(state);
-  constexpr std::size_t kWordsPerCol = 8, kCols = 56;
-  constexpr std::size_t kTotal = kWordsPerCol * kCols;
-  const auto x = random_words(kTotal, 10);
-  long counts[kCols];
-  for (auto _ : state) {
-    sc::simd::popcount_columns(x.data(), kWordsPerCol, kCols, counts, level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kTotal));
-}
-BENCHMARK(BM_SimdPopcountColumns)->Apply(add_simd_levels);
-
-void BM_SimdTffAddPopcountColumns(benchmark::State& state) {
-  // Fused root node + output counter.
-  const auto level = bench_level(state);
-  constexpr std::size_t kWordsPerCol = 4, kCols = 56;
-  constexpr std::size_t kTotal = kWordsPerCol * kCols;
-  const auto x = random_words(kTotal, 11), y = random_words(kTotal, 12);
-  long counts[kCols];
-  for (auto _ : state) {
-    sc::simd::tff_add_popcount_columns(x.data(), y.data(), kWordsPerCol,
-                                       kCols, true, counts, level);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(kTotal));
-}
-BENCHMARK(BM_SimdTffAddPopcountColumns)->Apply(add_simd_levels);
-
 void BM_FastScFirstLayerImage(benchmark::State& state) {
-  // Same workload as BM_ScFirstLayerImage, on the SIMD bit-packed engine —
-  // the per-image speedup of the fast path reads off against it.
-  const auto bits = static_cast<unsigned>(state.range(0));
+  // Same workload as BM_ScFirstLayerImage, on the count-domain engines:
+  // range(0) is the style (0 = sc-proposed-fast, 1 = sc-conventional-fast)
+  // and range(1) the precision, so the flat cost across bits — the closed
+  // forms never touch a stream bit — reads off one report.
+  const bool proposed = state.range(0) == 0;
+  const auto bits = static_cast<unsigned>(state.range(1));
   nn::Rng rng(1);
   nn::Tensor w({32, 1, 5, 5});
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
   const auto qw = nn::quantize_conv_weights(w, bits);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = bits;
-  hybrid::FastStochasticFirstLayer engine(hybrid::ScStyle::kProposed, qw, cfg);
+  const auto engine = runtime::BackendRegistry::instance().create(
+      proposed ? "sc-proposed-fast" : "sc-conventional-fast", qw, cfg);
   const nn::Tensor img = data::render_digit(3, 0);
   std::vector<float> out(32 * 28 * 28);
-  const auto scratch = engine.make_scratch();
+  const auto scratch = engine->make_scratch();
   for (auto _ : state) {
-    engine.compute_batch(img.data(), 1, out.data(), *scratch);
+    engine->compute_batch(img.data(), 1, out.data(), *scratch);
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel("SIMD bit-packed 32-kernel stochastic conv, one 28x28 image");
+  state.SetLabel(engine->name() +
+                 ": count-domain 32-kernel stochastic conv, one 28x28 image");
 }
-BENCHMARK(BM_FastScFirstLayerImage)->Arg(4)->Arg(8);
+BENCHMARK(BM_FastScFirstLayerImage)
+    ->ArgsProduct({{0, 1}, {2, 4, 6, 8}});
 
 // --- Executor micro-benchmarks (runtime/) -----------------------------------
 // The overhead of the scheduling layer itself, with trivial task bodies so
@@ -366,7 +256,21 @@ BENCHMARK(BM_Conv2DForward);
 // Scalar vs dispatched microkernels at the exact shapes the serving tail's
 // InferencePlan runs, so the SIMD speedup of the binary tail reads off one
 // report. items_per_second is output elements; the flops counter is the
-// 2*m*k*n multiply-add work through the kernel.
+// 2*m*k*n multiply-add work through the kernel. Each benchmark runs once
+// per dispatch level available on this host (scalar always; AVX2 when
+// present).
+
+void add_simd_levels(benchmark::internal::Benchmark* b) {
+  for (sc::simd::Level level : sc::simd::available_levels()) {
+    b->Arg(static_cast<int>(level));
+  }
+}
+
+sc::simd::Level bench_level(benchmark::State& state) {
+  const auto level = static_cast<sc::simd::Level>(state.range(0));
+  state.SetLabel(sc::simd::to_string(level));
+  return level;
+}
 
 std::vector<float> random_floats(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);

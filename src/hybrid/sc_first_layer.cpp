@@ -1,5 +1,6 @@
 #include "hybrid/sc_first_layer.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -58,6 +59,33 @@ std::vector<std::uint64_t> sc_mux_select_table(unsigned bits,
     }
   }
   return selects;
+}
+
+std::vector<std::uint64_t> sc_mux_leaf_masks(unsigned bits,
+                                             std::uint32_t seed,
+                                             std::size_t n,
+                                             std::size_t words) {
+  constexpr std::size_t kLeaves = 32;
+  const std::vector<std::uint64_t> selects =
+      sc_mux_select_table(bits, seed, n, words, kLeaves - 1);
+  std::vector<std::uint64_t> masks(kLeaves * words, 0u);
+  for (std::size_t t = 0; t < kLeaves; ++t) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t m = sc::low_mask(
+          static_cast<unsigned>(std::min<std::size_t>(64, n - 64 * w)));
+      // Level l holds nodes [base, base + width); leaf t's ancestor there
+      // is node base + (t >> (l + 1)), entered from its (t >> l) & 1 side.
+      std::size_t base = 0;
+      for (std::size_t l = 0, width = kLeaves / 2; width > 0;
+           base += width, width /= 2, ++l) {
+        const std::uint64_t sel =
+            selects[(base + (t >> (l + 1))) * words + w];
+        m &= ((t >> l) & 1u) != 0 ? sel : ~sel;
+      }
+      masks[t * words + w] = m;
+    }
+  }
+  return masks;
 }
 
 }  // namespace detail

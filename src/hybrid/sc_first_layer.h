@@ -17,9 +17,10 @@
 // each thread brings its own Scratch (the per-window slot banks).
 //
 // This is the *reference* implementation: one output position at a time,
-// scalar word loops. The SIMD-batched fast path lives in
-// sc_first_layer_fast.h and is bit-identical by construction (it shares the
-// stream-table builders below).
+// every stream simulated bit by bit. It is the referee for the count-domain
+// fast path in sc_first_layer_fast.h, which is bit-identical by
+// construction (same stream-table builders below, exact closed forms of
+// the trees' counts), and the substrate for in-stream fault injection.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +56,15 @@ namespace detail {
 [[nodiscard]] std::vector<std::uint64_t> sc_mux_select_table(
     unsigned bits, std::uint32_t seed, std::size_t n, std::size_t words,
     std::size_t nodes);
+
+/// Routing masks of the conventional design's 32-leaf MUX tree: entry t
+/// (`words` words) has bit c set iff the select streams of
+/// sc_mux_select_table route leaf t to the root on cycle c. Nodes are
+/// numbered level by level, left to right (the reference reduction's
+/// order), and select 1 takes the right input. Each of the n cycles
+/// reaches exactly one leaf, so the 32 masks partition them.
+[[nodiscard]] std::vector<std::uint64_t> sc_mux_leaf_masks(
+    unsigned bits, std::uint32_t seed, std::size_t n, std::size_t words);
 
 }  // namespace detail
 

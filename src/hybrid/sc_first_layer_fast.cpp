@@ -1,21 +1,76 @@
 #include "hybrid/sc_first_layer_fast.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
-
-#include "sc/packed.h"
 
 namespace scbnn::hybrid {
 
 namespace {
 
-// Strip blocks are padded to a ymm-multiple of words so the vector kernels
-// never fall into their scalar tails. Padding words carry don't-care data:
-// in field-packed mode every kernel is stateless per word, so junk never
-// leaks into the meaningful words, and the root extraction reads only real
-// positions.
-constexpr std::size_t pad4(std::size_t words) { return (words + 3) & ~std::size_t{3}; }
+bool all_zero(const std::uint64_t* stream, std::size_t words) {
+  return std::all_of(stream, stream + words,
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+/// Count tables over pixel levels: table[level] = popcount(in[level] & x).
+/// The input SNGs are comparators (bit c of level b is r_c < b), so the
+/// level streams are nested and a table is a prefix sum over the level at
+/// which each cycle of x enters — O(N) per table instead of N popcounts.
+class LevelCounter {
+ public:
+  LevelCounter(const std::vector<std::uint64_t>& input_table, std::size_t n,
+               std::size_t words)
+      : words_(words), entry_(n, n + 1), hist_(n + 2) {
+    const std::size_t levels = n + 1;
+    for (std::size_t lev = 0; lev < levels; ++lev) {
+      const std::uint64_t* cur = input_table.data() + lev * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t prev =
+            lev == 0 ? 0 : input_table[(lev - 1) * words + w];
+        if ((prev & ~cur[w]) != 0) {
+          throw std::logic_error(
+              "FastStochasticFirstLayer: input level streams not nested");
+        }
+        for (std::uint64_t fresh = cur[w] & ~prev; fresh != 0;
+             fresh &= fresh - 1) {
+          entry_[w * 64 + static_cast<std::size_t>(std::countr_zero(fresh))] =
+              static_cast<std::uint32_t>(lev);
+        }
+      }
+    }
+  }
+
+  /// Writes sign * popcount(in[level] & x) for every level; returns false
+  /// (table untouched) when that is zero at every level.
+  template <typename T>
+  bool count(const std::uint64_t* x, int sign, T* table) {
+    std::fill(hist_.begin(), hist_.end(), 0);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t bits = x[w]; bits != 0; bits &= bits - 1) {
+        ++hist_[entry_[w * 64 + static_cast<std::size_t>(
+                           std::countr_zero(bits))]];
+      }
+    }
+    const std::size_t levels = hist_.size() - 1;  // last bin: never entered
+    if (std::all_of(hist_.begin(), hist_.begin() + static_cast<long>(levels),
+                    [](int h) { return h == 0; })) {
+      return false;
+    }
+    int running = 0;
+    for (std::size_t lev = 0; lev < levels; ++lev) {
+      running += hist_[lev];
+      table[lev] = static_cast<T>(sign * running);
+    }
+    return true;
+  }
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint32_t> entry_;  // per cycle: first level that sets it
+  std::vector<int> hist_;             // cycles of x entering at each level
+};
 
 }  // namespace
 
@@ -25,15 +80,7 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
     : style_(style),
       bits_(config.bits),
       n_(std::size_t{1} << config.bits),
-      words_((n_ + 63) / 64),
-      fields_(n_ <= 64 ? 64 / n_ : 1),
-      packed_(n_ <= 64),
-      half_words_(packed_ ? pad4((kRow + fields_ - 1) / fields_)
-                          : words_ * kRow),
-      block_words_(2 * half_words_),
-      kernels_(static_cast<int>(weights.kernels.size())),
-      soft_threshold_(config.soft_threshold),
-      level_(sc::simd::active_level()) {
+      kernels_(static_cast<int>(weights.kernels.size())) {
   if (weights.bits != config.bits) {
     throw std::invalid_argument("FastStochasticFirstLayer: bits mismatch");
   }
@@ -41,108 +88,124 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
     throw std::invalid_argument(
         "FastStochasticFirstLayer: unsupported geometry");
   }
+  if (bits_ > 14) {  // counts and their differences must fit int16
+    throw std::invalid_argument("FastStochasticFirstLayer: bits > 14");
+  }
+  const std::size_t words = (n_ + 63) / 64;
+  const std::size_t levels = n_ + 1;
 
   // Same stream tables as the reference engine — bit-identity starts here.
   const std::vector<std::uint64_t> input_table =
-      detail::sc_input_level_table(style_, bits_, config.seed, n_, words_);
+      detail::sc_input_level_table(style_, bits_, config.seed, n_, words);
   const std::vector<std::uint64_t> wtable =
-      detail::sc_weight_level_table(style_, bits_, config.seed, n_, words_);
+      detail::sc_weight_level_table(style_, bits_, config.seed, n_, words);
+  // Level-0 streams must be all-zero: the padded level image reads level 0
+  // outside the image (the reference's zero padding), and a weight feeds
+  // only its own sign's tree (the other sign's leaf is level 0).
+  if (!all_zero(input_table.data(), words) || !all_zero(wtable.data(), words)) {
+    throw std::logic_error(
+        "FastStochasticFirstLayer: level-0 stream is not all-zero");
+  }
 
-  // Dense indices for the distinct weight levels actually used (both
-  // signs), then the product LUT: every (input level, distinct weight
-  // level) AND is taken exactly once, here, instead of per frame.
-  const auto level_count = n_ + 1;
-  std::vector<std::int32_t> dense_of_level(level_count, -1);
-  std::vector<std::uint32_t> dense_levels;
-  const std::size_t ntaps = static_cast<std::size_t>(kernels_) * kFanIn;
-  tap_dense_pos_.resize(ntaps);
-  tap_dense_neg_.resize(ntaps);
+  // The reference comparator, tabulated over every count difference.
+  const double count_to_value = 32.0 / static_cast<double>(n_);
+  const double threshold = config.soft_threshold;
+  sign_.resize(2 * n_ + 1);
+  for (std::size_t i = 0; i < sign_.size(); ++i) {
+    const double v =
+        static_cast<double>(static_cast<long>(i) - static_cast<long>(n_)) *
+        count_to_value;
+    sign_[i] = v > threshold ? 1.0f : (v < -threshold ? -1.0f : 0.0f);
+  }
+
+  const auto level_of = [&](int k, int t) {
+    const int w = weights.kernels[static_cast<std::size_t>(k)]
+                      .levels[static_cast<std::size_t>(t)];
+    if (w < -static_cast<int>(n_) || w > static_cast<int>(n_)) {
+      throw std::invalid_argument(
+          "FastStochasticFirstLayer: weight level out of range");
+    }
+    return w;
+  };
+
+  LevelCounter counter(input_table, n_, words);
+  if (style_ == Style::kProposed) {
+    // One count table per live magnitude: count[level] =
+    // popcount(in[level] & w[mag]). A magnitude whose table is all zero
+    // (magnitude 0 at least) leaves its taps null.
+    std::vector<std::int32_t> map_of(levels, -2);  // -2: not built yet
+    leaf_map_.assign(static_cast<std::size_t>(kernels_) * 2 * kFanIn, -1);
+    for (int k = 0; k < kernels_; ++k) {
+      for (int t = 0; t < kFanIn; ++t) {
+        const int w = level_of(k, t);
+        const auto mag = static_cast<std::size_t>(w < 0 ? -w : w);
+        if (map_of[mag] == -2) {
+          const std::size_t at = counts_.size();
+          counts_.resize(at + levels);
+          const bool live = counter.count(wtable.data() + mag * words, 1,
+                                          counts_.data() + at);
+          map_of[mag] = live ? static_cast<std::int32_t>(at / levels) : -1;
+          if (!live) counts_.resize(at);
+        }
+        const int tree = w < 0 ? 1 : 0;
+        leaf_map_[(static_cast<std::size_t>(k) * 2 + tree) * kFanIn + t] =
+            map_of[mag];
+      }
+    }
+    return;
+  }
+
+  // Conventional: one signed table per distinct live (tap, weight level),
+  // sign(w) * popcount(in[level] & w[|w|] & M_t).
+  const std::vector<std::uint64_t> masks =
+      detail::sc_mux_leaf_masks(bits_, config.seed, n_, words);
+  const std::size_t span = 2 * n_ + 1;  // signed weight levels per tap
+  std::vector<std::int32_t> table_of(kFanIn * span, -2);  // -2: not built
+  std::vector<std::uint64_t> routed(words);
+  kernel_taps_.push_back(0);
   for (int k = 0; k < kernels_; ++k) {
-    const auto& lv = weights.kernels[static_cast<std::size_t>(k)].levels;
     for (int t = 0; t < kFanIn; ++t) {
-      const int w = lv[static_cast<std::size_t>(t)];
-      const std::uint32_t pos = w > 0 ? static_cast<std::uint32_t>(w) : 0;
-      const std::uint32_t neg = w < 0 ? static_cast<std::uint32_t>(-w) : 0;
-      for (const std::uint32_t level : {pos, neg}) {
-        if (dense_of_level[level] < 0) {
-          dense_of_level[level] =
-              static_cast<std::int32_t>(dense_levels.size());
-          dense_levels.push_back(level);
+      const int w = level_of(k, t);
+      std::int32_t& index =
+          table_of[static_cast<std::size_t>(t) * span +
+                   static_cast<std::size_t>(w + static_cast<int>(n_))];
+      if (index == -2) {
+        const auto mag = static_cast<std::size_t>(w < 0 ? -w : w);
+        for (std::size_t i = 0; i < words; ++i) {
+          routed[i] = wtable[mag * words + i] &
+                      masks[static_cast<std::size_t>(t) * words + i];
         }
+        const std::size_t at = tap_tables_.size();
+        tap_tables_.resize(at + levels);
+        const bool live = counter.count(routed.data(), w < 0 ? -1 : 1,
+                                        tap_tables_.data() + at);
+        index = live ? static_cast<std::int32_t>(at / levels) : -1;
+        if (!live) tap_tables_.resize(at);
       }
-      const std::size_t kt = static_cast<std::size_t>(k) * kFanIn + t;
-      tap_dense_pos_[kt] = static_cast<std::uint32_t>(dense_of_level[pos]);
-      tap_dense_neg_[kt] = static_cast<std::uint32_t>(dense_of_level[neg]);
-    }
-  }
-  lut_stride_ = level_count * words_;
-  prod_.assign(dense_levels.size() * lut_stride_, 0u);
-  for (std::size_t d = 0; d < dense_levels.size(); ++d) {
-    const std::uint64_t* wrow =
-        wtable.data() + static_cast<std::size_t>(dense_levels[d]) * words_;
-    std::uint64_t* row = prod_.data() + d * lut_stride_;
-    for (std::size_t xlev = 0; xlev < level_count; ++xlev) {
-      const std::uint64_t* xrow = input_table.data() + xlev * words_;
-      for (std::size_t w = 0; w < words_; ++w) {
-        row[xlev * words_ + w] = xrow[w] & wrow[w];
+      if (index >= 0) {
+        const auto offset = static_cast<std::uint32_t>(
+            (t / kKernelSize) * kPadded + t % kKernelSize);
+        live_taps_.push_back({offset, static_cast<std::uint32_t>(index)});
       }
     }
+    kernel_taps_.push_back(static_cast<std::uint32_t>(live_taps_.size()));
   }
-
-  // Packed mode: enumerate the (pos level, neg level, horizontal offset)
-  // triples the row cache must materialize, and the pair each tap reads.
-  if (packed_) {
-    const std::size_t nd = dense_levels.size();
-    std::vector<std::int32_t> pair_of(nd * nd * kKernelSize, -1);
-    tap_pair_.resize(ntaps);
-    for (std::size_t kt = 0; kt < ntaps; ++kt) {
-      const int kj = static_cast<int>(kt % kFanIn) % kKernelSize;
-      const std::size_t key =
-          (static_cast<std::size_t>(tap_dense_pos_[kt]) * nd +
-           tap_dense_neg_[kt]) *
-              kKernelSize +
-          static_cast<std::size_t>(kj);
-      if (pair_of[key] < 0) {
-        pair_of[key] = static_cast<std::int32_t>(npairs_++);
-        pair_dense_pos_.push_back(tap_dense_pos_[kt]);
-        pair_dense_neg_.push_back(tap_dense_neg_[kt]);
-        pair_dx_.push_back(kj - kPad);
-      }
-      tap_pair_[kt] = static_cast<std::uint32_t>(pair_of[key]);
-    }
-  }
-
-  if (style_ == Style::kConventional) {
-    selects_ =
-        detail::sc_mux_select_table(bits_, config.seed, n_, words_, kSlots - 1);
-    if (packed_) {
-      selects_packed_.resize(kSlots - 1);
-      for (std::size_t nd = 0; nd < static_cast<std::size_t>(kSlots - 1);
-           ++nd) {
-        std::uint64_t sp = 0;
-        for (std::size_t f = 0; f < fields_; ++f) {
-          sp |= selects_[nd] << (f * n_);
-        }
-        selects_packed_[nd] = sp;
-      }
-    }
-  }
-
-  zero_block_.assign(block_words_, 0u);
 }
 
 std::unique_ptr<FirstLayerEngine::Scratch>
 FastStochasticFirstLayer::make_scratch() const {
-  return std::make_unique<RowScratch>(
-      packed_ ? npairs_ * kRow * block_words_ : 0,
-      packed_ ? 0 : static_cast<std::size_t>(kFanIn) * block_words_,
-      16 * block_words_);
+  if (style_ == Style::kProposed) {
+    const std::size_t maps = counts_.size() / (n_ + 1);
+    return std::make_unique<CountScratch>(maps * kMapSize,
+                                          (kSlots / 2 + 2) * kLanes);
+  }
+  return std::make_unique<CountScratch>(0, 0);
 }
 
 void FastStochasticFirstLayer::compute_batch(const float* images, int n,
                                              float* out,
                                              Scratch& scratch) const {
-  auto& s = dynamic_cast<RowScratch&>(scratch);
+  auto& s = dynamic_cast<CountScratch&>(scratch);
   const std::size_t in_stride = kImageSize * kImageSize;
   const std::size_t out_stride =
       static_cast<std::size_t>(kernels_) * kOutputsPerKernel;
@@ -152,200 +215,112 @@ void FastStochasticFirstLayer::compute_batch(const float* images, int n,
   }
 }
 
-void FastStochasticFirstLayer::build_row_cache(RowScratch& s) const {
-  // One packed product strip per (pair, input row): field f of word g is
-  // the product stream for output position ox = g*fields_ + f, reading
-  // pixel ix = ox + dx (zero outside the image — level-0 input streams are
-  // all-zero, and so are their products, so edges need no special casing
-  // downstream). The pos half fills words [0, half_words_), the neg half
-  // [half_words_, 2*half_words_).
-  const unsigned shift = static_cast<unsigned>(n_);
-  for (std::size_t p = 0; p < npairs_; ++p) {
-    const std::uint64_t* lut_pos =
-        prod_.data() + pair_dense_pos_[p] * lut_stride_;
-    const std::uint64_t* lut_neg =
-        prod_.data() + pair_dense_neg_[p] * lut_stride_;
-    const int dx = pair_dx_[p];
-    for (int iy = 0; iy < kImageSize; ++iy) {
-      const std::uint32_t* lev = s.levels + iy * kImageSize;
-      std::uint64_t* dst =
-          s.rows.data() +
-          (p * kRow + static_cast<std::size_t>(iy)) * block_words_;
-      for (std::size_t g = 0; g < half_words_; ++g) {
-        const int base = static_cast<int>(g * fields_);
-        std::uint64_t acc_pos = 0, acc_neg = 0;
-        for (std::size_t f = 0;
-             f < fields_ && base + static_cast<int>(f) < kRow; ++f) {
-          const int ix = base + static_cast<int>(f) + dx;
-          if (ix >= 0 && ix < kImageSize) {
-            const std::uint32_t l = lev[ix];
-            acc_pos |= lut_pos[l] << (f * shift);
-            acc_neg |= lut_neg[l] << (f * shift);
-          }
-        }
-        dst[g] = acc_pos;
-        dst[half_words_ + g] = acc_neg;
-      }
-    }
-  }
-}
-
-void FastStochasticFirstLayer::reduce_strip(const std::uint64_t* src[kSlots],
-                                            std::uint64_t* slots,
-                                            long* counts) const {
-  const std::uint64_t* zeros = zero_block_.data();
-  std::size_t count = kSlots;
-  std::size_t node = 0;
-  while (count > 2) {
-    for (std::size_t i = 0; i + 1 < count; i += 2, ++node) {
-      const std::uint64_t* a = src[i];
-      const std::uint64_t* b = src[i + 1];
-      if (a == zeros && b == zeros) {
-        // Zero in, zero out, for TFF and MUX alike; the node still exists
-        // (numbering drives TFF initial states and select streams), its
-        // output just never needs materializing.
-        src[i / 2] = zeros;
-        continue;
-      }
-      std::uint64_t* z = slots + (i / 2) * block_words_;
-      if (style_ == Style::kProposed) {
-        const bool s0 = (node % 2) != 0;
-        if (packed_) {
-          sc::simd::tff_add_fields(a, b, z, block_words_,
-                                   static_cast<unsigned>(n_), s0, level_);
-        } else {
-          sc::simd::tff_add_columns(a, b, z, words_, kStripCols, s0, level_);
-        }
-      } else {
-        if (packed_) {
-          sc::simd::mux_select_columns(selects_packed_.data() + node, a, b, z,
-                                       1, block_words_, level_);
-        } else {
-          sc::simd::mux_select_columns(selects_.data() + node * words_, a, b,
-                                       z, words_, kStripCols, level_);
-        }
-      }
-      src[i / 2] = z;
-    }
-    count /= 2;
-  }
-  // Root (node 30), fused with the output counters.
-  const std::uint64_t* a = src[0];
-  const std::uint64_t* b = src[1];
-  if (packed_) {
-    std::uint64_t* z = slots;  // root strip, then per-field extraction
-    if (style_ == Style::kProposed) {
-      sc::simd::tff_add_fields(a, b, z, block_words_,
-                               static_cast<unsigned>(n_), (node % 2) != 0,
-                               level_);
-    } else {
-      sc::simd::mux_select_columns(selects_packed_.data() + node, a, b, z, 1,
-                                   block_words_, level_);
-    }
-    const std::uint64_t mask = sc::low_mask(static_cast<unsigned>(n_));
-    for (int ox = 0; ox < kRow; ++ox) {
-      const std::size_t g = static_cast<std::size_t>(ox) / fields_;
-      const unsigned f = static_cast<unsigned>(ox) % fields_;
-      counts[ox] = std::popcount((z[g] >> (f * n_)) & mask);
-      counts[kRow + ox] =
-          std::popcount((z[half_words_ + g] >> (f * n_)) & mask);
-    }
-  } else {
-    if (style_ == Style::kProposed) {
-      sc::simd::tff_add_popcount_columns(a, b, words_, kStripCols,
-                                         (node % 2) != 0, counts, level_);
-    } else {
-      sc::simd::mux_select_popcount_columns(selects_.data() + node * words_,
-                                            a, b, words_, kStripCols, counts,
-                                            level_);
-    }
-  }
-}
-
 void FastStochasticFirstLayer::compute_one(const float* image, float* out,
-                                           RowScratch& s) const {
+                                           CountScratch& s) const {
   const auto full = static_cast<double>(n_);
-  // Identical pixel quantization to the reference engine.
-  for (int i = 0; i < kImageSize * kImageSize; ++i) {
-    const float v =
-        image[i] < 0.0f ? 0.0f : (image[i] > 1.0f ? 1.0f : image[i]);
-    s.levels[i] = static_cast<std::uint32_t>(
-        std::lround(static_cast<double>(v) * full));
+  // Identical pixel quantization to the reference engine, into the
+  // interior of the padded image (the pads were zeroed at construction).
+  for (int iy = 0; iy < kImageSize; ++iy) {
+    std::uint16_t* row = s.levels.data() + (iy + kPad) * kPadded + kPad;
+    for (int ix = 0; ix < kImageSize; ++ix) {
+      const float p = image[iy * kImageSize + ix];
+      const float v = p < 0.0f ? 0.0f : (p > 1.0f ? 1.0f : p);
+      row[ix] = static_cast<std::uint16_t>(
+          std::lround(static_cast<double>(v) * full));
+    }
   }
-  if (packed_) build_row_cache(s);
-
-  const double count_to_value = 32.0 / full;
-  const std::uint64_t* zeros = zero_block_.data();
-  const std::uint64_t* src[kSlots];
-
-  // Leaf gathering: taps become pointers — into the row cache (packed
-  // mode) or freshly-filled column strips (long-stream mode); the 7 pad
-  // leaves and out-of-image rows point at the shared zero block.
-  const auto gather_packed = [&](const std::uint32_t* pairs, int oy) {
-    for (int t = 0; t < kFanIn; ++t) {
-      const int iy = oy + t / kKernelSize - kPad;
-      src[t] = (iy < 0 || iy >= kImageSize)
-                   ? zeros
-                   : s.rows.data() +
-                         (static_cast<std::size_t>(pairs[t]) * kRow +
-                          static_cast<std::size_t>(iy)) *
-                             block_words_;
+  if (style_ == Style::kProposed) {
+    // One count map per live magnitude, over the whole padded image.
+    const std::size_t maps = counts_.size() / (n_ + 1);
+    for (std::size_t d = 0; d < maps; ++d) {
+      const std::uint16_t* table = counts_.data() + d * (n_ + 1);
+      std::uint16_t* map = s.maps.data() + d * kMapSize;
+      for (std::size_t i = 0; i < kMapSize; ++i) map[i] = table[s.levels[i]];
     }
-    for (int t = kFanIn; t < kSlots; ++t) src[t] = zeros;
-  };
-  const auto gather_columns = [&](const std::uint32_t* dpos,
-                                  const std::uint32_t* dneg, int oy) {
-    for (int t = 0; t < kFanIn; ++t) {
-      const int iy = oy + t / kKernelSize - kPad;
-      if (iy < 0 || iy >= kImageSize) {
-        src[t] = zeros;
-        continue;
-      }
-      const int dx = t % kKernelSize - kPad;
-      const std::uint32_t* lev = s.levels + iy * kImageSize;
-      const std::uint64_t* lut_pos = prod_.data() + dpos[t] * lut_stride_;
-      const std::uint64_t* lut_neg = prod_.data() + dneg[t] * lut_stride_;
-      std::uint64_t* block =
-          s.leaves.data() + static_cast<std::size_t>(t) * block_words_;
-      for (int ox = 0; ox < kRow; ++ox) {
-        const int ix = ox + dx;
-        if (ix >= 0 && ix < kImageSize) {
-          const std::uint64_t* sp = lut_pos + lev[ix] * words_;
-          const std::uint64_t* sn = lut_neg + lev[ix] * words_;
-          for (std::size_t w = 0; w < words_; ++w) {
-            block[w * kStripCols + ox] = sp[w];
-            block[w * kStripCols + kRow + ox] = sn[w];
-          }
-        } else {
-          for (std::size_t w = 0; w < words_; ++w) {
-            block[w * kStripCols + ox] = 0;
-            block[w * kStripCols + kRow + ox] = 0;
-          }
-        }
-      }
-      src[t] = block;
-    }
-    for (int t = kFanIn; t < kSlots; ++t) src[t] = zeros;
-  };
+  }
 
   for (int k = 0; k < kernels_; ++k) {
-    const std::size_t koff = static_cast<std::size_t>(k) * kFanIn;
+    if (style_ == Style::kProposed) {
+      tff_diff(k, s);
+    } else {
+      mux_diff(k, s);
+    }
     float* feat = out + static_cast<std::size_t>(k) * kOutputsPerKernel;
+    const float* sign = sign_.data() + n_;
     for (int oy = 0; oy < kImageSize; ++oy) {
-      if (packed_) {
-        gather_packed(tap_pair_.data() + koff, oy);
-      } else {
-        gather_columns(tap_dense_pos_.data() + koff,
-                       tap_dense_neg_.data() + koff, oy);
+      const std::int16_t* d = s.diff.data() + oy * kPadded;
+      for (int ox = 0; ox < kImageSize; ++ox) {
+        feat[oy * kImageSize + ox] = sign[d[ox]];
       }
-      reduce_strip(src, s.slots.data(), s.counts);
-      for (int ox = 0; ox < kRow; ++ox) {
-        const double v =
-            static_cast<double>(s.counts[ox] - s.counts[kRow + ox]) *
-            count_to_value;
-        feat[oy * kImageSize + ox] =
-            v > soft_threshold_ ? 1.0f : (v < -soft_threshold_ ? -1.0f : 0.0f);
+    }
+  }
+}
+
+void FastStochasticFirstLayer::tff_diff(int k, CountScratch& s) const {
+  // 16 node banks, reused by both trees, then one root buffer per tree.
+  std::uint16_t* bank = s.nodes.data();
+  std::uint16_t* root_out[2] = {bank + (kSlots / 2) * kLanes,
+                                bank + (kSlots / 2 + 1) * kLanes};
+  const std::uint16_t* root[2];
+  for (int tree = 0; tree < 2; ++tree) {
+    const std::int32_t* maps =
+        leaf_map_.data() + (static_cast<std::size_t>(k) * 2 + tree) * kFanIn;
+    const std::uint16_t* node[kSlots] = {};  // pad leaves stay null
+    for (int t = 0; t < kFanIn; ++t) {
+      if (maps[t] >= 0) {
+        node[t] = s.maps.data() + static_cast<std::size_t>(maps[t]) * kMapSize +
+                  (t / kKernelSize) * kPadded + t % kKernelSize;
       }
+    }
+    // Level-order reduction, numbered like the reference tree; the pair
+    // (i, i+1) lands in slot i/2, which the sweep has already consumed.
+    unsigned id = 0;
+    for (int count = kSlots; count > 1; count /= 2) {
+      for (int i = 0; i < count; i += 2, ++id) {
+        const std::uint16_t* a = node[i];
+        const std::uint16_t* b = node[i + 1];
+        if (a == nullptr && b == nullptr) {
+          node[i / 2] = nullptr;
+          continue;
+        }
+        if (a == nullptr) std::swap(a, b);  // the node's sum is symmetric
+        std::uint16_t* z =
+            count == 2 ? root_out[tree] : bank + (i / 2) * kLanes;
+        const unsigned s0 = id % 2;
+        if (b == nullptr) {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            z[j] = static_cast<std::uint16_t>((a[j] + s0) >> 1);
+          }
+        } else {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            z[j] = static_cast<std::uint16_t>((a[j] + b[j] + s0) >> 1);
+          }
+        }
+        node[i / 2] = z;
+      }
+    }
+    root[tree] = node[0];
+  }
+  std::int16_t* diff = s.diff.data();
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    const int pos = root[0] != nullptr ? root[0][j] : 0;
+    const int neg = root[1] != nullptr ? root[1][j] : 0;
+    diff[j] = static_cast<std::int16_t>(pos - neg);
+  }
+}
+
+void FastStochasticFirstLayer::mux_diff(int k, CountScratch& s) const {
+  std::int16_t* diff = s.diff.data();
+  std::fill(diff, diff + kLanes, std::int16_t{0});
+  const std::uint16_t* levels = s.levels.data();
+  for (std::uint32_t i = kernel_taps_[static_cast<std::size_t>(k)];
+       i < kernel_taps_[static_cast<std::size_t>(k) + 1]; ++i) {
+    const LiveTap& tap = live_taps_[i];
+    const std::int16_t* table =
+        tap_tables_.data() + static_cast<std::size_t>(tap.table) * (n_ + 1);
+    const std::uint16_t* lev = levels + tap.offset;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      diff[j] = static_cast<std::int16_t>(diff[j] + table[lev[j]]);
     }
   }
 }

@@ -1,54 +1,45 @@
-// SIMD bit-packed fast path for the stochastic first layer.
+// Count-domain fast path for the stochastic first layer.
 //
 // Bit-identical to StochasticFirstLayer (it is built from the same stream
-// tables — hybrid::detail builders in sc_first_layer.h — and evaluates the
-// same gate network in the same node order), but restructured around three
-// stacked optimizations:
+// tables — hybrid::detail builders in sc_first_layer.h — and the same tree
+// node numbering), but it never simulates a bit: both adder trees have
+// exact integer closed forms on stream *counts*, so a dot product costs
+// table lookups and small-integer adds whose number does not grow with the
+// stream length 2^bits.
 //
-//  1. Product LUTs. The AND multiplier's output depends only on (input
-//     level, weight level), so the input level table is ANDed against every
-//     *distinct* weight level once at construction. The per-tap inner loop
-//     of the hot path becomes a table lookup; no AND gates are evaluated
-//     per frame at all.
+//  - Proposed design (TFF tree). A TFF adder node outputs
+//    ones(Z) = (ones(X) + ones(Y) + s0) >> 1 for any input correlation
+//    (sc/tff.h), and s0 = node % 2 is fixed, so the 32-leaf tree is 31
+//    integer adds-and-shifts over the 25 leaf counts. A leaf count depends
+//    only on (pixel level, weight magnitude): popcount(in[level] & w[mag]).
+//    Per frame the engine fills one uint16 count map per live weight
+//    magnitude over a zero-padded 32-wide level image, then runs the tree
+//    across all 28 x 32 output lanes at once with leaves as pointers into
+//    those maps (lanes 28..31 of each row are padding, discarded). Leaves
+//    whose count is identically zero — the 7 pad leaves, zero weights, and
+//    the other sign's taps — are null, and a node with two null inputs is
+//    null too: (0 + 0 + s0) >> 1 = 0.
 //
-//  2. Batched multi-position evaluation. A whole output row (28 positions)
-//     of BOTH trees — the w_pos and w_neg dot products share node numbering,
-//     TFF initial states and select streams, so they ride in one fused
-//     [pos | neg] strip — is pushed through the adder tree per sweep, as a
-//     structure-of-arrays strip the vectorized kernels of sc/simd.h chew
-//     through:
-//       - for short streams (N = 2^bits <= 64, i.e. bits <= 6) the strip is
-//         *field-packed*: 64/N complete streams ride in each 64-bit word
-//         and the stateless field-parallel TFF kernel
-//         (sc::simd::tff_add_fields) evaluates them together, so at the
-//         paper's 4-bit operating point one ymm op advances 16 output
-//         positions through a tree node;
-//       - for long streams (bits 7..8) the strip is *column-batched*: the
-//         2x28 positions are word-major columns and the TFF carry chain
-//         runs per-lane (sc::simd::tff_add_columns).
-//     A per-image row cache makes the LUT lookups shared too: each distinct
-//     (pos level, neg level, horizontal tap offset) triple's packed product
-//     row is materialized once per input row and reused by every kernel and
-//     every vertical tap position that needs it (field-packed layout only,
-//     where the cache stays small).
+//  - Conventional design (MUX tree). A MUX tree routes exactly one leaf to
+//    the root on every cycle: leaf t reaches it on the cycles of
+//    M_t = AND of the select streams (or their complements) on t's path
+//    (detail::sc_mux_leaf_masks). So the root count is
+//    sum_t popcount(leaf_t & M_t), with no rounding at all, and since only
+//    pos - neg reaches the threshold and each tap feeds one sign, every
+//    (kernel, tap) collapses to one signed int16 table over pixel levels,
+//    +-popcount(in[level] & w[mag] & M_t). The M_t partition the stream's
+//    N cycles among 32 leaves, 7 of them pads, so many tables are all
+//    zero and only the live taps are summed.
 //
-//  3. Zero-subtree elision. The 32-leaf tree has 7 structurally-zero pad
-//     leaves. The reduction walks leaf *pointers* (pads point at a shared
-//     zero block), skips the nodes whose inputs are both the zero block
-//     (their output is identically zero for TFF and MUX alike), and never
-//     materializes — let alone re-clears — a pad slot. Node numbering is
-//     unaffected, so TFF initial states and MUX select streams line up
-//     exactly with the reference engine.
-//
-// The root node is fused with the output counter where profitable
-// (tff_add_popcount_columns / mux_select_popcount_columns).
+// Both styles end in one shared step: the count difference pos - neg
+// indexes a precomputed {-1, 0, +1} table built with the reference
+// engine's exact comparator arithmetic.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "hybrid/sc_first_layer.h"
-#include "sc/simd.h"
 
 namespace scbnn::hybrid {
 
@@ -72,67 +63,56 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
   [[nodiscard]] int kernels() const noexcept override { return kernels_; }
   [[nodiscard]] unsigned bits() const noexcept override { return bits_; }
 
-  /// Stream length N = 2^bits (cycles per dot product).
-  [[nodiscard]] std::size_t stream_length() const noexcept { return n_; }
-  /// Output positions packed per 64-bit word (1 in column-batched mode).
-  [[nodiscard]] std::size_t positions_per_word() const noexcept {
-    return fields_;
-  }
-
  private:
-  static constexpr int kSlots = 32;   // adder-tree leaves (25 taps + 7 zero)
-  static constexpr int kRow = kImageSize;  // strip width: one output row
-  static constexpr int kStripCols = 2 * kRow;  // fused [pos | neg] strip
+  static constexpr int kSlots = 32;  // adder-tree leaves (25 taps + 7 zero)
+  /// Row stride of the zero-padded level image and count maps.
+  static constexpr std::size_t kPadded = kImageSize + 2 * kPad;
+  /// Output lanes: 28 rows of kPadded; lane oy*kPadded + ox, ox < 28 real.
+  static constexpr std::size_t kLanes = kImageSize * kPadded;
+  /// Padded image plus the overhang the last lane's bottom-right tap reads.
+  static constexpr std::size_t kMapSize =
+      kLanes + (kKernelSize - 1) * (kPadded + 1);
 
-  struct RowScratch final : Scratch {
-    RowScratch(std::size_t rows_words, std::size_t leaves_words,
-               std::size_t slots_words)
-        : rows(rows_words), leaves(leaves_words), slots(slots_words) {}
-    std::uint32_t levels[kImageSize * kImageSize];  // quantized pixels
-    std::vector<std::uint64_t> rows;    // per-image (pair, iy) product cache
-    std::vector<std::uint64_t> leaves;  // column-mode leaf strip (25 blocks)
-    std::vector<std::uint64_t> slots;   // tree node strip (16 blocks)
-    long counts[kStripCols];            // root popcounts: pos then neg
+  struct CountScratch final : Scratch {
+    CountScratch(std::size_t map_entries, std::size_t node_lanes)
+        : levels(kMapSize), maps(map_entries), nodes(node_lanes),
+          diff(kLanes) {}
+    std::vector<std::uint16_t> levels;  // padded pixel levels (pads stay 0)
+    std::vector<std::uint16_t> maps;    // proposed: one count map per magnitude
+    std::vector<std::uint16_t> nodes;   // proposed: 16 node banks + 2 roots
+    std::vector<std::int16_t> diff;     // pos - neg count per lane
   };
 
-  void compute_one(const float* image, float* out, RowScratch& s) const;
-  void build_row_cache(RowScratch& s) const;
-  /// Reduce one 32-leaf strip; leaf blocks via `src`, popcounts in counts.
-  void reduce_strip(const std::uint64_t* src[kSlots], std::uint64_t* slots,
-                    long* counts) const;
+  void compute_one(const float* image, float* out, CountScratch& s) const;
+  /// Proposed: kernel k's w_pos and w_neg TFF trees into s.diff.
+  void tff_diff(int k, CountScratch& s) const;
+  /// Conventional: kernel k's live MUX-routed taps summed into s.diff.
+  void mux_diff(int k, CountScratch& s) const;
 
   Style style_;
   unsigned bits_;
-  std::size_t n_;        // stream length
-  std::size_t words_;    // 64-bit words per stream
-  std::size_t fields_;   // streams packed per word (64/n_), 1 in column mode
-  bool packed_;          // field-packed (bits <= 6) vs column-batched layout
-  std::size_t half_words_;   // words per 28-position half strip
-  std::size_t block_words_;  // words per fused strip block (2 * half_words_)
+  std::size_t n_;  // stream length
   int kernels_;
-  double soft_threshold_;
-  sc::simd::Level level_;  // SIMD dispatch level, resolved once
+  /// sign_[d + n_]: the reference comparator's output for count
+  /// difference d in [-n_, n_].
+  std::vector<float> sign_;
 
-  // Product LUT: prod_[d * lut_stride_ + xlev * words_ + w] is word w of
-  // (input stream for level xlev) & (weight stream for distinct level d).
-  std::size_t lut_stride_;
-  std::vector<std::uint64_t> prod_;
+  // Proposed: count tables per live weight magnitude (n_ + 1 entries each)
+  // and, per (kernel, tree, tap) with tree 0 = w_pos and 1 = w_neg, the
+  // index of the tap's count map, or -1 for a structurally zero leaf.
+  std::vector<std::uint16_t> counts_;
+  std::vector<std::int32_t> leaf_map_;
 
-  // Per (kernel, tap): dense weight-level index of each sign (column-mode
-  // leaf fill) and, in packed mode, the row-cache pair the tap reads.
-  std::vector<std::uint32_t> tap_dense_pos_, tap_dense_neg_;
-  std::vector<std::uint32_t> tap_pair_;
-  // Packed-mode pair table: (pos dense level, neg dense level, ix - ox).
-  std::vector<std::uint32_t> pair_dense_pos_, pair_dense_neg_;
-  std::vector<int> pair_dx_;
-  std::size_t npairs_ = 0;
-
-  // MUX select streams (conventional): scalar layout (node * words_) and,
-  // in packed mode, one field-replicated word per node.
-  std::vector<std::uint64_t> selects_;
-  std::vector<std::uint64_t> selects_packed_;
-
-  std::vector<std::uint64_t> zero_block_;  // shared all-zero strip block
+  // Conventional: signed tables per distinct live (tap, weight level)
+  // (n_ + 1 entries each) and each kernel's live taps, kernel k owning
+  // live_taps_[kernel_taps_[k] .. kernel_taps_[k + 1]).
+  struct LiveTap {
+    std::uint32_t offset;  // lane offset of the tap in the padded image
+    std::uint32_t table;   // table index into tap_tables_
+  };
+  std::vector<std::int16_t> tap_tables_;
+  std::vector<LiveTap> live_taps_;
+  std::vector<std::uint32_t> kernel_taps_;
 };
 
 }  // namespace scbnn::hybrid

@@ -1,11 +1,9 @@
 // Vectorized GEMM / bias / activation microkernels for the inference tail.
 //
-// These are the float counterparts of the bit-packed SC kernels in
-// sc/simd.h and ride the same dispatch machinery (sc::simd::Level,
-// active_level(), the SCBNN_SIMD override): implementations exist for
-// portable scalar (always) and AVX2 (runtime cpuid dispatch); other levels
-// fall back to the scalar path, which gcc auto-vectorizes to the baseline
-// ISA anyway.
+// They dispatch through sc/simd.h (sc::simd::Level, active_level(), the
+// SCBNN_SIMD override): implementations exist for portable scalar (always)
+// and AVX2 (runtime cpuid dispatch); other levels fall back to the scalar
+// path, which gcc auto-vectorizes to the baseline ISA anyway.
 //
 // The bit-identity contract every kernel obeys: vectorization runs ONLY
 // across independent output elements (columns j of C, pooled positions),
@@ -51,8 +49,8 @@ void maxpool2(const float* x, int planes, int h, int w, float* y,
               Level level);
 
 namespace detail {
-// AVX2 entry points (defined in gemm_avx2.cpp; stubs elsewhere).
-// avx2_compiled() is shared with the SC kernels: sc::simd::detail.
+// AVX2 entry points (defined in gemm_avx2.cpp; stubs elsewhere). The same
+// TU defines sc::simd::detail::avx2_compiled().
 void gemm_rowbias_act_avx2(const float* a, const float* b,
                            const float* row_bias, float* c, int m, int k,
                            int n, bool relu);

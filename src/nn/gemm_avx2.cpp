@@ -1,7 +1,8 @@
 // AVX2 implementations of the tail GEMM / pool microkernels (nn/gemm.h).
 //
-// Same deal as sc/simd_avx2.cpp: this TU is compiled with -mavx2 when the
-// toolchain supports it and is reached only after a runtime cpuid check.
+// This TU is compiled with -mavx2 when the toolchain supports it and is
+// reached only after a runtime cpuid check (sc::simd::active_level(),
+// which asks avx2_compiled() below whether the flag took).
 // Bit-identity with the scalar reference is preserved by vectorizing ONLY
 // across independent output columns: each ymm lane owns one C[i,j] and
 // accumulates p = 0..k-1 with a separate multiply and add per step, the
@@ -179,7 +180,15 @@ void maxpool2_avx2(const float* x, int planes, int h, int w, float* y) {
 
 }  // namespace scbnn::nn::kern::detail
 
+namespace scbnn::sc::simd::detail {
+bool avx2_compiled() noexcept { return true; }
+}  // namespace scbnn::sc::simd::detail
+
 #else  // !__AVX2__: stubs keep the library linkable; never dispatched to.
+
+namespace scbnn::sc::simd::detail {
+bool avx2_compiled() noexcept { return false; }
+}  // namespace scbnn::sc::simd::detail
 
 namespace scbnn::nn::kern::detail {
 

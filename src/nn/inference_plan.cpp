@@ -28,7 +28,6 @@ InferencePlan::InferencePlan(Network& net, int in_c, int in_h, int in_w)
     throw std::invalid_argument("InferencePlan: bad input shape");
   }
   in_size_ = static_cast<std::size_t>(in_c) * in_h * in_w;
-  max_act_ = in_size_;
 
   // First pass: size the packed Dense storage so pointers into it survive
   // the second pass (vector reallocation would invalidate them).

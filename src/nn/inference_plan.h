@@ -88,7 +88,9 @@ class InferencePlan {
   std::vector<float> packed_;  ///< dense weights repacked to [in, out]
   int in_c_ = 0, in_h_ = 0, in_w_ = 0;
   std::size_t in_size_ = 0;
-  std::size_t max_act_ = 0;  ///< widest per-image activation across steps
+  /// Widest per-image step output: what the ping-pong buffers hold. The
+  /// input is read in place and never copied into them.
+  std::size_t max_act_ = 0;
   std::size_t col_size_ = 0; ///< widest one-image im2col buffer
   int classes_ = 0;
   double flops_ = 0.0;

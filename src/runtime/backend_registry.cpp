@@ -25,9 +25,9 @@ BackendRegistry::BackendRegistry() {
         return std::make_unique<StochasticFirstLayer>(
             StochasticFirstLayer::Style::kConventional, w, c);
       };
-  // SIMD bit-packed fast paths: bit-identical to the reference engines
-  // above (asserted by the serving bench and the first-layer tests), just
-  // restructured around product LUTs and batched vector kernels.
+  // Count-domain fast paths: bit-identical to the reference engines above
+  // (asserted by the serving bench and the first-layer tests), computed
+  // from the adder trees' exact closed forms on stream counts.
   factories_["sc-proposed-fast"] =
       [](const nn::QuantizedConvWeights& w, const hybrid::FirstLayerConfig& c) {
         return std::make_unique<FastStochasticFirstLayer>(

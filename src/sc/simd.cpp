@@ -1,306 +1,15 @@
 #include "sc/simd.h"
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "sc/packed.h"
-#include "sc/tff.h"
-
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define SCBNN_SIMD_NEON 1
-#endif
 
 namespace scbnn::sc::simd {
 
 namespace {
 
-// ------------------------------------------------------- scalar reference
-
-void and_words_scalar(const std::uint64_t* x, const std::uint64_t* y,
-                      std::uint64_t* z, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = x[i] & y[i];
-}
-
-void tff_add_columns_scalar(const std::uint64_t* x, const std::uint64_t* y,
-                            std::uint64_t* z, std::size_t nwords,
-                            std::size_t ncols, bool s0) {
-  for (std::size_t c = 0; c < ncols; ++c) {
-    (void)tff_add_words_strided(x + c, y + c, z + c, nwords, ncols, s0);
-  }
-}
-
-void mux_select_columns_scalar(const std::uint64_t* sel,
-                               const std::uint64_t* x, const std::uint64_t* y,
-                               std::uint64_t* z, std::size_t nwords,
-                               std::size_t ncols) {
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t s = sel[w];
-    const std::uint64_t* xw = x + w * ncols;
-    const std::uint64_t* yw = y + w * ncols;
-    std::uint64_t* zw = z + w * ncols;
-    for (std::size_t c = 0; c < ncols; ++c) {
-      zw[c] = (s & yw[c]) | (~s & xw[c]);
-    }
-  }
-}
-
-void tff_add_fields_scalar(const std::uint64_t* x, const std::uint64_t* y,
-                           std::uint64_t* z, std::size_t n, unsigned width,
-                           bool s0) {
-  const std::uint64_t top = detail::field_top_mask(width);
-  const std::uint64_t init = s0 ? 0 : ~std::uint64_t{0};
-  // Shifts by `width` are split in two so width == 64 stays defined.
-  const unsigned w1 = width - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t m = x[i] ^ y[i];
-    const std::uint64_t p = prefix_xor(m);
-    // t: bit f*width holds e_f, the cumulative parity through field f.
-    const std::uint64_t t = (p & top) >> w1;
-    // v: e_f moved to the start of field f+1; M: e_f replicated across it.
-    // v * (2^width - 1) == (v << width) - v, and the per-bit contributions
-    // (one width-wide run per set bit, runs >= width apart) never borrow
-    // into each other, so the subtraction is exact even when the top run
-    // wraps out of the word.
-    const std::uint64_t v = (t << w1) << 1;
-    const std::uint64_t corr = ((v << w1) << 1) - v;
-    z[i] = (x[i] & y[i]) | (m & (p ^ corr ^ init));
-  }
-}
-
-void popcount_columns_scalar(const std::uint64_t* x, std::size_t nwords,
-                             std::size_t ncols, long* counts) {
-  for (std::size_t c = 0; c < ncols; ++c) counts[c] = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t* xw = x + w * ncols;
-    for (std::size_t c = 0; c < ncols; ++c) {
-      counts[c] += std::popcount(xw[c]);
-    }
-  }
-}
-
-void tff_add_popcount_columns_scalar(const std::uint64_t* x,
-                                     const std::uint64_t* y,
-                                     std::size_t nwords, std::size_t ncols,
-                                     bool s0, long* counts) {
-  for (std::size_t c = 0; c < ncols; ++c) {
-    bool state = s0;
-    long acc = 0;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::uint64_t xi = x[w * ncols + c];
-      const std::uint64_t yi = y[w * ncols + c];
-      const std::uint64_t m = xi ^ yi;
-      const std::uint64_t pm = prefix_xor(m);
-      const std::uint64_t sel = state ? pm : ~pm;
-      acc += std::popcount((xi & yi) | (m & sel));
-      state = state != word_parity(m);
-    }
-    counts[c] = acc;
-  }
-}
-
-void mux_select_popcount_columns_scalar(const std::uint64_t* sel,
-                                        const std::uint64_t* x,
-                                        const std::uint64_t* y,
-                                        std::size_t nwords, std::size_t ncols,
-                                        long* counts) {
-  for (std::size_t c = 0; c < ncols; ++c) counts[c] = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t s = sel[w];
-    const std::uint64_t* xw = x + w * ncols;
-    const std::uint64_t* yw = y + w * ncols;
-    for (std::size_t c = 0; c < ncols; ++c) {
-      counts[c] += std::popcount((s & yw[c]) | (~s & xw[c]));
-    }
-  }
-}
-
-// ----------------------------------------------------------------- NEON
-#if defined(SCBNN_SIMD_NEON)
-
-// Lane-parallel Kogge-Stone parity scan (sc::prefix_xor per 64-bit lane).
-inline uint64x2_t prefix_xor_u64x2(uint64x2_t v) {
-  v = veorq_u64(v, vshlq_n_u64(v, 1));
-  v = veorq_u64(v, vshlq_n_u64(v, 2));
-  v = veorq_u64(v, vshlq_n_u64(v, 4));
-  v = veorq_u64(v, vshlq_n_u64(v, 8));
-  v = veorq_u64(v, vshlq_n_u64(v, 16));
-  v = veorq_u64(v, vshlq_n_u64(v, 32));
-  return v;
-}
-
-// popcount per 64-bit lane.
-inline uint64x2_t popcount_u64x2(uint64x2_t v) {
-  const uint8x16_t bytes = vcntq_u8(vreinterpretq_u8_u64(v));
-  return vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bytes)));
-}
-
-// All-ones lanes where the top bit (stream parity) is set.
-inline uint64x2_t parity_mask_u64x2(uint64x2_t pm) {
-  return vreinterpretq_u64_s64(
-      vshrq_n_s64(vreinterpretq_s64_u64(pm), 63));
-}
-
-void tff_add_columns_neon(const std::uint64_t* x, const std::uint64_t* y,
-                          std::uint64_t* z, std::size_t nwords,
-                          std::size_t ncols, bool s0) {
-  const std::size_t vec_cols = ncols - (ncols % 2);
-  for (std::size_t c = 0; c < vec_cols; c += 2) {
-    uint64x2_t notstate = vdupq_n_u64(s0 ? 0u : ~std::uint64_t{0});
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t idx = w * ncols + c;
-      const uint64x2_t xv = vld1q_u64(x + idx);
-      const uint64x2_t yv = vld1q_u64(y + idx);
-      const uint64x2_t m = veorq_u64(xv, yv);
-      const uint64x2_t pm = prefix_xor_u64x2(m);
-      const uint64x2_t sel = veorq_u64(pm, notstate);
-      vst1q_u64(z + idx,
-                vorrq_u64(vandq_u64(xv, yv), vandq_u64(m, sel)));
-      notstate = veorq_u64(notstate, parity_mask_u64x2(pm));
-    }
-  }
-  for (std::size_t c = vec_cols; c < ncols; ++c) {
-    (void)tff_add_words_strided(x + c, y + c, z + c, nwords, ncols, s0);
-  }
-}
-
-void mux_select_columns_neon(const std::uint64_t* sel, const std::uint64_t* x,
-                             const std::uint64_t* y, std::uint64_t* z,
-                             std::size_t nwords, std::size_t ncols) {
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const uint64x2_t sv = vdupq_n_u64(sel[w]);
-    const std::uint64_t* xw = x + w * ncols;
-    const std::uint64_t* yw = y + w * ncols;
-    std::uint64_t* zw = z + w * ncols;
-    std::size_t c = 0;
-    for (; c + 2 <= ncols; c += 2) {
-      const uint64x2_t xv = vld1q_u64(xw + c);
-      const uint64x2_t yv = vld1q_u64(yw + c);
-      vst1q_u64(zw + c, vbslq_u64(sv, yv, xv));
-    }
-    for (; c < ncols; ++c) {
-      zw[c] = (sel[w] & yw[c]) | (~sel[w] & xw[c]);
-    }
-  }
-}
-
-void tff_add_fields_neon(const std::uint64_t* x, const std::uint64_t* y,
-                         std::uint64_t* z, std::size_t n, unsigned width,
-                         bool s0) {
-  const uint64x2_t top = vdupq_n_u64(detail::field_top_mask(width));
-  const uint64x2_t init = vdupq_n_u64(s0 ? 0 : ~std::uint64_t{0});
-  // USHL by register: negative = right shift, counts >= 64 yield 0, so the
-  // width == 64 degenerate case (no correction needed) falls out for free.
-  const int64x2_t shr_w1 = vdupq_n_s64(-static_cast<std::int64_t>(width - 1));
-  const int64x2_t shl_w = vdupq_n_s64(static_cast<std::int64_t>(width));
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t xv = vld1q_u64(x + i);
-    const uint64x2_t yv = vld1q_u64(y + i);
-    const uint64x2_t m = veorq_u64(xv, yv);
-    const uint64x2_t p = prefix_xor_u64x2(m);
-    const uint64x2_t t = vshlq_u64(vandq_u64(p, top), shr_w1);
-    const uint64x2_t v = vshlq_u64(t, shl_w);
-    const uint64x2_t corr = vsubq_u64(vshlq_u64(v, shl_w), v);
-    const uint64x2_t sel = veorq_u64(veorq_u64(p, corr), init);
-    vst1q_u64(z + i, vorrq_u64(vandq_u64(xv, yv), vandq_u64(m, sel)));
-  }
-  if (i < n) tff_add_fields_scalar(x + i, y + i, z + i, n - i, width, s0);
-}
-
-void popcount_columns_neon(const std::uint64_t* x, std::size_t nwords,
-                           std::size_t ncols, long* counts) {
-  std::size_t c = 0;
-  for (; c + 2 <= ncols; c += 2) {
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (std::size_t w = 0; w < nwords; ++w) {
-      acc = vaddq_u64(acc, popcount_u64x2(vld1q_u64(x + w * ncols + c)));
-    }
-    counts[c] = static_cast<long>(vgetq_lane_u64(acc, 0));
-    counts[c + 1] = static_cast<long>(vgetq_lane_u64(acc, 1));
-  }
-  for (; c < ncols; ++c) {
-    long acc = 0;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      acc += std::popcount(x[w * ncols + c]);
-    }
-    counts[c] = acc;
-  }
-}
-
-void tff_add_popcount_columns_neon(const std::uint64_t* x,
-                                   const std::uint64_t* y, std::size_t nwords,
-                                   std::size_t ncols, bool s0, long* counts) {
-  std::size_t c = 0;
-  for (; c + 2 <= ncols; c += 2) {
-    uint64x2_t notstate = vdupq_n_u64(s0 ? 0u : ~std::uint64_t{0});
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t idx = w * ncols + c;
-      const uint64x2_t xv = vld1q_u64(x + idx);
-      const uint64x2_t yv = vld1q_u64(y + idx);
-      const uint64x2_t m = veorq_u64(xv, yv);
-      const uint64x2_t pm = prefix_xor_u64x2(m);
-      const uint64x2_t sel = veorq_u64(pm, notstate);
-      const uint64x2_t zv =
-          vorrq_u64(vandq_u64(xv, yv), vandq_u64(m, sel));
-      acc = vaddq_u64(acc, popcount_u64x2(zv));
-      notstate = veorq_u64(notstate, parity_mask_u64x2(pm));
-    }
-    counts[c] = static_cast<long>(vgetq_lane_u64(acc, 0));
-    counts[c + 1] = static_cast<long>(vgetq_lane_u64(acc, 1));
-  }
-  for (; c < ncols; ++c) {
-    bool state = s0;
-    long acc = 0;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::uint64_t xi = x[w * ncols + c];
-      const std::uint64_t yi = y[w * ncols + c];
-      const std::uint64_t m = xi ^ yi;
-      const std::uint64_t pm = prefix_xor(m);
-      acc += std::popcount((xi & yi) | (m & (state ? pm : ~pm)));
-      state = state != word_parity(m);
-    }
-    counts[c] = acc;
-  }
-}
-
-void mux_select_popcount_columns_neon(const std::uint64_t* sel,
-                                      const std::uint64_t* x,
-                                      const std::uint64_t* y,
-                                      std::size_t nwords, std::size_t ncols,
-                                      long* counts) {
-  std::size_t c = 0;
-  for (; c + 2 <= ncols; c += 2) {
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t idx = w * ncols + c;
-      const uint64x2_t sv = vdupq_n_u64(sel[w]);
-      const uint64x2_t zv =
-          vbslq_u64(sv, vld1q_u64(y + idx), vld1q_u64(x + idx));
-      acc = vaddq_u64(acc, popcount_u64x2(zv));
-    }
-    counts[c] = static_cast<long>(vgetq_lane_u64(acc, 0));
-    counts[c + 1] = static_cast<long>(vgetq_lane_u64(acc, 1));
-  }
-  for (; c < ncols; ++c) {
-    long acc = 0;
-    for (std::size_t w = 0; w < nwords; ++w) {
-      acc += std::popcount((sel[w] & y[w * ncols + c]) |
-                           (~sel[w] & x[w * ncols + c]));
-    }
-    counts[c] = acc;
-  }
-}
-
-#endif  // SCBNN_SIMD_NEON
-
-// ------------------------------------------------------------- dispatch
-
 Level detect_level() {
-#if defined(SCBNN_SIMD_NEON)
+#if defined(__aarch64__) && defined(__ARM_NEON)
   return Level::kNeon;
 #elif defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   if (detail::avx2_compiled() && __builtin_cpu_supports("avx2")) {
@@ -353,120 +62,6 @@ std::vector<Level> available_levels() {
   const Level best = detect_level();
   if (best != Level::kScalar) levels.push_back(best);
   return levels;
-}
-
-void and_words(const std::uint64_t* x, const std::uint64_t* y,
-               std::uint64_t* z, std::size_t n, Level level) {
-  switch (level) {
-    case Level::kAvx2: detail::and_words_avx2(x, y, z, n); return;
-    case Level::kNeon:
-    case Level::kScalar: break;
-  }
-  and_words_scalar(x, y, z, n);
-}
-
-void tff_add_columns(const std::uint64_t* x, const std::uint64_t* y,
-                     std::uint64_t* z, std::size_t nwords, std::size_t ncols,
-                     bool s0, Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::tff_add_columns_avx2(x, y, z, nwords, ncols, s0);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      tff_add_columns_neon(x, y, z, nwords, ncols, s0);
-      return;
-#endif
-    default: break;
-  }
-  tff_add_columns_scalar(x, y, z, nwords, ncols, s0);
-}
-
-void mux_select_columns(const std::uint64_t* sel, const std::uint64_t* x,
-                        const std::uint64_t* y, std::uint64_t* z,
-                        std::size_t nwords, std::size_t ncols, Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::mux_select_columns_avx2(sel, x, y, z, nwords, ncols);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      mux_select_columns_neon(sel, x, y, z, nwords, ncols);
-      return;
-#endif
-    default: break;
-  }
-  mux_select_columns_scalar(sel, x, y, z, nwords, ncols);
-}
-
-void tff_add_fields(const std::uint64_t* x, const std::uint64_t* y,
-                    std::uint64_t* z, std::size_t n, unsigned width, bool s0,
-                    Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::tff_add_fields_avx2(x, y, z, n, width, s0);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      tff_add_fields_neon(x, y, z, n, width, s0);
-      return;
-#endif
-    default: break;
-  }
-  tff_add_fields_scalar(x, y, z, n, width, s0);
-}
-
-void popcount_columns(const std::uint64_t* x, std::size_t nwords,
-                      std::size_t ncols, long* counts, Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::popcount_columns_avx2(x, nwords, ncols, counts);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      popcount_columns_neon(x, nwords, ncols, counts);
-      return;
-#endif
-    default: break;
-  }
-  popcount_columns_scalar(x, nwords, ncols, counts);
-}
-
-void tff_add_popcount_columns(const std::uint64_t* x, const std::uint64_t* y,
-                              std::size_t nwords, std::size_t ncols, bool s0,
-                              long* counts, Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::tff_add_popcount_columns_avx2(x, y, nwords, ncols, s0, counts);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      tff_add_popcount_columns_neon(x, y, nwords, ncols, s0, counts);
-      return;
-#endif
-    default: break;
-  }
-  tff_add_popcount_columns_scalar(x, y, nwords, ncols, s0, counts);
-}
-
-void mux_select_popcount_columns(const std::uint64_t* sel,
-                                 const std::uint64_t* x,
-                                 const std::uint64_t* y, std::size_t nwords,
-                                 std::size_t ncols, long* counts,
-                                 Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      detail::mux_select_popcount_columns_avx2(sel, x, y, nwords, ncols,
-                                               counts);
-      return;
-#if defined(SCBNN_SIMD_NEON)
-    case Level::kNeon:
-      mux_select_popcount_columns_neon(sel, x, y, nwords, ncols, counts);
-      return;
-#endif
-    default: break;
-  }
-  mux_select_popcount_columns_scalar(sel, x, y, nwords, ncols, counts);
 }
 
 }  // namespace scbnn::sc::simd

@@ -1,24 +1,14 @@
-// Vectorized word-parallel kernels for the bit-packed SC fast path.
+// SIMD dispatch level for the vectorized float kernels of the inference
+// tail (nn/gemm.h).
 //
-// All kernels operate on *column batches*: `ncols` independent packed
-// bit-streams of `nwords` 64-bit words each, stored word-major, so element
-// (word w, column c) lives at index `w * ncols + c`. Columns map to output
-// positions of the stochastic convolution — every column is an independent
-// stream, so the carry-sequential parts of the SC circuits (the TFF parity
-// scan) stay scalar *along* a stream while the batch vectorizes *across*
-// streams. Each kernel is bit-identical to applying its scalar reference
-// (sc/tff.h, sc/gates.h semantics) column by column; tests/test_simd.cpp
-// asserts this for every available implementation level.
-//
-// Dispatch: implementations exist for portable scalar (always), AVX2
-// (compiled when the toolchain supports -mavx2, selected at runtime via
-// cpuid), and NEON (aarch64). `active_level()` picks the best available and
-// honors the SCBNN_SIMD env override ("scalar", "avx2", "neon", "auto") so
-// benches and tests can pin a path.
+// Implementations exist for portable scalar (always) and AVX2 (compiled
+// when the toolchain supports -mavx2, selected at runtime via cpuid); NEON
+// is detected on aarch64 and falls back to the scalar path, which the
+// compiler auto-vectorizes to the baseline ISA. `active_level()` picks the
+// best available and honors the SCBNN_SIMD env override ("scalar", "avx2",
+// "neon", "auto") so benches and tests can pin a path.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace scbnn::sc::simd {
@@ -33,148 +23,11 @@ enum class Level { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 /// All levels runnable on this host, kScalar first.
 [[nodiscard]] std::vector<Level> available_levels();
 
-/// z[i] = x[i] & y[i] for i < n (flat arrays, no column structure) — the
-/// AND-multiplier of the SC datapath, used to precompute product LUTs.
-void and_words(const std::uint64_t* x, const std::uint64_t* y,
-               std::uint64_t* z, std::size_t n, Level level);
-
-/// Column-batched TFF adder (Fig. 2b): for every column c, z_c =
-/// tff_add(x_c, y_c, s0) exactly as sc::tff_add_words computes it. In-place
-/// operation with z == x or z == y is allowed.
-void tff_add_columns(const std::uint64_t* x, const std::uint64_t* y,
-                     std::uint64_t* z, std::size_t nwords, std::size_t ncols,
-                     bool s0, Level level);
-
-/// Column-batched MUX adder: z = (sel & y) | (~sel & x) per bit. The select
-/// stream is shared by all columns (`sel` holds `nwords` words, one tree
-/// node's select sequence), matching the conventional design where one
-/// LFSR bank drives every position's tree.
-void mux_select_columns(const std::uint64_t* sel, const std::uint64_t* x,
-                        const std::uint64_t* y, std::uint64_t* z,
-                        std::size_t nwords, std::size_t ncols, Level level);
-
-/// Field-packed TFF adder for short streams: every aligned `width`-bit
-/// field of every word is a *complete independent stream* (width = 2^bits
-/// <= 64, a power of two dividing 64), so one 64-bit word carries 64/width
-/// output positions and no TFF state crosses words. Per field the result is
-/// bit-identical to sc::tff_add_words on that stream in isolation.
-///
-/// The whole-word Kogge-Stone parity scan deliberately runs across field
-/// boundaries; the leakage (field f's scan enters with the cumulative
-/// parity e_{f-1} of all earlier fields instead of 0) is then cancelled in
-/// closed form: the e bits already sit at each field's top position in the
-/// scan output, so M = ((P & top) >> (width-1) << width) * (2^width - 1)
-/// replicates e_{f-1} across field f — a shift-multiply whose per-field
-/// contributions cannot carry into each other — and P ^ M is the per-field
-/// prefix parity. The kernel is stateless and embarrassingly parallel.
-/// In-place z == x or z == y is allowed.
-void tff_add_fields(const std::uint64_t* x, const std::uint64_t* y,
-                    std::uint64_t* z, std::size_t n, unsigned width, bool s0,
-                    Level level);
-
-/// counts[c] = sum over w of popcount(x[w * ncols + c]) — the asynchronous
-/// output counter, batched across columns.
-void popcount_columns(const std::uint64_t* x, std::size_t nwords,
-                      std::size_t ncols, long* counts, Level level);
-
-/// Fused root stage: counts[c] = popcount(tff_add(x_c, y_c, s0)) without
-/// materializing the root stream. Bit-identical to tff_add_columns followed
-/// by popcount_columns.
-void tff_add_popcount_columns(const std::uint64_t* x, const std::uint64_t* y,
-                              std::size_t nwords, std::size_t ncols, bool s0,
-                              long* counts, Level level);
-
-/// Fused root stage for the MUX tree: counts[c] = popcount((sel & y_c) |
-/// (~sel & x_c)).
-void mux_select_popcount_columns(const std::uint64_t* sel,
-                                 const std::uint64_t* x,
-                                 const std::uint64_t* y, std::size_t nwords,
-                                 std::size_t ncols, long* counts, Level level);
-
-// Convenience overloads on the active level.
-inline void and_words(const std::uint64_t* x, const std::uint64_t* y,
-                      std::uint64_t* z, std::size_t n) {
-  and_words(x, y, z, n, active_level());
-}
-inline void tff_add_columns(const std::uint64_t* x, const std::uint64_t* y,
-                            std::uint64_t* z, std::size_t nwords,
-                            std::size_t ncols, bool s0) {
-  tff_add_columns(x, y, z, nwords, ncols, s0, active_level());
-}
-inline void mux_select_columns(const std::uint64_t* sel,
-                               const std::uint64_t* x, const std::uint64_t* y,
-                               std::uint64_t* z, std::size_t nwords,
-                               std::size_t ncols) {
-  mux_select_columns(sel, x, y, z, nwords, ncols, active_level());
-}
-inline void tff_add_fields(const std::uint64_t* x, const std::uint64_t* y,
-                           std::uint64_t* z, std::size_t n, unsigned width,
-                           bool s0) {
-  tff_add_fields(x, y, z, n, width, s0, active_level());
-}
-inline void popcount_columns(const std::uint64_t* x, std::size_t nwords,
-                             std::size_t ncols, long* counts) {
-  popcount_columns(x, nwords, ncols, counts, active_level());
-}
-inline void tff_add_popcount_columns(const std::uint64_t* x,
-                                     const std::uint64_t* y,
-                                     std::size_t nwords, std::size_t ncols,
-                                     bool s0, long* counts) {
-  tff_add_popcount_columns(x, y, nwords, ncols, s0, counts, active_level());
-}
-inline void mux_select_popcount_columns(const std::uint64_t* sel,
-                                        const std::uint64_t* x,
-                                        const std::uint64_t* y,
-                                        std::size_t nwords, std::size_t ncols,
-                                        long* counts) {
-  mux_select_popcount_columns(sel, x, y, nwords, ncols, counts,
-                              active_level());
-}
-
 namespace detail {
-/// Mask of bit (width-1) in every aligned width-bit field (width a power
-/// of two dividing 64): where the whole-word parity scan deposits each
-/// field's cumulative parity.
-[[nodiscard]] constexpr std::uint64_t field_top_mask(unsigned width) noexcept {
-  constexpr std::uint64_t kTop[7] = {
-      ~std::uint64_t{0},        // width 1
-      0xAAAAAAAAAAAAAAAAull,    // width 2
-      0x8888888888888888ull,    // width 4
-      0x8080808080808080ull,    // width 8
-      0x8000800080008000ull,    // width 16
-      0x8000000080000000ull,    // width 32
-      0x8000000000000000ull,    // width 64
-  };
-  unsigned log2w = 0;
-  while ((std::uint64_t{1} << log2w) < width) ++log2w;
-  return kTop[log2w];
-}
-
-/// True when the AVX2 translation unit was compiled with AVX2 enabled
-/// (host support is still checked at runtime before dispatching to it).
+/// True when the AVX2 translation unit (nn/gemm_avx2.cpp) was compiled
+/// with AVX2 enabled (host support is still checked at runtime before
+/// dispatching to it).
 [[nodiscard]] bool avx2_compiled() noexcept;
-// AVX2 entry points (defined in simd_avx2.cpp; stubs when not compiled).
-void and_words_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                    std::uint64_t* z, std::size_t n);
-void tff_add_columns_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                          std::uint64_t* z, std::size_t nwords,
-                          std::size_t ncols, bool s0);
-void mux_select_columns_avx2(const std::uint64_t* sel, const std::uint64_t* x,
-                             const std::uint64_t* y, std::uint64_t* z,
-                             std::size_t nwords, std::size_t ncols);
-void tff_add_fields_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                         std::uint64_t* z, std::size_t n, unsigned width,
-                         bool s0);
-void popcount_columns_avx2(const std::uint64_t* x, std::size_t nwords,
-                           std::size_t ncols, long* counts);
-void tff_add_popcount_columns_avx2(const std::uint64_t* x,
-                                   const std::uint64_t* y, std::size_t nwords,
-                                   std::size_t ncols, bool s0, long* counts);
-void mux_select_popcount_columns_avx2(const std::uint64_t* sel,
-                                      const std::uint64_t* x,
-                                      const std::uint64_t* y,
-                                      std::size_t nwords, std::size_t ncols,
-                                      long* counts);
 }  // namespace detail
 
 }  // namespace scbnn::sc::simd

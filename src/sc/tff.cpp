@@ -63,22 +63,6 @@ bool tff_add_words(const std::uint64_t* x, const std::uint64_t* y,
   return state;
 }
 
-bool tff_add_words_strided(const std::uint64_t* x, const std::uint64_t* y,
-                           std::uint64_t* z, std::size_t nwords,
-                           std::size_t stride, bool s0) noexcept {
-  bool state = s0;
-  for (std::size_t i = 0; i < nwords; ++i) {
-    const std::uint64_t xi = x[i * stride];
-    const std::uint64_t yi = y[i * stride];
-    const std::uint64_t m = xi ^ yi;
-    const std::uint64_t pm = prefix_xor(m);
-    const std::uint64_t sel = state ? pm : ~pm;
-    z[i * stride] = (xi & yi) | (m & sel);
-    state = state != word_parity(m);
-  }
-  return state;
-}
-
 Bitstream tff_add(const Bitstream& x, const Bitstream& y, bool s0) {
   if (x.length() != y.length()) {
     throw std::invalid_argument("tff_add: length mismatch");

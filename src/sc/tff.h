@@ -4,9 +4,14 @@
 // The TFF adder computes pZ = (pX + pY)/2 *exactly up to one ULP of the
 // stream length*: ones(Z) = (ones(X)+ones(Y))/2, rounded down when the sum
 // is odd and the initial TFF state S0 = 0, rounded up when S0 = 1
-// (Fig. 2c). Unlike the MUX adder it needs no random select stream and is
-// insensitive to input auto-correlation, so it can consume the heavily
-// auto-correlated output of a ramp-compare analog-to-stochastic converter.
+// (Fig. 2c) — in one closed form, ones(Z) = (ones(X)+ones(Y)+S0) >> 1.
+// Unlike the MUX adder it needs no random select stream and is insensitive
+// to input auto-correlation, so it can consume the heavily auto-correlated
+// output of a ramp-compare analog-to-stochastic converter. Because that
+// count identity holds for any pair of inputs, a whole TFF tree reduces to
+// integer adds and shifts on its leaf counts; the count-domain first-layer
+// engine (hybrid/sc_first_layer_fast.h) serves from exactly that, and
+// tests/test_tff.cpp checks the identity against these circuits.
 #pragma once
 
 #include <cstdint>
@@ -53,16 +58,9 @@ class ToggleFlipFlop {
 
 /// In-place word-parallel TFF add over raw words: z = tffadd(x, y), all
 /// spanning `nwords` words with valid tail masking. Returns the final TFF
-/// state. This is the hot inner loop of the stochastic convolution engine.
+/// state. This is the hot inner loop of the bit-level stochastic
+/// convolution engine (hybrid::StochasticFirstLayer).
 bool tff_add_words(const std::uint64_t* x, const std::uint64_t* y,
                    std::uint64_t* z, std::size_t nwords, bool s0) noexcept;
-
-/// tff_add_words over strided streams: word w of each operand lives at
-/// index w * stride. This is the scalar reference for the column-batched
-/// SIMD kernels (sc/simd.h), where `stride` is the number of columns of the
-/// word-major batch and the stream under evaluation is one column of it.
-bool tff_add_words_strided(const std::uint64_t* x, const std::uint64_t* y,
-                           std::uint64_t* z, std::size_t nwords,
-                           std::size_t stride, bool s0) noexcept;
 
 }  // namespace scbnn::sc

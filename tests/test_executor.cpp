@@ -32,7 +32,11 @@
 // Global operator new/delete replacements let the zero-allocation
 // regression below observe every heap allocation in the binary. Counting
 // is always on (it is one relaxed increment); tests read the counter
-// delta around the window they care about.
+// delta around the window they care about. Every form is replaced —
+// throwing and nothrow, plain and aligned, scalar and array — so no block
+// from the runtime's own operator new (e.g. std::stable_sort's nothrow
+// buffer) ever reaches the free() below; under ASan that is an
+// alloc-dealloc mismatch.
 //
 // GCC pairs its builtin model of operator new with the free() it sees in
 // the replacement delete and flags every use site, even though this
@@ -68,6 +72,28 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::aligned_alloc(static_cast<std::size_t>(align),
+                            (size + static_cast<std::size_t>(align) - 1) &
+                                ~(static_cast<std::size_t>(align) - 1));
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -78,6 +104,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -3,6 +3,7 @@
 // the feature-level expression of the paper's Table 3 ordering.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "data/synthetic_mnist.h"
@@ -292,83 +293,111 @@ TEST(FirstLayerEngine, DesignNames) {
   EXPECT_EQ(to_string(FirstLayerDesign::kScConventional), "Old SC");
 }
 
-// --- SIMD fast-path engines -------------------------------------------------
-// The optimization referee: FastStochasticFirstLayer must be bit-identical
-// to StochasticFirstLayer for both styles at every precision — the fast
-// engines are an optimization, never an approximation.
+// --- Count-domain fast-path engines ------------------------------------------
+// The optimization referee: the registry's sc-*-fast engines must be
+// bit-identical to StochasticFirstLayer for both styles at every precision
+// and at the production kernel count — the fast engines are an
+// optimization, never an approximation.
+
+struct FastCase {
+  ScStyle style;
+  const char* backend;
+};
+const FastCase kFastCases[] = {{ScStyle::kProposed, "sc-proposed-fast"},
+                               {ScStyle::kConventional,
+                                "sc-conventional-fast"}};
+
+/// Registry-built fast engine vs the bit-level reference over 32 kernels
+/// of weight seed `weight_seed`, on `images` consecutive sample images.
+void expect_fast_matches_reference(const FastCase& c, unsigned bits,
+                                   std::uint64_t weight_seed,
+                                   std::uint64_t first_image, int images,
+                                   double soft_threshold) {
+  const auto qw = sample_qweights(32, bits, weight_seed);
+  FirstLayerConfig cfg;
+  cfg.bits = bits;
+  cfg.soft_threshold = soft_threshold;
+  StochasticFirstLayer ref(c.style, qw, cfg);
+  const auto fast =
+      runtime::BackendRegistry::instance().create(c.backend, qw, cfg);
+  for (int i = 0; i < images; ++i) {
+    const nn::Tensor img = sample_image(first_image + i);
+    EXPECT_EQ(run_engine(ref, img), run_engine(*fast, img))
+        << c.backend << " bits=" << bits << " image=" << i;
+  }
+}
 
 class FastBitIdentity : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FastBitIdentity, ProposedFastMatchesReferenceExactly) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(3, bits, 100 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  StochasticFirstLayer ref(ScStyle::kProposed, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kProposed, qw, cfg);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const nn::Tensor img = sample_image(70 + 3 * bits + i);
-    EXPECT_EQ(run_engine(ref, img), run_engine(fast, img))
-        << "bits=" << bits << " image=" << i;
-  }
+  expect_fast_matches_reference(kFastCases[0], bits, 100 + bits, 70 + 3 * bits,
+                                3, 0.0);
 }
 
 TEST_P(FastBitIdentity, ConventionalFastMatchesReferenceExactly) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(3, bits, 200 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  StochasticFirstLayer ref(ScStyle::kConventional, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kConventional, qw, cfg);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    const nn::Tensor img = sample_image(90 + 3 * bits + i);
-    EXPECT_EQ(run_engine(ref, img), run_engine(fast, img))
-        << "bits=" << bits << " image=" << i;
-  }
+  expect_fast_matches_reference(kFastCases[1], bits, 200 + bits, 90 + 3 * bits,
+                                3, 0.0);
 }
 
 TEST_P(FastBitIdentity, FastMatchesReferenceWithSoftThreshold) {
   const unsigned bits = GetParam();
-  const auto qw = sample_qweights(2, bits, 300 + bits);
-  FirstLayerConfig cfg;
-  cfg.bits = bits;
-  cfg.soft_threshold = 1.0;
-  StochasticFirstLayer ref(ScStyle::kProposed, qw, cfg);
-  FastStochasticFirstLayer fast(ScStyle::kProposed, qw, cfg);
-  const nn::Tensor img = sample_image(55);
-  EXPECT_EQ(run_engine(ref, img), run_engine(fast, img)) << "bits=" << bits;
+  expect_fast_matches_reference(kFastCases[0], bits, 300 + bits, 55, 1, 1.0);
+}
+
+TEST_P(FastBitIdentity, ConventionalFastMatchesReferenceWithSoftThreshold) {
+  const unsigned bits = GetParam();
+  expect_fast_matches_reference(kFastCases[1], bits, 400 + bits, 55, 1, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Bits, FastBitIdentity,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
+// The conventional fast engine's closed form rests on the MUX tree routing
+// exactly one leaf to the root per cycle: the 32 leaf path masks must be
+// pairwise disjoint and cover all N cycles.
+TEST(FastFirstLayer, MuxLeafMasksPartitionTheStream) {
+  for (unsigned bits = 2; bits <= 8; ++bits) {
+    const std::size_t n = std::size_t{1} << bits;
+    const std::size_t words = (n + 63) / 64;
+    for (const std::uint32_t seed : {1u, 7u}) {
+      const auto masks = detail::sc_mux_leaf_masks(bits, seed, n, words);
+      ASSERT_EQ(masks.size(), 32 * words);
+      std::size_t total = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t seen = 0;
+        for (std::size_t t = 0; t < 32; ++t) {
+          const std::uint64_t m = masks[t * words + w];
+          EXPECT_EQ(seen & m, 0u) << "bits=" << bits << " leaf " << t;
+          seen |= m;
+          total += static_cast<std::size_t>(std::popcount(m));
+        }
+      }
+      EXPECT_EQ(total, n) << "bits=" << bits << " seed=" << seed;
+    }
+  }
+}
+
 TEST(FastFirstLayer, BatchMatchesSingleImagePath) {
   const auto qw = sample_qweights(3, 4, 14);
   FirstLayerConfig cfg;
   cfg.bits = 4;
-  FastStochasticFirstLayer fast(ScStyle::kProposed, qw, cfg);
   const data::DataSplit split = data::generate_synthetic_mnist(8, 1, 17);
-  const nn::Tensor feats = fast.compute_batch(split.train.images);
-  EXPECT_EQ(feats.shape(), (std::vector<int>{8, 3, 28, 28}));
-  std::vector<float> single(3 * 784);
-  fast.compute(split.train.images.data(), single.data());
-  for (std::size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(feats[i], single[i]);
+  for (const FastCase& c : kFastCases) {
+    FastStochasticFirstLayer fast(c.style, qw, cfg);
+    const nn::Tensor feats = fast.compute_batch(split.train.images);
+    EXPECT_EQ(feats.shape(), (std::vector<int>{8, 3, 28, 28}));
+    std::vector<float> single(3 * 784);
+    for (int img = 0; img < 8; ++img) {
+      fast.compute(split.train.images.data() + img * 784, single.data());
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        ASSERT_EQ(feats[static_cast<std::size_t>(img) * single.size() + i],
+                  single[i])
+            << c.backend << " image " << img;
+      }
+    }
   }
-}
-
-TEST(FastFirstLayer, PackedLayoutSelectedForShortStreams) {
-  const auto qw4 = sample_qweights(2, 4, 15);
-  const auto qw8 = sample_qweights(2, 8, 15);
-  FirstLayerConfig cfg4, cfg8;
-  cfg4.bits = 4;
-  cfg8.bits = 8;
-  FastStochasticFirstLayer p4(ScStyle::kProposed, qw4, cfg4);
-  FastStochasticFirstLayer p8(ScStyle::kProposed, qw8, cfg8);
-  EXPECT_EQ(p4.positions_per_word(), 4u);  // 64 / 2^4
-  EXPECT_EQ(p8.positions_per_word(), 1u);  // column-batched
-  EXPECT_EQ(p4.stream_length(), 16u);
-  EXPECT_EQ(p8.stream_length(), 256u);
 }
 
 TEST(FastFirstLayer, RegisteredInBackendRegistry) {

@@ -216,8 +216,8 @@ TEST(Report, BackendEnergyPerFrame) {
 }
 
 TEST(Report, CanonicalBackendStripsFastSuffix) {
-  // The SIMD fast backends are software restructurings of the same SC
-  // chip — they must price exactly like their canonical design.
+  // The count-domain fast backends are software restructurings of the same
+  // SC chip — they must price exactly like their canonical design.
   EXPECT_EQ(canonical_backend("sc-proposed-fast"), "sc-proposed");
   EXPECT_EQ(canonical_backend("sc-conventional-fast"), "sc-conventional");
   EXPECT_EQ(canonical_backend("sc-proposed"), "sc-proposed");

@@ -143,10 +143,10 @@ TEST(HybridNetwork, IsServableBehindTheRequestServer) {
 }
 
 TEST(HybridNetwork, FastBackendsPredictIdenticallyToReference) {
-  // End-to-end referee for the SIMD fast path: swapping sc-proposed for
-  // sc-proposed-fast (and conventional likewise) must leave every
-  // prediction AND every margin bit-identical — the whole pipeline after
-  // the first layer consumes identical ternary features.
+  // End-to-end referee for the count-domain fast path: swapping
+  // sc-proposed for sc-proposed-fast (and conventional likewise) must leave
+  // every prediction AND every margin bit-identical — the whole pipeline
+  // after the first layer consumes identical ternary features.
   nn::Rng rng(9);
   const auto cfg = tiny_lenet();
   nn::Network base = build_lenet(cfg, rng);

@@ -64,8 +64,8 @@ TEST(Packed, ReverseBitsIsInvolution) {
 
 TEST(Packed, PrefixXorIsLinearAndEndsInWordParity) {
   // prefix_xor is XOR-linear (each output bit is a parity of input bits),
-  // and its top bit is the whole-word parity — the two algebraic facts the
-  // field-packed TFF kernel's cross-field correction relies on.
+  // and its top bit is the whole-word parity — the TFF state the
+  // word-parallel adder carries from one word to the next.
   std::mt19937_64 rng(7);
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t a = rng(), b = rng();

@@ -36,9 +36,10 @@
 // ----------------------------------------------------- allocation counting
 //
 // Global operator new/delete replacements (same scheme as
-// test_executor.cpp) let the zero-allocation classify regression observe
-// every heap allocation in the binary. Counting is always on; tests read
-// the counter delta around the window they care about.
+// test_executor.cpp, every throwing and nothrow form) let the
+// zero-allocation classify regression observe every heap allocation in the
+// binary. Counting is always on; tests read the counter delta around the
+// window they care about.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
@@ -69,6 +70,28 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::aligned_alloc(static_cast<std::size_t>(align),
+                            (size + static_cast<std::size_t>(align) - 1) &
+                                ~(static_cast<std::size_t>(align) - 1));
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -79,6 +102,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -377,11 +411,12 @@ struct FastTailRig {
   std::unique_ptr<AdaptivePipeline> pipeline;
   nn::Network ref_tail = test_tail();
 
-  explicit FastTailRig(unsigned threads, int chunk_images = 4) {
+  explicit FastTailRig(unsigned threads, int chunk_images = 4,
+                       const std::string& backend = "sc-proposed") {
     RuntimeConfig rc;
     rc.threads = threads;
     rc.chunk_images = chunk_images;
-    pipeline = one_rung("sc-proposed",
+    pipeline = one_rung(backend,
                         sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
                         four_bit(), rc, test_tail());
   }
@@ -492,10 +527,19 @@ long long warm_classify_allocations(AdaptivePipeline& pipeline,
   return g_heap_allocs.load(std::memory_order_relaxed) - before;
 }
 
+// Both contracts hold for the bit-level referee and for the count-domain
+// engines the serving benches run: every engine sizes its workspace in
+// make_scratch(), never per frame.
+const char* const kWarmPathBackends[] = {"sc-proposed", "sc-proposed-fast",
+                                         "sc-conventional-fast"};
+
 TEST(FastTail, OneRungWarmPathIsAllocationFree) {
   const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
-  FastTailRig rig(3);
-  EXPECT_EQ(warm_classify_allocations(*rig.pipeline, split.train.images), 0);
+  for (const char* backend : kWarmPathBackends) {
+    FastTailRig rig(3, 4, backend);
+    EXPECT_EQ(warm_classify_allocations(*rig.pipeline, split.train.images), 0)
+        << backend;
+  }
 }
 
 // The same contract on a 4->6-bit ladder whose margin escalates some
@@ -503,36 +547,38 @@ TEST(FastTail, OneRungWarmPathIsAllocationFree) {
 // buffers' reuse across rungs are on the measured path.
 TEST(FastTail, EscalatingLadderWarmPathIsAllocationFree) {
   const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
-  const auto ladder = [](double margin) {
-    std::vector<AdaptiveRung> rungs;
-    for (const unsigned bits : {4u, 6u}) {
-      hybrid::FirstLayerConfig cfg;
-      cfg.bits = bits;
-      AdaptiveRung rung;
-      rung.bits = bits;
-      rung.engine = BackendRegistry::instance().create(
-          "sc-proposed", sample_qweights(kTestLeNet.conv1_kernels, bits, 9),
-          cfg);
-      rung.tail = test_tail();
-      rungs.push_back(std::move(rung));
+  for (const char* backend : kWarmPathBackends) {
+    const auto ladder = [backend](double margin) {
+      std::vector<AdaptiveRung> rungs;
+      for (const unsigned bits : {4u, 6u}) {
+        hybrid::FirstLayerConfig cfg;
+        cfg.bits = bits;
+        AdaptiveRung rung;
+        rung.bits = bits;
+        rung.engine = BackendRegistry::instance().create(
+            backend, sample_qweights(kTestLeNet.conv1_kernels, bits, 9), cfg);
+        rung.tail = test_tail();
+        rungs.push_back(std::move(rung));
+      }
+      RuntimeConfig rc;
+      rc.threads = 3;
+      return std::make_unique<AdaptivePipeline>(std::move(rungs), margin, rc);
+    };
+    // The median rung-0 margin escalates the less confident half.
+    std::vector<double> margins;
+    for (const Prediction& p : ladder(0.0)->classify(split.train.images)) {
+      margins.push_back(p.margin);
     }
-    RuntimeConfig rc;
-    rc.threads = 3;
-    return std::make_unique<AdaptivePipeline>(std::move(rungs), margin, rc);
-  };
-  // The median rung-0 margin escalates the less confident half.
-  std::vector<double> margins;
-  for (const Prediction& p : ladder(0.0)->classify(split.train.images)) {
-    margins.push_back(p.margin);
-  }
-  std::sort(margins.begin(), margins.end());
-  const auto pipeline = ladder(margins[margins.size() / 2]);
+    std::sort(margins.begin(), margins.end());
+    const auto pipeline = ladder(margins[margins.size() / 2]);
 
-  EXPECT_EQ(warm_classify_allocations(*pipeline, split.train.images), 0);
-  (void)pipeline->classify(split.train.images);
-  const PipelineStats& stats = pipeline->last_stats();
-  EXPECT_GT(stats.rungs[1].images_in, 0);
-  EXPECT_LT(stats.rungs[1].images_in, stats.rungs[0].images_in);
+    EXPECT_EQ(warm_classify_allocations(*pipeline, split.train.images), 0)
+        << backend;
+    (void)pipeline->classify(split.train.images);
+    const PipelineStats& stats = pipeline->last_stats();
+    EXPECT_GT(stats.rungs[1].images_in, 0) << backend;
+    EXPECT_LT(stats.rungs[1].images_in, stats.rungs[0].images_in) << backend;
+  }
 }
 
 // ------------------------------------------------------------ InferencePlan
@@ -613,6 +659,34 @@ TEST(InferencePlan, RejectsUnsupportedLayersAndBadShapes) {
         (void)plan.make_arena(0);
       },
       std::invalid_argument);
+}
+
+// The ping-pong buffers hold step outputs only — run() reads the input in
+// place — so a plan whose input is its widest activation (the serving
+// tail: 32x28x28 features, pooled first) must not size them by it.
+TEST(InferencePlan, ArenaSizedByWidestStepOutputNotInput) {
+  nn::Rng rng(7);
+  nn::Network net;
+  net.add<nn::MaxPool2>();          // 4x8x8 = 256 -> 4x4x4 = 64
+  net.add<nn::Dense>(64, 10, rng);  // 64 -> 10
+  nn::InferencePlan plan(net, 4, 8, 8);
+  const auto arena = plan.make_arena(3);
+  EXPECT_EQ(arena.ping.size(), 3u * 64u);
+  EXPECT_EQ(arena.pong.size(), 3u * 64u);
+
+  nn::Tensor x({3, 4, 8, 8});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(i % 17) * 0.125f - 1.0f;
+  }
+  const nn::Tensor want = net.forward(x, false);
+  auto run_arena = plan.make_arena(3);
+  std::vector<float> got(static_cast<std::size_t>(3) * 10);
+  plan.run(x.data(), 3, got.data(), run_arena, sc::simd::Level::kScalar);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "logit " << i;
+  }
 }
 
 TEST(InferencePlan, RunRejectsBatchBeyondArenaCapacity) {
