@@ -14,63 +14,22 @@ bool all_zero(const std::uint64_t* stream, std::size_t words) {
                      [](std::uint64_t w) { return w == 0; });
 }
 
-/// Count tables over pixel levels: table[level] = popcount(in[level] & x).
-/// The input SNGs are comparators (bit c of level b is r_c < b), so the
-/// level streams are nested and a table is a prefix sum over the level at
-/// which each cycle of x enters — O(N) per table instead of N popcounts.
-class LevelCounter {
- public:
-  LevelCounter(const std::vector<std::uint64_t>& input_table, std::size_t n,
-               std::size_t words)
-      : words_(words), entry_(n, n + 1), hist_(n + 2) {
-    const std::size_t levels = n + 1;
-    for (std::size_t lev = 0; lev < levels; ++lev) {
-      const std::uint64_t* cur = input_table.data() + lev * words;
-      for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t prev =
-            lev == 0 ? 0 : input_table[(lev - 1) * words + w];
-        if ((prev & ~cur[w]) != 0) {
-          throw std::logic_error(
-              "FastStochasticFirstLayer: input level streams not nested");
-        }
-        for (std::uint64_t fresh = cur[w] & ~prev; fresh != 0;
-             fresh &= fresh - 1) {
-          entry_[w * 64 + static_cast<std::size_t>(std::countr_zero(fresh))] =
-              static_cast<std::uint32_t>(lev);
-        }
-      }
-    }
+/// Writes table[level] = sign * popcount(in[level] & x) for every pixel
+/// level; returns false when that is zero at every level.
+template <typename T>
+bool count_table(const std::vector<std::uint64_t>& input_table,
+                 std::size_t levels, std::size_t words,
+                 const std::uint64_t* x, int sign, T* table) {
+  bool live = false;
+  for (std::size_t lev = 0; lev < levels; ++lev) {
+    const std::uint64_t* in = input_table.data() + lev * words;
+    int ones = 0;
+    for (std::size_t w = 0; w < words; ++w) ones += std::popcount(in[w] & x[w]);
+    table[lev] = static_cast<T>(sign * ones);
+    live = live || ones != 0;
   }
-
-  /// Writes sign * popcount(in[level] & x) for every level; returns false
-  /// (table untouched) when that is zero at every level.
-  template <typename T>
-  bool count(const std::uint64_t* x, int sign, T* table) {
-    std::fill(hist_.begin(), hist_.end(), 0);
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (std::uint64_t bits = x[w]; bits != 0; bits &= bits - 1) {
-        ++hist_[entry_[w * 64 + static_cast<std::size_t>(
-                           std::countr_zero(bits))]];
-      }
-    }
-    const std::size_t levels = hist_.size() - 1;  // last bin: never entered
-    if (std::all_of(hist_.begin(), hist_.begin() + static_cast<long>(levels),
-                    [](int h) { return h == 0; })) {
-      return false;
-    }
-    int running = 0;
-    for (std::size_t lev = 0; lev < levels; ++lev) {
-      running += hist_[lev];
-      table[lev] = static_cast<T>(sign * running);
-    }
-    return true;
-  }
-
- private:
-  std::size_t words_;
-  std::vector<std::uint32_t> entry_;  // per cycle: first level that sets it
-  std::vector<int> hist_;             // cycles of x entering at each level
-};
+  return live;
+}
 
 }  // namespace
 
@@ -128,7 +87,6 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
     return w;
   };
 
-  LevelCounter counter(input_table, n_, words);
   if (style_ == Style::kProposed) {
     // One count table per live magnitude: count[level] =
     // popcount(in[level] & w[mag]). A magnitude whose table is all zero
@@ -142,8 +100,9 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
         if (map_of[mag] == -2) {
           const std::size_t at = counts_.size();
           counts_.resize(at + levels);
-          const bool live = counter.count(wtable.data() + mag * words, 1,
-                                          counts_.data() + at);
+          const bool live =
+              count_table(input_table, levels, words,
+                          wtable.data() + mag * words, 1, counts_.data() + at);
           map_of[mag] = live ? static_cast<std::int32_t>(at / levels) : -1;
           if (!live) counts_.resize(at);
         }
@@ -177,8 +136,9 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
         }
         const std::size_t at = tap_tables_.size();
         tap_tables_.resize(at + levels);
-        const bool live = counter.count(routed.data(), w < 0 ? -1 : 1,
-                                        tap_tables_.data() + at);
+        const bool live =
+            count_table(input_table, levels, words, routed.data(),
+                        w < 0 ? -1 : 1, tap_tables_.data() + at);
         index = live ? static_cast<std::int32_t>(at / levels) : -1;
         if (!live) tap_tables_.resize(at);
       }

@@ -1,9 +1,9 @@
 // Vectorized GEMM / bias / activation microkernels for the inference tail.
 //
 // They dispatch through sc/simd.h (sc::simd::Level, active_level(), the
-// SCBNN_SIMD override): implementations exist for portable scalar (always)
-// and AVX2 (runtime cpuid dispatch); other levels fall back to the scalar
-// path, which gcc auto-vectorizes to the baseline ISA anyway.
+// SCBNN_SIMD override): implementations exist for portable scalar (always;
+// gcc auto-vectorizes it to the baseline ISA) and AVX2 (runtime cpuid
+// dispatch).
 //
 // The bit-identity contract every kernel obeys: vectorization runs ONLY
 // across independent output elements (columns j of C, pooled positions),

@@ -9,9 +9,7 @@ namespace scbnn::sc::simd {
 namespace {
 
 Level detect_level() {
-#if defined(__aarch64__) && defined(__ARM_NEON)
-  return Level::kNeon;
-#elif defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   if (detail::avx2_compiled() && __builtin_cpu_supports("avx2")) {
     return Level::kAvx2;
   }
@@ -32,9 +30,6 @@ Level resolve_level() {
   if (std::strcmp(env, "avx2") == 0 && best == Level::kAvx2) {
     return Level::kAvx2;
   }
-  if (std::strcmp(env, "neon") == 0 && best == Level::kNeon) {
-    return Level::kNeon;
-  }
   std::fprintf(stderr,
                "warning: SCBNN_SIMD=%s unavailable on this host; using %s\n",
                env, to_string(best));
@@ -47,7 +42,6 @@ const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
     case Level::kAvx2: return "avx2";
-    case Level::kNeon: return "neon";
   }
   return "?";
 }

@@ -1,19 +1,19 @@
 // SIMD dispatch level for the vectorized float kernels of the inference
 // tail (nn/gemm.h).
 //
-// Implementations exist for portable scalar (always) and AVX2 (compiled
-// when the toolchain supports -mavx2, selected at runtime via cpuid); NEON
-// is detected on aarch64 and falls back to the scalar path, which the
-// compiler auto-vectorizes to the baseline ISA. `active_level()` picks the
-// best available and honors the SCBNN_SIMD env override ("scalar", "avx2",
-// "neon", "auto") so benches and tests can pin a path.
+// Implementations exist for portable scalar (always; the compiler
+// auto-vectorizes it to the baseline ISA) and AVX2 (compiled when the
+// toolchain supports -mavx2, selected at runtime via cpuid). Every other
+// host runs the scalar path. `active_level()` picks the best available and
+// honors the SCBNN_SIMD env override ("scalar", "avx2", "auto") so benches
+// and tests can pin a path.
 #pragma once
 
 #include <vector>
 
 namespace scbnn::sc::simd {
 
-enum class Level { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Level { kScalar = 0, kAvx2 = 1 };
 
 [[nodiscard]] const char* to_string(Level level) noexcept;
 

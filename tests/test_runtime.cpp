@@ -7,11 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,88 +30,7 @@
 #include "runtime/work_stealing_executor.h"
 #include "sc/simd.h"
 
-// ----------------------------------------------------- allocation counting
-//
-// Global operator new/delete replacements (same scheme as
-// test_executor.cpp, every throwing and nothrow form) let the
-// zero-allocation classify regression observe every heap allocation in the
-// binary. Counting is always on; tests read the counter delta around the
-// window they care about.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-namespace {
-std::atomic<long long> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::aligned_alloc(static_cast<std::size_t>(align),
-                            (size + static_cast<std::size_t>(align) - 1) &
-                                ~(static_cast<std::size_t>(align) - 1));
-}
-
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, align, tag);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace scbnn::runtime {
 namespace {
