@@ -3,9 +3,8 @@
 // throughput, not modeled silicon performance — that is
 // table3_power_energy_area).
 // The executor section at the bottom prices the runtime's scheduling
-// primitives themselves: submit round-trip latency, parallel_for fan-out/
-// join cost vs job count, the single-worker inline path, and chunk-steal
-// throughput of the WorkStealingExecutor.
+// primitives themselves: parallel_for fan-out/join cost vs job count, the
+// single-worker inline path, and chunk-steal throughput of the Executor.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -21,10 +20,9 @@
 #include "nn/init.h"
 #include "nn/quantize.h"
 #include "runtime/backend_registry.h"
-#include "runtime/work_stealing_executor.h"
+#include "runtime/executor.h"
 #include "sc/adder_tree.h"
 #include "sc/mse.h"
-#include "sc/simd.h"
 #include "sc/tff.h"
 
 namespace {
@@ -161,31 +159,12 @@ BENCHMARK(BM_FastScFirstLayerImage)
     ->ArgsProduct({{0, 1}, {2, 4, 6, 8}});
 
 // --- Executor micro-benchmarks (runtime/) -----------------------------------
-// The overhead of the scheduling layer itself, with trivial task bodies so
+// The overhead of the scheduling layer itself, with trivial job bodies so
 // the numbers are pure executor cost.
-
-void BM_ExecutorSubmitWorkStealing(benchmark::State& state) {
-  runtime::WorkStealingExecutor pool(2);
-  for (auto _ : state) {
-    pool.submit([] {}).get();
-  }
-  state.SetLabel("submit+get round trip, 2 workers");
-}
-BENCHMARK(BM_ExecutorSubmitWorkStealing);
-
-void BM_ExecutorSubmitInlineSingleWorker(benchmark::State& state) {
-  // The size()==1 fast path: the task runs on the caller, the future
-  // comes back resolved — no queue, no wakeup.
-  runtime::WorkStealingExecutor pool(1);
-  for (auto _ : state) {
-    pool.submit([] {}).get();
-  }
-}
-BENCHMARK(BM_ExecutorSubmitInlineSingleWorker);
 
 void BM_ExecutorParallelForWorkStealing(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
-  runtime::WorkStealingExecutor pool(4);
+  runtime::Executor pool(4);
   std::vector<long> sums(pool.size());
   for (auto _ : state) {
     pool.parallel_for(jobs,
@@ -202,7 +181,7 @@ BENCHMARK(BM_ExecutorParallelForWorkStealing)->Arg(1)->Arg(8)->Arg(64)->Arg(512)
 void BM_ExecutorParallelForInlineSingleWorker(benchmark::State& state) {
   // The allocation-free inline loop a single-frame 1-thread serving
   // config rides per request.
-  runtime::WorkStealingExecutor pool(1);
+  runtime::Executor pool(1);
   std::vector<long> sums(1);
   for (auto _ : state) {
     pool.parallel_for(64, [&sums](int job, unsigned worker) {
@@ -218,7 +197,7 @@ void BM_ExecutorStealThroughput(benchmark::State& state) {
   // Chunk-steal rate under sustained fan-out pressure, read off the
   // executor's own counters: steals (and attempts) per second appear as
   // rate counters in the report.
-  runtime::WorkStealingExecutor pool(4);
+  runtime::Executor pool(4);
   std::vector<long> sums(pool.size());
   const runtime::ExecutorStats before = pool.stats();
   for (auto _ : state) {
@@ -261,14 +240,14 @@ BENCHMARK(BM_Conv2DForward);
 // present).
 
 void add_simd_levels(benchmark::internal::Benchmark* b) {
-  for (sc::simd::Level level : sc::simd::available_levels()) {
+  for (nn::kern::Level level : nn::kern::available_levels()) {
     b->Arg(static_cast<int>(level));
   }
 }
 
-sc::simd::Level bench_level(benchmark::State& state) {
-  const auto level = static_cast<sc::simd::Level>(state.range(0));
-  state.SetLabel(sc::simd::to_string(level));
+nn::kern::Level bench_level(benchmark::State& state) {
+  const auto level = static_cast<nn::kern::Level>(state.range(0));
+  state.SetLabel(nn::kern::to_string(level));
   return level;
 }
 

@@ -23,7 +23,7 @@
 // back to their canonical name, so the column reads as the fast path's
 // speedup over the seed scalar engine.
 // The executor scaling sweep (second table) serves the same workload
-// through `models` concurrent pipelines sharing ONE WorkStealingExecutor,
+// through `models` concurrent pipelines sharing ONE runtime::Executor,
 // with stealing on and off (the control) at 1..hw threads. Knobs:
 // --models / SCBNN_BENCH_MODELS (default 4) and --reps / SCBNN_BENCH_REPS
 // (batches per driver thread, default 3).
@@ -52,8 +52,8 @@
 #include "obs/trace.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
+#include "runtime/executor.h"
 #include "runtime/server.h"
-#include "runtime/work_stealing_executor.h"
 
 namespace {
 
@@ -182,11 +182,11 @@ struct ScalingRow {
 std::shared_ptr<scbnn::runtime::Executor> make_sweep_executor(
     const std::string& kind, unsigned threads) {
   using namespace scbnn::runtime;
-  WorkStealingExecutor::Options opt;
+  Executor::Options opt;
   opt.threads = threads;
   opt.steal = (kind == "work-steal");
   opt.pin = PinMode::kOff;
-  return std::make_shared<WorkStealingExecutor>(opt);
+  return std::make_shared<Executor>(opt);
 }
 
 }  // namespace

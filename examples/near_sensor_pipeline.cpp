@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
 
   // Both deployments share ONE executor: N models, one set of workers.
   runtime::RuntimeConfig rc = cfg.runtime_config();
-  rc.executor = runtime::make_shared_executor(rc.threads);
+  rc.executor = std::make_shared<runtime::Executor>(rc.threads);
   auto fixed = std::make_shared<runtime::AdaptivePipeline>(
       hybrid::instantiate_bundle_ladder(bundle, bundle.rungs.size() - 1),
       0.0, rc);

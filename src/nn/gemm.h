@@ -1,9 +1,12 @@
-// Vectorized GEMM / bias / activation microkernels for the inference tail.
+// Vectorized GEMM / bias / activation microkernels for the inference tail,
+// and the dispatch level they run at.
 //
-// They dispatch through sc/simd.h (sc::simd::Level, active_level(), the
-// SCBNN_SIMD override): implementations exist for portable scalar (always;
-// gcc auto-vectorizes it to the baseline ISA) and AVX2 (runtime cpuid
-// dispatch).
+// Implementations exist for portable scalar (always; gcc auto-vectorizes it
+// to the baseline ISA) and AVX2 (compiled when the toolchain supports
+// -mavx2, selected at runtime via cpuid). Every other host runs the scalar
+// path. `active_level()` picks the best available and honors the
+// SCBNN_SIMD env override ("scalar", "avx2", "auto") so benches and tests
+// can pin a path.
 //
 // The bit-identity contract every kernel obeys: vectorization runs ONLY
 // across independent output elements (columns j of C, pooled positions),
@@ -16,12 +19,19 @@
 #pragma once
 
 #include <cstddef>
-
-#include "sc/simd.h"
+#include <vector>
 
 namespace scbnn::nn::kern {
 
-using Level = sc::simd::Level;
+enum class Level { kScalar = 0, kAvx2 = 1 };
+
+[[nodiscard]] const char* to_string(Level level) noexcept;
+
+/// Best implementation available on this host (cached; SCBNN_SIMD override).
+[[nodiscard]] Level active_level();
+
+/// All levels runnable on this host, kScalar first.
+[[nodiscard]] std::vector<Level> available_levels();
 
 /// C[i,j] = relu?( row_bias[i] + sum_p A[i,p] * B[p,j] ), accumulation
 /// STARTING at the bias — the operation order of Conv2D::forward's fused
@@ -49,8 +59,12 @@ void maxpool2(const float* x, int planes, int h, int w, float* y,
               Level level);
 
 namespace detail {
-// AVX2 entry points (defined in gemm_avx2.cpp; stubs elsewhere). The same
-// TU defines sc::simd::detail::avx2_compiled().
+/// True when the AVX2 translation unit (gemm_avx2.cpp) was compiled with
+/// AVX2 enabled (host support is still checked at runtime before
+/// dispatching to it).
+[[nodiscard]] bool avx2_compiled() noexcept;
+
+// AVX2 entry points (defined in gemm_avx2.cpp; stubs elsewhere).
 void gemm_rowbias_act_avx2(const float* a, const float* b,
                            const float* row_bias, float* c, int m, int k,
                            int n, bool relu);

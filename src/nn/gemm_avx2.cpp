@@ -1,7 +1,7 @@
 // AVX2 implementations of the tail GEMM / pool microkernels (nn/gemm.h).
 //
 // This TU is compiled with -mavx2 when the toolchain supports it and is
-// reached only after a runtime cpuid check (sc::simd::active_level(),
+// reached only after a runtime cpuid check (active_level() in gemm.cpp,
 // which asks avx2_compiled() below whether the flag took).
 // Bit-identity with the scalar reference is preserved by vectorizing ONLY
 // across independent output columns: each ymm lane owns one C[i,j] and
@@ -178,19 +178,15 @@ void maxpool2_avx2(const float* x, int planes, int h, int w, float* y) {
   }
 }
 
-}  // namespace scbnn::nn::kern::detail
-
-namespace scbnn::sc::simd::detail {
 bool avx2_compiled() noexcept { return true; }
-}  // namespace scbnn::sc::simd::detail
+
+}  // namespace scbnn::nn::kern::detail
 
 #else  // !__AVX2__: stubs keep the library linkable; never dispatched to.
 
-namespace scbnn::sc::simd::detail {
-bool avx2_compiled() noexcept { return false; }
-}  // namespace scbnn::sc::simd::detail
-
 namespace scbnn::nn::kern::detail {
+
+bool avx2_compiled() noexcept { return false; }
 
 void gemm_rowbias_act_avx2(const float*, const float*, const float*, float*,
                            int, int, int, bool) {}

@@ -7,10 +7,9 @@
 #include <string>
 
 #include "hw/report.h"
+#include "nn/gemm.h"
 #include "nn/loss.h"
 #include "obs/trace.h"
-#include "runtime/work_stealing_executor.h"
-#include "sc/simd.h"
 
 namespace scbnn::runtime {
 
@@ -107,7 +106,7 @@ const RuntimeConfig& RuntimeConfig::validate() const {
 
 std::shared_ptr<Executor> RuntimeConfig::resolve_executor() const {
   return executor ? executor
-                  : std::make_shared<WorkStealingExecutor>(threads);
+                  : std::make_shared<Executor>(threads);
 }
 
 AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
@@ -200,7 +199,7 @@ void AdaptivePipeline::run_tail(std::size_t r, const float* feats, int m,
   }
   const nn::InferencePlan& plan = *s.plan;
   const int chunk = config_.chunk_images;
-  const sc::simd::Level level = sc::simd::active_level();
+  const nn::kern::Level level = nn::kern::active_level();
   pool_->parallel_for((m + chunk - 1) / chunk, [&](int job, unsigned worker) {
     const int first = job * chunk;
     plan.run(feats + static_cast<std::size_t>(first) * plan.input_size(),

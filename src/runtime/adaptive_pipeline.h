@@ -46,8 +46,7 @@ struct RuntimeConfig {
   /// instead of spawning a private one (`threads` is then ignored — the
   /// pool is already sized), so any number of models can serve from one
   /// fixed set of workers without oversubscription. When null (the
-  /// default), a private WorkStealingExecutor of `threads` workers is
-  /// built.
+  /// default), a private Executor of `threads` workers is built.
   std::shared_ptr<Executor> executor;
 
   /// Reject nonsense before any pool or scratch is built: chunk_images must
@@ -58,7 +57,7 @@ struct RuntimeConfig {
   const RuntimeConfig& validate() const;
 
   /// The executor this config resolves to: the shared executor if set,
-  /// otherwise a fresh private WorkStealingExecutor of `threads` workers.
+  /// otherwise a fresh private Executor of `threads` workers.
   [[nodiscard]] std::shared_ptr<Executor> resolve_executor() const;
 };
 

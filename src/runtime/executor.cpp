@@ -1,11 +1,9 @@
-#include "runtime/work_stealing_executor.h"
+#include "runtime/executor.h"
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <string>
-#include <utility>
 
 #include "obs/trace.h"
 
@@ -34,8 +32,7 @@ void cpu_relax() noexcept {
 }
 
 /// Which executor (and slot) the calling thread works for, if any —
-/// lets nested parallel_for degrade to inline and submit-from-worker
-/// push straight to the worker's own deque.
+/// lets nested parallel_for degrade to inline.
 struct WorkerIdentity {
   const void* executor = nullptr;
   unsigned slot = 0;
@@ -44,73 +41,20 @@ thread_local WorkerIdentity tls_worker;
 
 }  // namespace
 
-// ------------------------------------------------------------- StealDeque
-
-bool WorkStealingExecutor::StealDeque::push_bottom(TaskNode* node) noexcept {
-  const std::int64_t b = bottom.load(std::memory_order_relaxed);
-  const std::int64_t t = top.load(std::memory_order_acquire);
-  if (b - t >= static_cast<std::int64_t>(kCapacity)) return false;
-  slots[static_cast<std::size_t>(b) & kMask].store(node,
-                                                  std::memory_order_relaxed);
-  bottom.store(b + 1, std::memory_order_release);
-  return true;
-}
-
-WorkStealingExecutor::TaskNode*
-WorkStealingExecutor::StealDeque::pop_bottom() noexcept {
-  std::int64_t b = bottom.load(std::memory_order_relaxed);
-  const std::int64_t t_guess = top.load(std::memory_order_relaxed);
-  if (t_guess >= b) return nullptr;  // fast empty check, owner-accurate
-  b -= 1;
-  // The seq_cst store/load pair is the owner<->thief handshake (in place
-  // of the classic standalone fence, which TSan does not model).
-  bottom.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top.load(std::memory_order_seq_cst);
-  if (t < b) {
-    // More than one element left: the bottom one is ours alone.
-    return slots[static_cast<std::size_t>(b) & kMask].load(
-        std::memory_order_relaxed);
-  }
-  TaskNode* node = nullptr;
-  if (t == b) {
-    // Last element: race the thieves for it via the top counter.
-    node = slots[static_cast<std::size_t>(b) & kMask].load(
-        std::memory_order_relaxed);
-    if (!top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed)) {
-      node = nullptr;  // a thief got it
-    }
-  }
-  bottom.store(b + 1, std::memory_order_relaxed);
-  return node;
-}
-
-WorkStealingExecutor::TaskNode*
-WorkStealingExecutor::StealDeque::steal_top() noexcept {
-  std::int64_t t = top.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom.load(std::memory_order_seq_cst);
-  if (t >= b) return nullptr;
-  TaskNode* node =
-      slots[static_cast<std::size_t>(t) & kMask].load(std::memory_order_relaxed);
-  if (!top.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                   std::memory_order_relaxed)) {
-    return nullptr;  // lost to the owner or another thief
-  }
-  return node;
-}
-
-std::size_t WorkStealingExecutor::StealDeque::depth() const noexcept {
-  const std::int64_t b = bottom.load(std::memory_order_relaxed);
-  const std::int64_t t = top.load(std::memory_order_relaxed);
-  return b > t ? static_cast<std::size_t>(b - t) : 0;
-}
-
 // ------------------------------------------------------------ construction
 
-WorkStealingExecutor::WorkStealingExecutor(unsigned threads)
-    : WorkStealingExecutor(Options{threads, std::nullopt, std::nullopt}) {}
+unsigned Executor::resolve_threads(unsigned threads) noexcept {
+  if (threads == 0) {
+    threads = std::thread::hardware_concurrency();
+    if (threads == 0) threads = 1;
+  }
+  return std::min(threads, kMaxThreads);
+}
 
-WorkStealingExecutor::WorkStealingExecutor(const Options& options) {
+Executor::Executor(unsigned threads)
+    : Executor(Options{threads, std::nullopt, std::nullopt}) {}
+
+Executor::Executor(const Options& options) {
   const unsigned threads = resolve_threads(options.threads);
   steal_ = options.steal.value_or(steal_enabled_from_env());
   pin_mode_ = options.pin.value_or(pin_mode_from_env());
@@ -142,7 +86,7 @@ WorkStealingExecutor::WorkStealingExecutor(const Options& options) {
   }
 }
 
-WorkStealingExecutor::~WorkStealingExecutor() {
+Executor::~Executor() {
   shutdown();
   // An external parallel_for caller may still be unwinding through
   // wait_op after the workers finished its chunks; its op frame and the
@@ -153,7 +97,7 @@ WorkStealingExecutor::~WorkStealingExecutor() {
   }
 }
 
-void WorkStealingExecutor::shutdown() {
+void Executor::shutdown() {
   {
     std::unique_lock<std::shared_mutex> gate(gate_);
     stop_.store(true, std::memory_order_seq_cst);
@@ -167,7 +111,7 @@ void WorkStealingExecutor::shutdown() {
 
 // ------------------------------------------------------------- worker loop
 
-void WorkStealingExecutor::worker_loop(unsigned slot) {
+void Executor::worker_loop(unsigned slot) {
   tls_worker = {this, slot};
   if (!pin_plan_.empty()) {
     (void)pin_current_thread(pin_plan_[slot]);
@@ -177,19 +121,15 @@ void WorkStealingExecutor::worker_loop(unsigned slot) {
   int idle_rounds = 0;
   for (;;) {
     const std::uint64_t epoch = work_epoch_.load(std::memory_order_seq_cst);
-    if (run_one(slot)) {
+    if (try_run_chunk(slot)) {
       idle_rounds = 0;
       continue;
     }
     if (stop_.load(std::memory_order_seq_cst)) {
-      // Drain-then-exit: leave only once nothing is queued anywhere and
-      // no fan-out is mid-flight (its chunks may still need this thread
-      // as a thief). Spin-yield instead of parking — both counters are
-      // about to hit zero.
-      if (pending_tasks_.load(std::memory_order_seq_cst) == 0 &&
-          active_ops_.load(std::memory_order_seq_cst) == 0) {
-        return;
-      }
+      // Drain-then-exit: leave only once no fan-out is mid-flight (its
+      // chunks may still need this thread as a thief). Spin-yield instead
+      // of parking — the count is about to hit zero.
+      if (active_ops_.load(std::memory_order_seq_cst) == 0) return;
       std::this_thread::yield();
       continue;
     }
@@ -198,7 +138,7 @@ void WorkStealingExecutor::worker_loop(unsigned slot) {
       continue;
     }
     // Park: announce intent, then re-check for work published since the
-    // epoch read above — a producer either sees sleep==1 and notifies, or
+    // epoch read above — a caller either sees sleep==1 and notifies, or
     // bumped the epoch before we read it here. Either way no lost wake.
     me.sleep.store(1, std::memory_order_seq_cst);
     if (work_epoch_.load(std::memory_order_seq_cst) != epoch ||
@@ -214,18 +154,8 @@ void WorkStealingExecutor::worker_loop(unsigned slot) {
   }
 }
 
-bool WorkStealingExecutor::run_one(unsigned slot) {
-  // Fan-out chunks first (a blocked parallel_for caller is the serving
-  // hot path), then own work LIFO, then the shared inbox, then theft.
-  if (try_run_chunk(slot)) return true;
-  if (run_own_task(slot)) return true;
-  if (run_inbox_task(slot)) return true;
-  if (steal_ && run_stolen_task(slot)) return true;
-  return false;
-}
-
-std::pair<int, int> WorkStealingExecutor::chunk_range(int jobs, int nchunks,
-                                                      int chunk) noexcept {
+std::pair<int, int> Executor::chunk_range(int jobs, int nchunks,
+                                          int chunk) noexcept {
   const int base = jobs / nchunks;
   const int rem = jobs % nchunks;
   const int first = chunk * base + std::min(chunk, rem);
@@ -233,7 +163,7 @@ std::pair<int, int> WorkStealingExecutor::chunk_range(int jobs, int nchunks,
   return {first, first + count};
 }
 
-bool WorkStealingExecutor::try_run_chunk(unsigned slot) {
+bool Executor::try_run_chunk(unsigned slot) {
   Worker& me = *workers_[slot];
   for (auto& op_ptr : ops_) {
     ForOp& op = *op_ptr;
@@ -271,7 +201,7 @@ bool WorkStealingExecutor::try_run_chunk(unsigned slot) {
   return false;
 }
 
-void WorkStealingExecutor::run_chunk(ForOp& op, int chunk, unsigned slot) {
+void Executor::run_chunk(ForOp& op, int chunk, unsigned slot) {
   // Field reads are ordered after the claim CAS (acquire), which pairs
   // with the release chunk-state reset in publish_op — so even a worker
   // that scanned a stale generation reads the fields of the generation
@@ -304,142 +234,9 @@ void WorkStealingExecutor::run_chunk(ForOp& op, int chunk, unsigned slot) {
   }
 }
 
-bool WorkStealingExecutor::run_own_task(unsigned slot) {
-  TaskNode* node = workers_[slot]->deque.pop_bottom();
-  if (node == nullptr) return false;
-  run_task(node, slot);
-  return true;
-}
-
-bool WorkStealingExecutor::run_inbox_task(unsigned slot) {
-  Worker& me = *workers_[slot];
-  TaskNode* node = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(me.inbox_mutex);
-    if (!me.inbox.empty()) {
-      node = me.inbox.front();
-      me.inbox.erase(me.inbox.begin());
-    }
-  }
-  if (node == nullptr) return false;
-  run_task(node, slot);
-  return true;
-}
-
-bool WorkStealingExecutor::run_stolen_task(unsigned slot) {
-  Worker& me = *workers_[slot];
-  const unsigned n = size();
-  for (unsigned offset = 1; offset < n; ++offset) {
-    Worker& victim = *workers_[(slot + offset) % n];
-    if (victim.deque.depth() > 0) {
-      me.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-      TaskNode* node = victim.deque.steal_top();
-      if (node != nullptr) {
-        me.steals.fetch_add(1, std::memory_order_relaxed);
-        run_task(node, slot);
-        return true;
-      }
-    }
-    // A victim stuck in a long chunk can leave inbox tasks stranded;
-    // thieves may take those too (plain mutex handoff).
-    TaskNode* node = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(victim.inbox_mutex);
-      if (!victim.inbox.empty()) {
-        node = victim.inbox.front();
-        victim.inbox.erase(victim.inbox.begin());
-      }
-    }
-    if (node != nullptr) {
-      me.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-      me.steals.fetch_add(1, std::memory_order_relaxed);
-      run_task(node, slot);
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkStealingExecutor::run_task(TaskNode* node, unsigned slot) {
-  node->task();  // packaged_task captures exceptions into its future
-  delete node;
-  workers_[slot]->tasks_run.fetch_add(1, std::memory_order_relaxed);
-  pending_tasks_.fetch_sub(1, std::memory_order_seq_cst);
-}
-
-// ------------------------------------------------------------------ submit
-
-std::future<void> WorkStealingExecutor::submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> result = wrapped.get_future();
-
-  if (size() == 1) {
-    // Single-worker fast path, symmetric with parallel_for's: no queue
-    // round-trip, no wakeup — the task runs here and the future comes
-    // back already resolved (exceptions still land in the future).
-    if (stop_.load(std::memory_order_seq_cst)) {
-      throw std::runtime_error(
-          "WorkStealingExecutor::submit: executor is shut down");
-    }
-    wrapped();
-    return result;
-  }
-
-  auto node = std::make_unique<TaskNode>();
-  node->task = std::move(wrapped);
-  {
-    std::shared_lock<std::shared_mutex> gate(gate_);
-    if (stop_.load(std::memory_order_seq_cst)) {
-      throw std::runtime_error(
-          "WorkStealingExecutor::submit: executor is shut down");
-    }
-    enqueue_task(node.release());
-  }
-  work_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  wake_workers(1);
-  return result;
-}
-
-void WorkStealingExecutor::enqueue_task(TaskNode* node) {
-  pending_tasks_.fetch_add(1, std::memory_order_seq_cst);
-  const int self = current_worker_slot();
-  if (self >= 0) {
-    // Submit from inside a worker: LIFO onto our own deque (locality),
-    // inbox overflow when full.
-    Worker& me = *workers_[static_cast<unsigned>(self)];
-    if (!me.deque.push_bottom(node)) {
-      std::lock_guard<std::mutex> lock(me.inbox_mutex);
-      me.inbox.push_back(node);
-    }
-    note_queue_depth(static_cast<unsigned>(self));
-    return;
-  }
-  const unsigned target =
-      next_inbox_.fetch_add(1, std::memory_order_relaxed) % size();
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->inbox_mutex);
-    workers_[target]->inbox.push_back(node);
-  }
-  note_queue_depth(target);
-}
-
-void WorkStealingExecutor::note_queue_depth(unsigned slot) {
-  Worker& w = *workers_[slot];
-  std::size_t depth = w.deque.depth();
-  {
-    std::lock_guard<std::mutex> lock(w.inbox_mutex);
-    depth += w.inbox.size();
-  }
-  std::size_t seen = w.queue_high_water.load(std::memory_order_relaxed);
-  while (depth > seen &&
-         !w.queue_high_water.compare_exchange_weak(
-             seen, depth, std::memory_order_relaxed)) {
-  }
-}
-
 // ------------------------------------------------------------ parallel_for
 
-void WorkStealingExecutor::parallel_for_impl(int jobs, ForFn fn, void* ctx) {
+void Executor::parallel_for(int jobs, ForFn fn, void* ctx) {
   if (jobs <= 0) return;
   // One span per fan-out on the calling thread, keyed to the ambient trace
   // id set by the batch owner; unsampled calls pay two relaxed loads.
@@ -455,7 +252,7 @@ void WorkStealingExecutor::parallel_for_impl(int jobs, ForFn fn, void* ctx) {
     // with itself, so the slot contract holds and nothing deadlocks.
     if (stop_.load(std::memory_order_seq_cst)) {
       throw std::runtime_error(
-          "WorkStealingExecutor::parallel_for: executor is shut down");
+          "Executor::parallel_for: executor is shut down");
     }
     const unsigned slot = self >= 0 ? static_cast<unsigned>(self) : 0;
     inline_fors_.fetch_add(1, std::memory_order_relaxed);
@@ -476,7 +273,7 @@ void WorkStealingExecutor::parallel_for_impl(int jobs, ForFn fn, void* ctx) {
     if (stop_.load(std::memory_order_seq_cst)) {
       op.in_use.store(false, std::memory_order_release);
       throw std::runtime_error(
-          "WorkStealingExecutor::parallel_for: executor is shut down");
+          "Executor::parallel_for: executor is shut down");
     }
     publish_op(op, jobs, nchunks, fn, ctx);
   }
@@ -495,7 +292,7 @@ void WorkStealingExecutor::parallel_for_impl(int jobs, ForFn fn, void* ctx) {
   if (error) std::rethrow_exception(error);
 }
 
-WorkStealingExecutor::ForOp& WorkStealingExecutor::acquire_op() {
+Executor::ForOp& Executor::acquire_op() {
   for (;;) {
     for (auto& op : ops_) {
       bool expect = false;
@@ -511,8 +308,8 @@ WorkStealingExecutor::ForOp& WorkStealingExecutor::acquire_op() {
   }
 }
 
-void WorkStealingExecutor::publish_op(ForOp& op, int jobs, int nchunks,
-                                      ForFn fn, void* ctx) {
+void Executor::publish_op(ForOp& op, int jobs, int nchunks, ForFn fn,
+                          void* ctx) {
   op.fn.store(fn, std::memory_order_relaxed);
   op.ctx.store(ctx, std::memory_order_relaxed);
   op.jobs.store(jobs, std::memory_order_relaxed);
@@ -531,7 +328,7 @@ void WorkStealingExecutor::publish_op(ForOp& op, int jobs, int nchunks,
   op.active.store(true, std::memory_order_release);
 }
 
-void WorkStealingExecutor::wait_op(ForOp& op) {
+void Executor::wait_op(ForOp& op) {
   for (int spin = 0; spin < kSpinRounds; ++spin) {
     if (op.done.load(std::memory_order_acquire) != 0) return;
     cpu_relax();
@@ -543,7 +340,7 @@ void WorkStealingExecutor::wait_op(ForOp& op) {
 
 // ------------------------------------------------------------------- wake
 
-void WorkStealingExecutor::wake_workers(unsigned count) {
+void Executor::wake_workers(unsigned count) {
   if (count == 0) return;
   for (const auto& worker : workers_) {
     if (worker->sleep.load(std::memory_order_seq_cst) != 1) continue;
@@ -556,41 +353,23 @@ void WorkStealingExecutor::wake_workers(unsigned count) {
 
 // ------------------------------------------------------------------ stats
 
-ExecutorStats WorkStealingExecutor::stats() const {
+ExecutorStats Executor::stats() const {
   ExecutorStats s;
   s.workers = size();
   s.parallel_fors = parallel_fors_.load(std::memory_order_relaxed) +
                     inline_fors_.load(std::memory_order_relaxed);
   for (const auto& worker : workers_) {
-    s.tasks_run += worker->tasks_run.load(std::memory_order_relaxed);
     s.chunks_run += worker->chunks_run.load(std::memory_order_relaxed);
     s.steal_attempts +=
         worker->steal_attempts.load(std::memory_order_relaxed);
     s.steals += worker->steals.load(std::memory_order_relaxed);
     s.parks += worker->parks.load(std::memory_order_relaxed);
-    s.queue_high_water =
-        std::max(s.queue_high_water,
-                 worker->queue_high_water.load(std::memory_order_relaxed));
   }
   return s;
 }
 
-int WorkStealingExecutor::current_worker_slot() const noexcept {
+int Executor::current_worker_slot() const noexcept {
   return tls_worker.executor == this ? static_cast<int>(tls_worker.slot) : -1;
-}
-
-// ------------------------------------------------------ shared constructor
-
-unsigned Executor::resolve_threads(unsigned threads) noexcept {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  return std::min(threads, kMaxThreads);
-}
-
-std::shared_ptr<Executor> make_shared_executor(unsigned threads) {
-  return std::make_shared<WorkStealingExecutor>(threads);
 }
 
 }  // namespace scbnn::runtime

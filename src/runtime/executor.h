@@ -1,12 +1,8 @@
-// The compute-executor contract of the serving runtime.
+// The compute executor of the serving runtime: a fork-join pool.
 //
 // Every pipeline rung and router model fans its first-layer and tail
-// batches out through one of these. The implementation is
-// WorkStealingExecutor (work_stealing_executor.h): per-worker Chase-Lev
-// deques, lock-free parallel_for chunk claiming, futex parking, optional
-// topology-aware pinning — the executor behind make_shared_executor() and
-// RuntimeConfig::resolve_executor(). Its steal-off mode is the scaling
-// benches' control.
+// batches out through parallel_for() on one of these — a private one, or
+// one shared through RuntimeConfig::executor.
 //
 // parallel_for's contract is load-bearing for the whole runtime:
 //
@@ -20,14 +16,52 @@
 //   - the first exception thrown by any job is rethrown to the caller
 //     after the fan-out quiesces; remaining unstarted work is skipped and
 //     the executor stays usable.
+//   - size()==1 executors run the jobs inline on the caller under slot 0,
+//     and parallel_for() from inside a worker of this executor runs inline
+//     under that worker's slot instead of deadlocking — nested fan-out
+//     degrades to serial.
+//
+// How it schedules:
+//
+//   - A fan-out allocates nothing: its state (chunk table, completion
+//     countdown, error slot) lives in a fixed pool of executor-owned ForOp
+//     frames. Jobs are split into at most size() contiguous chunks with a
+//     deterministic home worker per chunk; idle workers steal *whole*
+//     chunks by CAS on the chunk table — never single jobs — so the
+//     job->output mapping (and thus every result bit) is identical at any
+//     worker count and any steal schedule. Completion is a countdown: the
+//     last chunk's finisher flips the op's done word and futex-wakes the
+//     caller.
+//   - A worker's idle round is: claim a chunk, else spin, then park on a
+//     private futex word (std::atomic::wait). Callers wake exactly as many
+//     workers as the fan-out has chunks — no global condvar broadcast.
+//   - Workers can optionally be pinned to cpus from the machine topology
+//     (SCBNN_PIN=auto|off|compact|scatter, default off; topology.h).
+//   - Chunk stealing can be disabled (SCBNN_STEAL=off) to prove bit
+//     identity of results with stealing on vs off; it is the scaling
+//     benches' control.
+//
+// Sharing: any number of engines/pipelines may hold one executor through
+// a std::shared_ptr (std::make_shared<Executor>(n)). N models on one
+// executor never oversubscribe the machine the way N private pools would;
+// parallel_for is safe for concurrent callers (each call carries its own
+// chunk table and error slot), and worker slot ids stay unique at any
+// instant, so per-model per-slot scratch never races.
 #pragma once
 
-#include <cstddef>
+#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <future>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <shared_mutex>
+#include <thread>
 #include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "runtime/topology.h"
 
 namespace scbnn::runtime {
 
@@ -35,14 +69,11 @@ namespace scbnn::runtime {
 /// Plain data; a snapshot, not a live view.
 struct ExecutorStats {
   unsigned workers = 0;
-  std::uint64_t tasks_run = 0;      ///< submitted tasks executed
   std::uint64_t parallel_fors = 0;  ///< parallel_for fan-outs dispatched
   std::uint64_t chunks_run = 0;     ///< parallel_for chunks executed
-  std::uint64_t steal_attempts = 0;  ///< CASes tried on non-home work
+  std::uint64_t steal_attempts = 0;  ///< CASes tried on non-home chunks
   std::uint64_t steals = 0;          ///< ... that won the race
   std::uint64_t parks = 0;           ///< times a worker went to sleep
-  /// Deepest any single worker's queue (deque + inbox) ever got.
-  std::size_t queue_high_water = 0;
 
   /// steals / steal_attempts (0 when no attempt was made). A low rate
   /// under load means thieves mostly lose claim races — chunks are too
@@ -68,26 +99,39 @@ class Executor {
   /// executor (or re-derive the rule) to know the answer.
   [[nodiscard]] static unsigned resolve_threads(unsigned threads) noexcept;
 
-  virtual ~Executor() = default;
+  struct Options {
+    unsigned threads = 0;  ///< resolved through resolve_threads()
+    /// Chunk stealing; unset reads SCBNN_STEAL (off/0/false disable,
+    /// anything else — including unset — enables).
+    std::optional<bool> steal;
+    /// Worker pinning; unset reads SCBNN_PIN (default off).
+    std::optional<PinMode> pin;
+  };
 
-  [[nodiscard]] virtual unsigned size() const noexcept = 0;
+  explicit Executor(unsigned threads = 0);
+  explicit Executor(const Options& options);
+  ~Executor();
 
-  /// Drain every queued task and in-flight fan-out, then join the
-  /// workers. Idempotent; destructors call it. After shutdown, submit()
-  /// and parallel_for() throw std::runtime_error instead of enqueueing
-  /// work that would never run.
-  virtual void shutdown() = 0;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
-  /// Enqueue one fire-and-forget task. The returned future rethrows
-  /// whatever the task throws. Throws std::runtime_error if the executor
-  /// is shutting down.
-  virtual std::future<void> submit(std::function<void()> task) = 0;
+  [[nodiscard]] unsigned size() const noexcept {
+    return static_cast<unsigned>(workers_.size());
+  }
 
-  /// Counter snapshot. The base default reports worker count only.
-  [[nodiscard]] virtual ExecutorStats stats() const {
-    ExecutorStats s;
-    s.workers = size();
-    return s;
+  /// Finish every in-flight fan-out, then join the workers. Idempotent;
+  /// the destructor calls it. After shutdown, parallel_for() throws
+  /// std::runtime_error instead of publishing work that would never run.
+  void shutdown();
+
+  /// Counter snapshot.
+  [[nodiscard]] ExecutorStats stats() const;
+
+  [[nodiscard]] bool stealing_enabled() const noexcept { return steal_; }
+  [[nodiscard]] PinMode pin_mode() const noexcept { return pin_mode_; }
+  /// cpu each worker slot is pinned to; empty when pinning is off.
+  [[nodiscard]] const std::vector<int>& pin_targets() const noexcept {
+    return pin_plan_;
   }
 
   /// The allocation-free fan-out primitive: a plain function pointer plus
@@ -98,9 +142,7 @@ class Executor {
   /// Run fn(ctx, job, worker) for every job in [0, jobs), blocking until
   /// all complete. See the header comment for the slot/determinism/
   /// exception contract.
-  void parallel_for(int jobs, ForFn fn, void* ctx) {
-    parallel_for_impl(jobs, fn, ctx);
-  }
+  void parallel_for(int jobs, ForFn fn, void* ctx);
 
   /// Callable convenience: wraps any lambda/functor by reference into the
   /// ForFn + ctx shape (zero allocations — the callable lives in the
@@ -108,7 +150,7 @@ class Executor {
   template <typename F>
   void parallel_for(int jobs, F&& f) {
     using Fn = std::remove_reference_t<F>;
-    parallel_for_impl(
+    parallel_for(
         jobs,
         [](void* ctx, int job, unsigned worker) {
           (*static_cast<Fn*>(ctx))(job, worker);
@@ -116,20 +158,85 @@ class Executor {
         const_cast<void*>(static_cast<const void*>(std::addressof(f))));
   }
 
- protected:
-  virtual void parallel_for_impl(int jobs, ForFn fn, void* ctx) = 0;
-};
+ private:
+  /// One parallel_for fan-out in flight. Pooled in ops_ and recycled —
+  /// never freed while the executor lives, so a worker holding a stale
+  /// pointer can always safely read it: every field a worker dereferences
+  /// is written before the chunk_state reset it claim-CASes against, so
+  /// a successful claim always observes the fields of the generation it
+  /// claimed into.
+  struct alignas(64) ForOp {
+    std::atomic<bool> in_use{false};  ///< caller-side slot reservation
+    std::atomic<bool> active{false};  ///< visible-to-workers flag
 
-/// An executor intended to be shared by several engines/pipelines: pass
-/// the result as RuntimeConfig::executor to every model that should
-/// compute on the same workers. N models on one executor never
-/// oversubscribe the machine the way N private pools would. parallel_for
-/// is safe for concurrent callers (each call carries its own chunk table
-/// and error slot), and worker slot ids stay unique at any instant, so
-/// per-model per-slot scratch never races.
-///
-/// Returns a WorkStealingExecutor; SCBNN_STEAL / SCBNN_PIN apply.
-[[nodiscard]] std::shared_ptr<Executor> make_shared_executor(
-    unsigned threads = 0);
+    std::atomic<ForFn> fn{nullptr};
+    std::atomic<void*> ctx{nullptr};
+    std::atomic<int> jobs{0};
+    std::atomic<int> nchunks{0};
+
+    /// chunk_state[c]: 0 = unclaimed, 1 = claimed. Sized to the worker
+    /// count at construction.
+    std::unique_ptr<std::atomic<std::uint8_t>[]> chunk_state;
+    std::atomic<int> remaining{0};  ///< chunks not yet finished
+    std::atomic<std::uint32_t> done{0};  ///< caller's futex word
+
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+  };
+
+  struct alignas(64) Worker {
+    std::atomic<std::uint32_t> sleep{0};  ///< 1 while parked (futex word)
+
+    // Owner-written relaxed counters, aggregated by stats().
+    std::atomic<std::uint64_t> chunks_run{0};
+    std::atomic<std::uint64_t> steal_attempts{0};
+    std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::uint64_t> parks{0};
+
+    std::thread thread;
+  };
+
+  void worker_loop(unsigned slot);
+  /// Claim and run one chunk of any active fan-out (home chunk first,
+  /// then — with stealing on — any other). False when none was claimable.
+  bool try_run_chunk(unsigned slot);
+  void run_chunk(ForOp& op, int chunk, unsigned slot);
+
+  ForOp& acquire_op();
+  void publish_op(ForOp& op, int jobs, int nchunks, ForFn fn, void* ctx);
+  void wait_op(ForOp& op);
+
+  /// Wake up to `count` parked workers (each on its private futex word).
+  void wake_workers(unsigned count);
+
+  [[nodiscard]] static std::pair<int, int> chunk_range(int jobs, int nchunks,
+                                                       int chunk) noexcept;
+  /// Worker slot of `this` executor the calling thread runs as, or -1.
+  [[nodiscard]] int current_worker_slot() const noexcept;
+
+  bool steal_ = true;
+  PinMode pin_mode_ = PinMode::kOff;
+  std::vector<int> pin_plan_;
+
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::unique_ptr<ForOp>> ops_;
+
+  /// Guards the publish-vs-shutdown handshake only: parallel_for callers
+  /// hold it shared for the brief publish step; shutdown() holds it
+  /// exclusively just to flip stop_. Workers never touch it.
+  std::shared_mutex gate_;
+  std::atomic<bool> stop_{false};
+
+  /// Bumped (seq_cst) after a fan-out is published; a worker re-checks it
+  /// between announcing sleep intent and actually parking, closing the
+  /// missed-wake race without a global lock.
+  std::atomic<std::uint64_t> work_epoch_{0};
+
+  std::atomic<int> active_ops_{0};  ///< fan-outs in flight
+  std::atomic<std::uint64_t> parallel_fors_{0};
+  std::atomic<std::uint64_t> inline_fors_{0};
+  std::atomic<int> callers_inflight_{0};  ///< external parallel_for waiters
+};
 
 }  // namespace scbnn::runtime

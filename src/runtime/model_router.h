@@ -77,8 +77,8 @@ class ModelRouter {
   [[nodiscard]] ServerStats stats(const std::string& id) const;
   /// Compute-executor counters of model `id`'s backend (throws
   /// std::out_of_range when unknown). Models registered on one shared
-  /// executor all report the same fleet-wide snapshot — steals/parks/
-  /// queue depth across every model's fan-outs.
+  /// executor all report the same fleet-wide snapshot — chunks, steals
+  /// and parks across every model's fan-outs.
   [[nodiscard]] ExecutorStats executor_stats(const std::string& id) const;
   /// The registered backend (throws std::out_of_range when unknown).
   [[nodiscard]] const Servable& backend(const std::string& id) const;

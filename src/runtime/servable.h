@@ -106,8 +106,8 @@ class Servable {
   /// Worker threads the backend computes with (its pool size).
   [[nodiscard]] virtual unsigned threads() const noexcept = 0;
 
-  /// Counter snapshot of the executor the backend computes on (tasks,
-  /// chunks, steals, parks, queue high-water — see ExecutorStats). When
+  /// Counter snapshot of the executor the backend computes on (fan-outs,
+  /// chunks, steal attempts, steals, parks — see ExecutorStats). When
   /// models share one executor the numbers are fleet-wide, which is the
   /// point: one place to read whether the compute layer is balanced.
   /// Backends without an executor report the default-constructed zeros.

@@ -288,11 +288,19 @@ void Server::register_metrics(obs::MetricsRegistry& registry,
       return s ? s->executor_stats().*field : std::uint64_t{0};
     });
   };
-  executor_counter("scbnn_executor_steals_total",
-                   "Work-stealing executor steals", &ExecutorStats::steals);
   executor_counter("scbnn_executor_parallel_for_total",
                    "parallel_for fan-outs dispatched",
                    &ExecutorStats::parallel_fors);
+  executor_counter("scbnn_executor_chunks_total",
+                   "parallel_for chunks executed", &ExecutorStats::chunks_run);
+  executor_counter("scbnn_executor_steal_attempts_total",
+                   "Chunk claims tried on another worker's home chunk",
+                   &ExecutorStats::steal_attempts);
+  executor_counter("scbnn_executor_steals_total",
+                   "Chunk claims won on another worker's home chunk",
+                   &ExecutorStats::steals);
+  executor_counter("scbnn_executor_parks_total",
+                   "Times an idle worker went to sleep", &ExecutorStats::parks);
 }
 
 }  // namespace scbnn::runtime

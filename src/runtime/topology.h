@@ -1,6 +1,6 @@
 // CPU topology discovery and worker->cpu pin plans.
 //
-// The WorkStealingExecutor can optionally pin its workers
+// The runtime::Executor can optionally pin its workers
 // (SCBNN_PIN=auto|off|compact|scatter). The planning half is pure —
 // pin_plan() maps a worker count onto an explicit CpuTopology, so tests
 // exercise compact/scatter/auto placement on synthetic machines — and

@@ -1,6 +1,6 @@
-// WorkStealingExecutor tests: lifecycle and exception safety of the
-// Executor contract, the concurrency contract (concurrent
-// parallel_for callers, exception mid-steal, shutdown racing stealers),
+// Executor tests: lifecycle and exception safety of the parallel_for
+// contract, the concurrency contract (concurrent parallel_for callers,
+// exception mid-steal, shutdown racing callers),
 // steal-on/off bit identity across the fast SC backends, the
 // zero-allocation guarantee of the parallel_for hot path, per-worker stat
 // aggregation, and the pure topology/pin-plan layer.
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,8 +22,8 @@
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
+#include "runtime/executor.h"
 #include "runtime/topology.h"
-#include "runtime/work_stealing_executor.h"
 
 #include "counting_allocator.h"
 
@@ -33,47 +32,8 @@ namespace {
 
 // ----------------------------------------------------- lifecycle contract
 
-TEST(WorkStealingExecutor, RunsSubmittedTasks) {
-  WorkStealingExecutor pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(WorkStealingExecutor, TaskExceptionSurfacesInFutureAndPoolSurvives) {
-  WorkStealingExecutor pool(2);
-  auto bad = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 8);
-}
-
-TEST(WorkStealingExecutor, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    WorkStealingExecutor pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++counter;
-      });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(WorkStealingExecutor, ParallelForCoversEveryJobOnceWithValidSlots) {
-  WorkStealingExecutor pool(4);
+TEST(Executor, ParallelForCoversEveryJobOnceWithValidSlots) {
+  Executor pool(4);
   constexpr int kJobs = 123;
   std::vector<std::atomic<int>> hits(kJobs);
   pool.parallel_for(kJobs, [&](int job, unsigned worker) {
@@ -85,88 +45,50 @@ TEST(WorkStealingExecutor, ParallelForCoversEveryJobOnceWithValidSlots) {
   }
 }
 
-TEST(WorkStealingExecutor, ParallelForZeroJobsIsANoOp) {
-  WorkStealingExecutor pool(2);
+TEST(Executor, ParallelForZeroJobsIsANoOp) {
+  Executor pool(2);
   pool.parallel_for(0, [](int, unsigned) { FAIL() << "must not run"; });
 }
 
-TEST(WorkStealingExecutor, SubmitAndParallelForAfterShutdownThrowClearly) {
-  WorkStealingExecutor pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; }).get();
-  pool.shutdown();
-  try {
-    (void)pool.submit([&counter] { ++counter; });
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
+TEST(Executor, ParallelForAfterShutdownThrowsClearly) {
+  for (unsigned threads : {1u, 2u}) {  // the inline path and the dispatch
+    Executor pool(threads);
+    std::atomic<int> counter{0};
+    pool.parallel_for(4, [&counter](int, unsigned) { ++counter; });
+    pool.shutdown();
+    try {
+      pool.parallel_for(4, [&counter](int, unsigned) { ++counter; });
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shut down"), std::string::npos);
+    }
+    EXPECT_EQ(counter.load(), 4) << threads << " workers";
+    pool.shutdown();  // idempotent; the destructor calls it again
   }
-  EXPECT_THROW(pool.parallel_for(4, [](int, unsigned) {}),
-               std::runtime_error);
-  EXPECT_EQ(counter.load(), 1);
-  pool.shutdown();  // idempotent; the destructor calls it again
 }
 
-TEST(WorkStealingExecutor, SingleWorkerRunsSubmitInlineWithResolvedFuture) {
-  WorkStealingExecutor pool(1);
-  std::thread::id ran_on;
-  auto f = pool.submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-  // The documented size()==1 fast path: no queue round-trip — the task
-  // already ran, on the calling thread, and the future is resolved.
-  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-
-  // Exceptions still land in the future, not on the submit call.
-  auto bad = pool.submit([] { throw std::runtime_error("inline boom"); });
-  EXPECT_EQ(bad.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-
-  pool.shutdown();
-  EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
-}
-
-TEST(WorkStealingExecutor, NestedParallelForRunsInlineUnderWorkerSlot) {
-  WorkStealingExecutor pool(3);
+TEST(Executor, NestedParallelForRunsInlineUnderWorkerSlot) {
+  Executor pool(3);
   std::atomic<int> jobs_run{0};
   std::atomic<int> distinct_slots{0};
-  pool.submit([&] {
-        std::atomic<unsigned> first_slot{~0u};
-        pool.parallel_for(10, [&](int, unsigned worker) {
-          unsigned expect = ~0u;
-          if (!first_slot.compare_exchange_strong(expect, worker) &&
-              expect != worker) {
-            distinct_slots = 1;  // inline contract broken
-          }
-          ++jobs_run;
-        });
-      })
-      .get();
+  // A one-job outer fan-out runs on a worker, never on this caller.
+  pool.parallel_for(1, [&](int, unsigned outer) {
+    pool.parallel_for(10, [&](int, unsigned worker) {
+      if (worker != outer) distinct_slots = 1;  // inline contract broken
+      ++jobs_run;
+    });
+  });
   EXPECT_EQ(jobs_run.load(), 10);
   EXPECT_EQ(distinct_slots.load(), 0) << "nested fan-out left its worker";
 }
 
-TEST(WorkStealingExecutor, SubmitFromWorkerTaskRuns) {
-  WorkStealingExecutor pool(2);
-  std::atomic<int> inner_ran{0};
-  pool.submit([&] { (void)pool.submit([&inner_ran] { ++inner_ran; }); })
-      .get();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (inner_ran.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(inner_ran.load(), 1);
-}
-
 // --------------------------------------------------- concurrency contract
 
-TEST(WorkStealingExecutor, ConcurrentParallelForCallersEachSeeFullCoverage) {
+TEST(Executor, ConcurrentParallelForCallersEachSeeFullCoverage) {
   // The multi-model serving shape: several external threads fan out on one
   // shared executor at once. Every caller must observe every one of its
   // own jobs exactly once, every time.
-  WorkStealingExecutor pool(3);
+  Executor pool(3);
   constexpr int kCallers = 4;
   constexpr int kReps = 25;
   constexpr int kJobs = 57;
@@ -190,11 +112,11 @@ TEST(WorkStealingExecutor, ConcurrentParallelForCallersEachSeeFullCoverage) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(WorkStealingExecutor, ExceptionMidStealPropagatesAndPoolStaysUsable) {
+TEST(Executor, ExceptionMidStealPropagatesAndPoolStaysUsable) {
   // Many jobs across many workers guarantee the throwing job is reachable
   // by a thief; whoever runs it, exactly that exception must surface at
   // the caller and the executor must keep serving afterwards.
-  WorkStealingExecutor pool(4);
+  Executor pool(4);
   for (int rep = 0; rep < 5; ++rep) {
     try {
       pool.parallel_for(400, [](int job, unsigned) {
@@ -210,8 +132,8 @@ TEST(WorkStealingExecutor, ExceptionMidStealPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(WorkStealingExecutor, FailingCallerDoesNotPoisonConcurrentCaller) {
-  WorkStealingExecutor pool(3);
+TEST(Executor, FailingCallerDoesNotPoisonConcurrentCaller) {
+  Executor pool(3);
   std::atomic<int> clean_failures{0};
   std::thread chaos([&pool] {
     for (int rep = 0; rep < 20; ++rep) {
@@ -239,60 +161,51 @@ TEST(WorkStealingExecutor, FailingCallerDoesNotPoisonConcurrentCaller) {
   EXPECT_EQ(clean_failures.load(), 0);
 }
 
-TEST(WorkStealingExecutor, ShutdownRacingProducersNeverLosesAdmittedWork) {
-  // Producers hammer submit()/parallel_for() while the main thread shuts
-  // the executor down. Every call must either be refused with
-  // runtime_error or fully honored — an admitted future always resolves.
-  WorkStealingExecutor pool(4);
+TEST(Executor, ShutdownRacingProducersNeverLosesAdmittedWork) {
+  // Four callers hammer parallel_for() while the main thread shuts the
+  // executor down. Every call must either be refused with runtime_error
+  // or fully honored — an admitted fan-out always runs every job.
+  Executor pool(4);
   std::atomic<long> executed{0};
   std::atomic<long> admitted{0};
   std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
+  for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&] {
-      std::vector<std::future<void>> futures;
       try {
         for (;;) {
-          futures.push_back(pool.submit([&executed] { ++executed; }));
+          std::atomic<int> n{0};
+          pool.parallel_for(64, [&n](int, unsigned) { ++n; });
+          if (n.load() != 64) std::abort();  // admitted fan-out half-run
+          executed += n.load();
           ++admitted;
         }
       } catch (const std::runtime_error&) {
       }
-      for (auto& f : futures) f.get();  // must not hang or rethrow
     });
   }
-  producers.emplace_back([&] {
-    try {
-      for (;;) {
-        std::atomic<int> n{0};
-        pool.parallel_for(64, [&n](int, unsigned) { ++n; });
-        if (n.load() != 64) std::abort();  // admitted fan-out half-run
-      }
-    } catch (const std::runtime_error&) {
-    }
-  });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   pool.shutdown();
   for (auto& t : producers) t.join();
-  EXPECT_EQ(executed.load(), admitted.load());
+  EXPECT_EQ(executed.load(), admitted.load() * 64);
 }
 
 // ------------------------------------------------------- steal on/off knob
 
-TEST(WorkStealingExecutor, StealEnvToggleIsRespected) {
+TEST(Executor, StealEnvToggleIsRespected) {
   ASSERT_EQ(setenv("SCBNN_STEAL", "off", 1), 0);
-  EXPECT_FALSE(WorkStealingExecutor(2).stealing_enabled());
+  EXPECT_FALSE(Executor(2).stealing_enabled());
   ASSERT_EQ(setenv("SCBNN_STEAL", "0", 1), 0);
-  EXPECT_FALSE(WorkStealingExecutor(2).stealing_enabled());
+  EXPECT_FALSE(Executor(2).stealing_enabled());
   ASSERT_EQ(setenv("SCBNN_STEAL", "on", 1), 0);
-  EXPECT_TRUE(WorkStealingExecutor(2).stealing_enabled());
+  EXPECT_TRUE(Executor(2).stealing_enabled());
   ASSERT_EQ(unsetenv("SCBNN_STEAL"), 0);
-  EXPECT_TRUE(WorkStealingExecutor(2).stealing_enabled());
+  EXPECT_TRUE(Executor(2).stealing_enabled());
   // An explicit Options::steal wins over the environment.
   ASSERT_EQ(setenv("SCBNN_STEAL", "off", 1), 0);
-  WorkStealingExecutor::Options opt;
+  Executor::Options opt;
   opt.threads = 2;
   opt.steal = true;
-  EXPECT_TRUE(WorkStealingExecutor(opt).stealing_enabled());
+  EXPECT_TRUE(Executor(opt).stealing_enabled());
   ASSERT_EQ(unsetenv("SCBNN_STEAL"), 0);
 }
 
@@ -319,7 +232,7 @@ std::unique_ptr<AdaptivePipeline> one_rung(const std::string& backend,
       std::move(rc));
 }
 
-TEST(WorkStealingExecutor, StealOnOffBitIdenticalAcrossFastBackends) {
+TEST(Executor, StealOnOffBitIdenticalAcrossFastBackends) {
   // The determinism acceptance gate: predictions of the fast SC backends
   // must not depend on whether chunks were stolen — the job->output
   // mapping is static, stealing only moves *where* a chunk runs.
@@ -331,13 +244,13 @@ TEST(WorkStealingExecutor, StealOnOffBitIdenticalAcrossFastBackends) {
 
   for (const char* backend : {"sc-proposed-fast", "sc-conventional-fast"}) {
     auto features_with = [&](bool steal, unsigned threads) {
-      WorkStealingExecutor::Options opt;
+      Executor::Options opt;
       opt.threads = threads;
       opt.steal = steal;
       RuntimeConfig rc;
       rc.threads = threads;
       rc.chunk_images = 3;  // 23 images -> uneven chunks
-      rc.executor = std::make_shared<WorkStealingExecutor>(opt);
+      rc.executor = std::make_shared<Executor>(opt);
       return one_rung(backend, qw, cfg, rc)->features(split.train.images);
     };
     const nn::Tensor reference = features_with(false, 1);
@@ -354,11 +267,11 @@ TEST(WorkStealingExecutor, StealOnOffBitIdenticalAcrossFastBackends) {
 
 // ------------------------------------------------------- zero allocations
 
-TEST(WorkStealingExecutor, ParallelForAllocatesNothingOnSingleWorker) {
+TEST(Executor, ParallelForAllocatesNothingOnSingleWorker) {
   // The single-frame serving path: a 1-worker executor must fan out with
   // zero heap traffic per call (the inline path touches no queue, no
-  // TaskNode, no std::function).
-  WorkStealingExecutor pool(1);
+  // ForOp frame, no std::function).
+  Executor pool(1);
   long sum = 0;
   pool.parallel_for(8, [&](int job, unsigned) { sum += job; });  // warm up
   const long long before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -371,10 +284,10 @@ TEST(WorkStealingExecutor, ParallelForAllocatesNothingOnSingleWorker) {
   EXPECT_GT(sum, 0);
 }
 
-TEST(WorkStealingExecutor, ParallelForAllocatesNothingOnWarmMultiWorker) {
+TEST(Executor, ParallelForAllocatesNothingOnWarmMultiWorker) {
   // The multi-worker dispatch reuses pooled ForOp frames: once warm, a
   // fan-out must allocate nothing — caller side or worker side.
-  WorkStealingExecutor pool(2);
+  Executor pool(2);
   std::atomic<long> sum{0};
   for (int rep = 0; rep < 4; ++rep) {
     pool.parallel_for(32, [&](int job, unsigned) { sum += job; });
@@ -390,15 +303,9 @@ TEST(WorkStealingExecutor, ParallelForAllocatesNothingOnWarmMultiWorker) {
 
 // ------------------------------------------------------------------ stats
 
-TEST(WorkStealingExecutor, StatsCountersAreCoherent) {
-  WorkStealingExecutor pool(4);
-  constexpr int kTasks = 24;
+TEST(Executor, StatsCountersAreCoherent) {
+  Executor pool(4);
   constexpr int kFors = 12;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit([] {}));
-  }
-  for (auto& f : futures) f.get();
   std::atomic<int> n{0};
   for (int rep = 0; rep < kFors; ++rep) {
     pool.parallel_for(40, [&n](int, unsigned) { ++n; });
@@ -406,16 +313,14 @@ TEST(WorkStealingExecutor, StatsCountersAreCoherent) {
 
   const ExecutorStats s = pool.stats();
   EXPECT_EQ(s.workers, 4u);
-  EXPECT_EQ(s.tasks_run, static_cast<std::uint64_t>(kTasks));
   EXPECT_GE(s.parallel_fors, static_cast<std::uint64_t>(kFors));
   EXPECT_GT(s.chunks_run, 0u);
   EXPECT_LE(s.steals, s.steal_attempts);
   EXPECT_GE(s.steal_success_rate(), 0.0);
   EXPECT_LE(s.steal_success_rate(), 1.0);
-  EXPECT_GE(s.queue_high_water, 1u);  // kTasks queued against 4 workers
 }
 
-TEST(WorkStealingExecutor, ServableExposesExecutorStats) {
+TEST(Executor, ServableExposesExecutorStats) {
   const auto qw = sample_qweights(3, 4, 9);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
@@ -423,21 +328,13 @@ TEST(WorkStealingExecutor, ServableExposesExecutorStats) {
 
   RuntimeConfig rc;
   rc.threads = 2;
-  rc.executor = make_shared_executor(2);
+  rc.executor = std::make_shared<Executor>(2);
   const auto pipeline = one_rung("sc-proposed", qw, cfg, rc);
   (void)pipeline->features(split.train.images);
   const ExecutorStats s = pipeline->executor_stats();
   EXPECT_EQ(s.workers, 2u);
   EXPECT_GT(s.parallel_fors, 0u);
   EXPECT_GT(s.chunks_run, 0u);
-}
-
-TEST(WorkStealingExecutor, MakeSharedExecutorIsWorkStealing) {
-  const auto executor = make_shared_executor(2);
-  ASSERT_NE(executor, nullptr);
-  EXPECT_EQ(executor->size(), 2u);
-  EXPECT_NE(dynamic_cast<WorkStealingExecutor*>(executor.get()), nullptr);
-  EXPECT_EQ(make_shared_executor()->size(), Executor::resolve_threads(0));
 }
 
 // --------------------------------------------------------------- topology
@@ -520,10 +417,10 @@ TEST(Topology, ExecutorWithPinningStillServes) {
   // On any machine the compact plan over the real topology is a valid
   // affinity target per worker; pinning failures are best-effort no-ops,
   // so the executor must work regardless.
-  WorkStealingExecutor::Options opt;
+  Executor::Options opt;
   opt.threads = 2;
   opt.pin = PinMode::kCompact;
-  WorkStealingExecutor pool(opt);
+  Executor pool(opt);
   EXPECT_EQ(pool.pin_mode(), PinMode::kCompact);
   EXPECT_EQ(pool.pin_targets().size(), 2u);
   for (int cpu : pool.pin_targets()) EXPECT_GE(cpu, 0);
@@ -531,7 +428,7 @@ TEST(Topology, ExecutorWithPinningStillServes) {
   pool.parallel_for(50, [&n](int, unsigned) { ++n; });
   EXPECT_EQ(n.load(), 50);
 
-  WorkStealingExecutor unpinned(2);
+  Executor unpinned(2);
   EXPECT_EQ(unpinned.pin_mode(), PinMode::kOff);
   EXPECT_TRUE(unpinned.pin_targets().empty());
 }

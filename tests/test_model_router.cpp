@@ -201,7 +201,12 @@ TEST(ModelRouter, ModelsExportTheSameSeriesAsABareServer) {
   const std::set<std::string> names = series_names(bare);
   EXPECT_EQ(series_names(routed), names);
   EXPECT_EQ(names.count("scbnn_server_mean_queue_wait_ms"), 1u);
-  EXPECT_EQ(names.count("scbnn_executor_parallel_for_total"), 1u);
+  for (const char* executor_series :
+       {"scbnn_executor_workers", "scbnn_executor_parallel_for_total",
+        "scbnn_executor_chunks_total", "scbnn_executor_steal_attempts_total",
+        "scbnn_executor_steals_total", "scbnn_executor_parks_total"}) {
+    EXPECT_EQ(names.count(executor_series), 1u) << executor_series;
+  }
 
   // A deregistered model's views read zeros instead of dangling.
   const nn::Tensor frames = test_frames(1);
@@ -386,7 +391,7 @@ TEST(SharedExecutor, ModelsOnOnePoolMatchPrivatePoolModels) {
   const auto direct_high = ref_high->classify(frames);
 
   RuntimeConfig shared_rc;
-  shared_rc.executor = make_shared_executor(2);
+  shared_rc.executor = std::make_shared<Executor>(2);
   auto low = make_backend(3, shared_rc);
   auto high = make_backend(7, shared_rc);
   EXPECT_EQ(low->executor().get(), high->executor().get());
@@ -410,7 +415,7 @@ TEST(SharedExecutor, RouterFleetOnOneExecutorServesConcurrently) {
   const int n = 24;
   const nn::Tensor frames = test_frames(n);
   RuntimeConfig rc;
-  rc.executor = make_shared_executor(2);
+  rc.executor = std::make_shared<Executor>(2);
 
   auto a = make_backend(3, rc);
   auto b = make_backend(5, rc);

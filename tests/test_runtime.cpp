@@ -20,6 +20,7 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/gemm.h"
 #include "nn/inference_plan.h"
 #include "nn/maxpool.h"
 #include "nn/init.h"
@@ -27,8 +28,7 @@
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
-#include "runtime/work_stealing_executor.h"
-#include "sc/simd.h"
+#include "runtime/executor.h"
 
 #include "counting_allocator.h"
 
@@ -68,7 +68,7 @@ TEST(Executor, ResolveThreadsMatchesConstructedPoolSize) {
   EXPECT_EQ(Executor::resolve_threads(Executor::kMaxThreads + 7),
             Executor::kMaxThreads);
   for (unsigned requested : {0u, 1u, 4u}) {
-    WorkStealingExecutor pool(requested);
+    Executor pool(requested);
     EXPECT_EQ(pool.size(), Executor::resolve_threads(requested));
   }
 }
@@ -515,7 +515,7 @@ TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
   }
   const nn::Tensor want = net.forward(x, false);
 
-  for (const sc::simd::Level level : sc::simd::available_levels()) {
+  for (const nn::kern::Level level : nn::kern::available_levels()) {
     // Whole batch in one run, and image-by-image (chunk boundaries must
     // not change a bit).
     auto arena = plan.make_arena(kBatch);
@@ -524,7 +524,7 @@ TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
                 std::bit_cast<std::uint32_t>(want[i]))
-          << "level " << sc::simd::to_string(level) << " logit " << i;
+          << "level " << nn::kern::to_string(level) << " logit " << i;
     }
     auto arena1 = plan.make_arena(1);
     for (int b = 0; b < kBatch; ++b) {
@@ -534,7 +534,7 @@ TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
       for (int c = 0; c < 10; ++c) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(c)]),
                   std::bit_cast<std::uint32_t>(want.at2(b, c)))
-            << "level " << sc::simd::to_string(level) << " image " << b;
+            << "level " << nn::kern::to_string(level) << " image " << b;
       }
     }
   }
@@ -597,7 +597,7 @@ TEST(InferencePlan, ArenaSizedByWidestStepOutputNotInput) {
   const nn::Tensor want = net.forward(x, false);
   auto run_arena = plan.make_arena(3);
   std::vector<float> got(static_cast<std::size_t>(3) * 10);
-  plan.run(x.data(), 3, got.data(), run_arena, sc::simd::Level::kScalar);
+  plan.run(x.data(), 3, got.data(), run_arena, nn::kern::Level::kScalar);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
               std::bit_cast<std::uint32_t>(want[i]))
@@ -614,7 +614,7 @@ TEST(InferencePlan, RunRejectsBatchBeyondArenaCapacity) {
   std::vector<float> x(static_cast<std::size_t>(3) * 784, 0.5f);
   std::vector<float> logits(static_cast<std::size_t>(3) * 10);
   EXPECT_THROW(plan.run(x.data(), 3, logits.data(), arena,
-                        sc::simd::Level::kScalar),
+                        nn::kern::Level::kScalar),
                std::invalid_argument);
 }
 
