@@ -2,18 +2,13 @@
 // dispatch level must match the scalar reference BIT FOR BIT — including
 // signed zeros — on random and boundary inputs, across shapes that exercise
 // the 16-wide, 8-wide, and scalar remainder column paths and every row-tile
-// remainder. The SimdDispatch tests pin the dispatch contract itself,
-// including the SCBNN_SIMD override CI uses to rerun the suites on the
-// scalar path.
+// remainder.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "nn/gemm.h"
@@ -23,7 +18,6 @@ namespace {
 using scbnn::nn::kern::gemm_colbias_act;
 using scbnn::nn::kern::gemm_rowbias_act;
 using scbnn::nn::kern::maxpool2;
-using scbnn::nn::kern::active_level;
 using scbnn::nn::kern::available_levels;
 using scbnn::nn::kern::Level;
 using scbnn::nn::kern::to_string;
@@ -218,26 +212,6 @@ TEST(MaxPoolKernel, NanPropagatesLikeReference) {
                 std::bit_cast<std::uint32_t>(got[i]))
           << "level " << to_string(level) << " window " << i;
     }
-  }
-}
-
-TEST(SimdDispatch, ScalarAlwaysAvailableAndFirst) {
-  const auto levels = available_levels();
-  ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels.front(), Level::kScalar);
-}
-
-TEST(SimdDispatch, ActiveLevelIsAvailableAndHonorsScalarOverride) {
-  const auto levels = available_levels();
-  const Level active = active_level();
-  EXPECT_NE(std::find(levels.begin(), levels.end(), active), levels.end())
-      << to_string(active);
-  const char* env = std::getenv("SCBNN_SIMD");
-  if (env != nullptr && std::string(env) == "scalar") {
-    EXPECT_EQ(active, Level::kScalar);
-  } else if (env == nullptr || std::string(env).empty() ||
-             std::string(env) == "auto") {
-    EXPECT_EQ(active, levels.back());  // best available
   }
 }
 

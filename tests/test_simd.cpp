@@ -1,17 +1,17 @@
-// SIMD dispatch (sc/simd.h): the level the tail GEMM/pool kernels of
-// nn/gemm.h run at. tests/test_gemm.cpp holds every kernel to the scalar
-// reference at each level listed here; these tests pin the dispatch
-// contract itself, including the SCBNN_SIMD override CI uses to rerun the
-// suites on the scalar path.
-#include "sc/simd.h"
-
+// SIMD dispatch (nn/gemm.h): the level the tail GEMM/pool kernels run at.
+// tests/test_gemm.cpp holds every kernel to the scalar reference at each
+// level listed here; these tests pin the dispatch contract itself,
+// including the SCBNN_SIMD override CI uses to rerun the suites on the
+// scalar path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <string>
 
-namespace scbnn::sc::simd {
+#include "nn/gemm.h"
+
+namespace scbnn::nn::kern {
 namespace {
 
 TEST(SimdDispatch, ScalarAlwaysAvailableAndFirst) {
@@ -35,4 +35,4 @@ TEST(SimdDispatch, ActiveLevelIsAvailableAndHonorsScalarOverride) {
 }
 
 }  // namespace
-}  // namespace scbnn::sc::simd
+}  // namespace scbnn::nn::kern
