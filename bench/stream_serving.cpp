@@ -1,8 +1,8 @@
 // Sensor-stream serving under load: backpressure policy x offered load x
-// backend, through the full sensor -> session -> router -> ladder path.
+// backend, through the full sensor -> session -> server -> ladder path.
 //
 // Each operating point replays a deterministic (optionally noisy) frame
-// stream into a runtime::ModelRouter through a SensorSession, with the
+// stream into its own runtime::Server through a SensorSession, with the
 // offered rate set as a fraction of the backend's calibrated dense-batch
 // peak (so load fractions mean the same thing on every machine; fractions
 // > 1 are deliberate overload). The three backpressure policies answer the
@@ -39,8 +39,8 @@
 #include "hw/report.h"
 #include "hybrid/first_layer.h"
 #include "nn/tensor.h"
-#include "runtime/model_router.h"
 #include "runtime/percentile.h"
+#include "runtime/server.h"
 #include "sensor/frame_source.h"
 #include "sensor/sensor_session.h"
 #include "sensor/stream_supervisor.h"
@@ -215,12 +215,11 @@ int main(int argc, char** argv) {
         server_cfg.max_batch = max_batch;
         server_cfg.max_delay_us = delay_us;
         server_cfg.queue_capacity = queue_cap;
-        runtime::ModelRouter router(server_cfg);
-        router.register_model("m", backend);
+        runtime::Server server(*backend, server_cfg);
 
         sensor::SessionConfig session_cfg;
         session_cfg.policy = policy;
-        sensor::SensorSession session(*source, router, "m", session_cfg);
+        sensor::SensorSession session(*source, server, session_cfg);
 
         // The degrade policy's control loop: watch this session, cap the
         // ladder when the queue backs up past ~3/4 of its capacity.
@@ -260,8 +259,7 @@ int main(int argc, char** argv) {
                                 ? static_cast<double>(stream.delivered) *
                                       1e3 / stream.wall_ms
                                 : 0.0;
-        const runtime::ServerStats server_stats = router.stats("m");
-        pt.mean_batch = server_stats.mean_batch_size();
+        pt.mean_batch = server.stats().mean_batch_size();
 
         // Identity: every frame delivered at the full ladder must match
         // the direct reference. Degraded frames are exempt by design.
@@ -279,8 +277,8 @@ int main(int argc, char** argv) {
             {pt.backend, pt.policy, hw::TableWriter::fmt(frac, 2),
              hw::TableWriter::fmt(offered_rps, 0),
              hw::TableWriter::fmt(pt.throughput_rps, 0),
-             hw::TableWriter::fmt(stream.e2e_ms.p50),
-             hw::TableWriter::fmt(stream.e2e_ms.p99),
+             hw::TableWriter::fmt(stream.e2e_ms.percentile(50)),
+             hw::TableWriter::fmt(stream.e2e_ms.percentile(99)),
              std::to_string(stream.dropped), std::to_string(stream.degraded),
              hw::TableWriter::fmt(stream.energy_nj_per_frame(), 1),
              std::to_string(pt.min_cap),
@@ -311,7 +309,8 @@ int main(int argc, char** argv) {
           "%ld frames (cap floor %d/%d)\n",
           backend->name().c_str(), top_frac, e_degrade, e_block,
           e_block > 0.0 ? 100.0 * (1.0 - e_degrade / e_block) : 0.0,
-          degrade_pt->stream.e2e_ms.p99, block_pt->stream.e2e_ms.p99,
+          degrade_pt->stream.e2e_ms.percentile(99),
+          block_pt->stream.e2e_ms.percentile(99),
           degrade_pt->stream.degraded, degrade_pt->stream.delivered,
           degrade_pt->min_cap, degrade_pt->full_rung);
     }
@@ -348,7 +347,8 @@ int main(int argc, char** argv) {
         "\"identical\": %s, \"identity_gated\": %s}%s\n",
         pt.backend.c_str(), pt.policy.c_str(), pt.load_frac, pt.offered_rps,
         s.produced, s.delivered, s.dropped, s.degraded, s.failed,
-        s.e2e_ms.p50, s.e2e_ms.p95, s.e2e_ms.p99, pt.throughput_rps,
+        s.e2e_ms.percentile(50), s.e2e_ms.percentile(95),
+        s.e2e_ms.percentile(99), pt.throughput_rps,
         pt.mean_batch, s.energy_nj_per_frame(), s.accuracy(), pt.min_cap,
         pt.full_rung, pt.cap_changes, pt.identical_vs_direct ? "true"
                                                              : "false",

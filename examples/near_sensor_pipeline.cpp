@@ -4,19 +4,18 @@
 // Startup loads a ModelBundle (training only happens when no matching
 // bundle exists — run examples/train_and_export or let this example export
 // one on first run), instantiates two servables from it with ZERO training,
-// and registers both in a runtime::ModelRouter over one shared executor:
+// and serves each through its own runtime::Server over one shared executor:
 //
 //   "fixed"    — a single-rung pipeline at kBits, the paper's static design
 //   "adaptive" — the 3/kBits-bit ladder, escalating uncertain frames only
 //
 // A camera stream is simulated frame by frame: each frame is submitted as a
-// single request carrying a model id, the router hands it to that model's
-// dynamic batch former, and the per-model Servers coalesce whatever is
-// waiting into dense micro-batches. The adaptive model is hot-registered
-// AFTER the fixed model has started taking traffic — a new bundle joins a
-// live fleet without stopping anything. Per-frame latency and energy come
-// from the calibrated 65nm model, with the all-binary design for
-// comparison.
+// single request to one deployment's Server, whose dynamic batch former
+// coalesces whatever is waiting into dense micro-batches. The adaptive
+// deployment starts AFTER the fixed one has taken traffic — a new bundle
+// joins the live process on the same executor without stopping anything.
+// Per-frame latency and energy come from the calibrated 65nm model, with
+// the all-binary design for comparison.
 #include <algorithm>
 #include <cstdio>
 #include <future>
@@ -31,7 +30,7 @@
 #include "hybrid/bundle.h"
 #include "hybrid/experiment.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/model_router.h"
+#include "runtime/server.h"
 #include "sensor/frame_source.h"
 #include "sensor/sensor_session.h"
 #include "sensor/stream_supervisor.h"
@@ -43,18 +42,15 @@ using namespace scbnn;
 constexpr std::size_t kPixels =
     static_cast<std::size_t>(hybrid::kImageSize) * hybrid::kImageSize;
 
-/// Submit every frame of the stream as its own request to one model of the
-/// router and wait for all predictions — the sensor-side view of
-/// multi-model serving.
-std::vector<runtime::Prediction> serve_stream(runtime::ModelRouter& router,
-                                              const std::string& model,
+/// Submit every frame of the stream as its own request to `server` and
+/// wait for all predictions — the sensor-side view of serving.
+std::vector<runtime::Prediction> serve_stream(runtime::Server& server,
                                               const data::Dataset& frames) {
   const int n = static_cast<int>(frames.size());
   std::vector<std::future<runtime::Prediction>> futures;
   futures.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    futures.push_back(router.submit(
-        model,
+    futures.push_back(server.submit(
         frames.images.data() + static_cast<std::size_t>(i) * kPixels));
   }
   std::vector<runtime::Prediction> predictions;
@@ -106,16 +102,14 @@ int main(int argc, char** argv) {
   runtime::ServerConfig server_cfg;
   server_cfg.max_batch = 8;
   server_cfg.max_delay_us = 2000;
-  runtime::ModelRouter router(server_cfg);
-  router.register_model("fixed", fixed);
+  runtime::Server fixed_server(*fixed, server_cfg);
 
-  // "Sensor" stream = the first frames of the test split, one request per
-  // frame, each tagged with the model that should serve it.
+  // "Sensor" stream = the first frames of the test split, one request each.
   const data::Dataset frames = data::head(resolved.split.test, kFrames);
   const std::vector<runtime::Prediction> predictions =
-      serve_stream(router, "fixed", frames);
+      serve_stream(fixed_server, frames);
   {
-    const runtime::ServerStats stats = router.stats("fixed");
+    const runtime::ServerStats stats = fixed_server.stats();
     std::printf("model 'fixed': served %ld single-frame requests on %u "
                 "shared workers in %ld micro-batches (mean batch %.1f)\n\n",
                 stats.completed, fixed->threads(), stats.batches,
@@ -152,17 +146,15 @@ int main(int argc, char** argv) {
               total_nj * 1e-3, bin.energy_per_frame_j() * 1e9 * kFrames * 1e-3,
               bin.energy_per_frame_j() / sc.energy_per_frame_j());
 
-  // ---- Hot registration: the adaptive deployment joins the live fleet ----
-  router.register_model("adaptive", adaptive);
-  std::printf("\nhot-registered model 'adaptive' (router now serves:");
-  for (const std::string& id : router.model_ids()) {
-    std::printf(" %s", id.c_str());
-  }
-  std::printf(") — no restart, same executor\n");
+  // ---- The adaptive deployment joins the live process ----
+  runtime::Server adaptive_server(*adaptive, server_cfg);
+  std::printf("\nstarted model 'adaptive' beside 'fixed' — no restart, "
+              "same %u-worker executor\n",
+              adaptive->threads());
 
   const std::vector<runtime::Prediction> outcomes =
-      serve_stream(router, "adaptive", frames);
-  const double adaptive_energy_j = router.stats("adaptive").energy_j;
+      serve_stream(adaptive_server, frames);
+  const double adaptive_energy_j = adaptive_server.stats().energy_j;
   int adaptive_correct = 0;
   std::vector<int> exits(adaptive->rung_count(), 0);
   for (int i = 0; i < kFrames; ++i) {
@@ -194,18 +186,19 @@ int main(int argc, char** argv) {
               100.0 * (1.0 - adaptive_energy_j / fixed_j),
               adaptive_correct - correct);
 
-  router.shutdown();
+  fixed_server.shutdown();
+  adaptive_server.shutdown();
 
   // ---- Sensor stream: a noisy, bursty camera overloads the ladder ----
   //
   // The full near-sensor loop: frames arrive in bursts through a noisy
-  // sensor, a SensorSession feeds them to the router one request at a
+  // sensor, a SensorSession feeds them to a Server one request at a
   // time, and a StreamSupervisor sheds *precision* (not frames) when the
   // queue backs up — then walks the ladder back up once the burst passes.
   {
     constexpr long kStreamFrames = 96;
 
-    // Calibrate the ladder's dense-batch peak (the router is down, so
+    // Calibrate the ladder's dense-batch peak (its Server is down, so
     // direct classify is safe) and offer 2.5x that: sustained overload.
     const data::Dataset pool = data::head(resolved.split.test, 64);
     nn::Tensor calib({static_cast<int>(pool.size()), 1, hybrid::kImageSize,
@@ -234,13 +227,11 @@ int main(int argc, char** argv) {
     stream_cfg.max_batch = 8;
     stream_cfg.max_delay_us = 500;
     stream_cfg.queue_capacity = 24;
-    runtime::ModelRouter stream_router(stream_cfg);
-    stream_router.register_model("adaptive", adaptive);
+    runtime::Server stream_server(*adaptive, stream_cfg);
 
     sensor::SessionConfig session_cfg;
     session_cfg.policy = sensor::BackpressurePolicy::kDegrade;
-    sensor::SensorSession session(source, stream_router, "adaptive",
-                                  session_cfg);
+    sensor::SensorSession session(source, stream_server, session_cfg);
     sensor::SupervisorConfig sup_cfg;
     sup_cfg.high_inflight = 18;
     sup_cfg.low_inflight = 6;
@@ -263,7 +254,7 @@ int main(int argc, char** argv) {
                 stream.min_rung_cap_seen, supervisor.full_rung());
     std::printf("  e2e latency p50/p99: %.2f/%.2f ms; accuracy %.0f%%; "
                 "first-layer energy %.1f nJ/frame\n",
-                stream.e2e_ms.p50, stream.e2e_ms.p99,
+                stream.e2e_ms.percentile(50), stream.e2e_ms.percentile(99),
                 100.0 * stream.accuracy(), stream.energy_nj_per_frame());
     std::printf("  supervisor moved the rung cap %zu times and restored "
                 "the full ladder afterwards\n",

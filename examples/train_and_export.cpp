@@ -5,9 +5,8 @@
 // first-layer ladder, per-rung tail retraining), packages the result as a
 // versioned binary bundle, and verifies the artifact by reloading it in
 // the same process and checking bit-identical predictions on the test
-// split. Serving processes (benches, near_sensor_pipeline, a ModelRouter
-// fleet) then cold-start from the bundle in milliseconds with zero
-// training.
+// split. Serving processes (benches, near_sensor_pipeline, fleet shards)
+// then cold-start from the bundle in milliseconds with zero training.
 //
 // Knobs (flag -> env -> default): --out/SCBNN_BUNDLE (bundle path),
 // --rungs/SCBNN_BUNDLE_RUNGS (comma bits, strictly increasing),

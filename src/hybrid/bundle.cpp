@@ -7,6 +7,7 @@
 
 #include "nn/init.h"
 #include "nn/serialize.h"
+#include "runtime/backend_registry.h"
 
 namespace scbnn::hybrid {
 
@@ -310,14 +311,15 @@ bool bundle_file_valid(const std::string& path) {
 }
 
 std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
-    ModelBundle& bundle, std::size_t first_rung,
-    const runtime::BackendRegistry& registry) {
+    ModelBundle& bundle, std::size_t first_rung) {
   if (first_rung >= bundle.rungs.size()) {
     throw std::invalid_argument(
         "instantiate_bundle_ladder: first_rung " +
         std::to_string(first_rung) + " out of range (bundle has " +
         std::to_string(bundle.rungs.size()) + " rungs)");
   }
+  const runtime::BackendRegistry& registry =
+      runtime::BackendRegistry::instance();
   std::vector<runtime::AdaptiveRung> rungs;
   rungs.reserve(bundle.rungs.size() - first_rung);
   for (std::size_t r = first_rung; r < bundle.rungs.size(); ++r) {
@@ -331,27 +333,13 @@ std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
   return rungs;
 }
 
-std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
-    ModelBundle& bundle, std::size_t first_rung) {
-  return instantiate_bundle_ladder(bundle, first_rung,
-                                   runtime::BackendRegistry::instance());
-}
-
 std::unique_ptr<runtime::Servable> instantiate_servable(
-    ModelBundle& bundle, const runtime::BackendRegistry& registry,
-    runtime::RuntimeConfig config) {
+    ModelBundle& bundle, runtime::RuntimeConfig config) {
   if (bundle.rungs.empty()) {
     throw std::invalid_argument("instantiate_servable: bundle has no rungs");
   }
   return std::make_unique<runtime::AdaptivePipeline>(
-      instantiate_bundle_ladder(bundle, 0, registry),
-      bundle.confidence_margin, config);
-}
-
-std::unique_ptr<runtime::Servable> instantiate_servable(
-    ModelBundle& bundle, runtime::RuntimeConfig config) {
-  return instantiate_servable(bundle, runtime::BackendRegistry::instance(),
-                              config);
+      instantiate_bundle_ladder(bundle), bundle.confidence_margin, config);
 }
 
 HybridNetwork instantiate_hybrid(ModelBundle& bundle, std::size_t rung_index,

@@ -30,7 +30,6 @@
 #include "nn/network.h"
 #include "nn/quantize.h"
 #include "runtime/adaptive_pipeline.h"
-#include "runtime/backend_registry.h"
 #include "runtime/servable.h"
 
 namespace scbnn::hybrid {
@@ -122,12 +121,10 @@ void save_bundle(ModelBundle& bundle, const std::string& path);
 [[nodiscard]] bool bundle_file_valid(const std::string& path);
 
 /// Fresh AdaptivePipeline rungs from a bundle's rungs [first_rung, end):
-/// engines resolved through `registry`, tails rebuilt from the bundle's
-/// LeNetConfig with the stored parameters copied in. Zero training. Call
-/// once per pipeline instance (the pipeline consumes its rungs).
-[[nodiscard]] std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
-    ModelBundle& bundle, std::size_t first_rung,
-    const runtime::BackendRegistry& registry);
+/// engines resolved through the BackendRegistry, tails rebuilt from the
+/// bundle's LeNetConfig with the stored parameters copied in. Zero
+/// training. Call once per pipeline instance (the pipeline consumes its
+/// rungs).
 [[nodiscard]] std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
     ModelBundle& bundle, std::size_t first_rung = 0);
 
@@ -135,9 +132,6 @@ void save_bundle(ModelBundle& bundle, const std::string& path);
 /// AdaptivePipeline over every rung, escalating at the bundle's confidence
 /// margin (a single-rung bundle is a fixed-precision model). `config` may
 /// carry a shared executor so many bundles serve from one pool.
-[[nodiscard]] std::unique_ptr<runtime::Servable> instantiate_servable(
-    ModelBundle& bundle, const runtime::BackendRegistry& registry,
-    runtime::RuntimeConfig config = {});
 [[nodiscard]] std::unique_ptr<runtime::Servable> instantiate_servable(
     ModelBundle& bundle, runtime::RuntimeConfig config = {});
 

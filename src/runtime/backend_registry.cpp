@@ -40,54 +40,32 @@ BackendRegistry::BackendRegistry() {
       };
 }
 
-BackendRegistry& BackendRegistry::instance() {
-  static BackendRegistry registry;
+const BackendRegistry& BackendRegistry::instance() {
+  static const BackendRegistry registry;
   return registry;
-}
-
-void BackendRegistry::register_backend(const std::string& name,
-                                       BackendFactory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("BackendRegistry: empty backend name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("BackendRegistry: null factory for " + name);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw std::invalid_argument("BackendRegistry: duplicate backend " + name);
-  }
 }
 
 std::unique_ptr<hybrid::FirstLayerEngine> BackendRegistry::create(
     const std::string& name, const nn::QuantizedConvWeights& weights,
     const hybrid::FirstLayerConfig& config) const {
-  BackendFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = factories_.find(name);
-    if (it == factories_.end()) {
-      std::string known;
-      for (const auto& [key, unused] : factories_) {
-        if (!known.empty()) known += ", ";
-        known += key;
-      }
-      throw std::out_of_range("BackendRegistry: unknown backend '" + name +
-                              "' (known: " + known + ")");
+  const auto it = factories_.find(name);
+  if (it == factories_.end()) {
+    std::string known;
+    for (const auto& [key, unused] : factories_) {
+      if (!known.empty()) known += ", ";
+      known += key;
     }
-    factory = it->second;
+    throw std::out_of_range("BackendRegistry: unknown backend '" + name +
+                            "' (known: " + known + ")");
   }
-  // Invoke outside the lock: factories may be arbitrarily expensive.
-  return factory(weights, config);
+  return it->second(weights, config);
 }
 
 bool BackendRegistry::contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   return factories_.count(name) != 0;
 }
 
 std::vector<std::string> BackendRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
   out.reserve(factories_.size());
   for (const auto& [key, unused] : factories_) out.push_back(key);

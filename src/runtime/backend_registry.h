@@ -1,15 +1,15 @@
-// String-keyed factory registry for first-layer backends.
+// String-keyed factory table for first-layer backends.
 //
-// The three paper designs register themselves as built-ins; new designs
-// (alternate SNGs, different adder trees, accelerator offloads) plug in via
-// register_backend without touching any switch statement. Lookup is by the
-// same names the engines report from FirstLayerEngine::name().
+// The paper's designs (and their count-domain fast paths) are the fixed set
+// of entries, filled once at construction; a new design (an alternate SNG,
+// a different adder tree, an accelerator offload) is one more entry in the
+// constructor. Lookup is by the same names the engines report from
+// FirstLayerEngine::name().
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,12 +23,9 @@ using BackendFactory = std::function<std::unique_ptr<hybrid::FirstLayerEngine>(
 
 class BackendRegistry {
  public:
-  /// Process-wide registry, built-ins pre-registered. Thread-safe.
-  [[nodiscard]] static BackendRegistry& instance();
-
-  /// Register a named factory. Throws std::invalid_argument if `name` is
-  /// empty or already taken (built-ins included).
-  void register_backend(const std::string& name, BackendFactory factory);
+  /// Process-wide registry. Immutable after construction, so lookups from
+  /// any thread need no lock.
+  [[nodiscard]] static const BackendRegistry& instance();
 
   /// Instantiate a backend. Throws std::out_of_range listing the known
   /// names when `name` is not registered.
@@ -42,9 +39,8 @@ class BackendRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  BackendRegistry();  // registers the built-in designs
+  BackendRegistry();  // fills the table with the built-in designs
 
-  mutable std::mutex mutex_;
   std::map<std::string, BackendFactory> factories_;
 };
 

@@ -231,12 +231,7 @@ ServerStats Server::stats() const {
 
 void Server::register_metrics(obs::MetricsRegistry& registry,
                               const std::string& model) {
-  register_metrics(registry, model, self_);
-}
-
-void Server::register_metrics(obs::MetricsRegistry& registry,
-                              const std::string& model,
-                              std::weak_ptr<const Server> server) {
+  const std::weak_ptr<const Server> server = self_;
   const obs::Labels labels{{"model", model}};
   auto counter = [&](const char* name, const char* help,
                      long ServerStats::* field) {

@@ -115,15 +115,6 @@ class Server {
   void register_metrics(obs::MetricsRegistry& registry,
                         const std::string& model);
 
-  /// The one list of per-model series behind both the overload above and
-  /// ModelRouter::register_metrics: views over whatever `server` still
-  /// points to at scrape time, zeros once it has expired. Each view holds
-  /// a locked `server` while it reads, and the executor views call into
-  /// the backend, so the handle should own the backend as well.
-  static void register_metrics(obs::MetricsRegistry& registry,
-                               const std::string& model,
-                               std::weak_ptr<const Server> server);
-
   /// The backend's compute-executor counters (fleet-wide totals when the
   /// backend shares its executor with other models).
   [[nodiscard]] ExecutorStats executor_stats() const {

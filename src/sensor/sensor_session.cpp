@@ -48,16 +48,14 @@ const SessionConfig& SessionConfig::validate() const {
   return *this;
 }
 
-SensorSession::SensorSession(FrameSource& source,
-                             runtime::ModelRouter& router, std::string model,
+SensorSession::SensorSession(FrameSource& source, runtime::Server& server,
                              SessionConfig config)
     : source_(source),
-      router_(router),
-      model_(std::move(model)),
+      server_(server),
       config_(config.validate()),
       // Sampled before any supervisor lowers the cap: this is the ladder a
       // frame is "degraded" relative to.
-      full_rung_(router.backend(model_).max_rung()) {
+      full_rung_(server.backend().max_rung()) {
   stats_.min_rung_cap_seen = full_rung_;
 }
 
@@ -82,12 +80,12 @@ void SensorSession::start() {
 bool SensorSession::try_submit(Staged& staged) {
   std::future<runtime::Prediction> future;
   try {
-    future = router_.submit(model_, staged.frame.pixels.data());
+    future = server_.submit(staged.frame.pixels.data());
   } catch (const runtime::QueueFullError&) {
     return false;
   } catch (...) {
-    // Model deregistered or router shut down mid-stream: the frame cannot
-    // be served; account it and move on rather than killing the producer.
+    // Server shut down mid-stream: the frame cannot be served; account it
+    // and move on rather than killing the producer.
     // (Not counted in submitted, so inflight() must not subtract it —
     // resolved_failed_ tracks only failures of genuinely admitted frames.)
     std::lock_guard<std::mutex> lock(mutex_);
@@ -201,7 +199,7 @@ void SensorSession::collect() {
       ++stats_.labeled;
       if (prediction.label == record.truth) ++stats_.correct;
     }
-    e2e_samples_.push_back(e2e);
+    stats_.e2e_ms.record(e2e);
     recent_e2e_.emplace_back(done_at, e2e);
     while (recent_e2e_.size() >
            static_cast<std::size_t>(config_.recent_window)) {
@@ -232,7 +230,6 @@ StreamStats SensorSession::finish() {
   if (!finished_) {
     finished_ = true;
     stats_.wall_ms = runtime::ms_between(started_at_, Clock::now());
-    stats_.e2e_ms = runtime::summarize_latencies(e2e_samples_);
   }
   return stats_;
 }
@@ -240,7 +237,6 @@ StreamStats SensorSession::finish() {
 StreamStats SensorSession::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   StreamStats snapshot = stats_;
-  snapshot.e2e_ms = runtime::summarize_latencies(e2e_samples_);
   if (started_ && !finished_) {
     snapshot.wall_ms = runtime::ms_between(started_at_, Clock::now());
   }
@@ -249,7 +245,8 @@ StreamStats SensorSession::stats() const {
 
 void SensorSession::register_metrics(obs::MetricsRegistry& registry,
                                      const std::string& label) {
-  const obs::Labels labels{{"model", model_}, {"session", label}};
+  const obs::Labels labels{{"model", server_.backend().name()},
+                           {"session", label}};
   auto counter = [&](const char* name, const char* help,
                      long StreamStats::* field) {
     registry.counter_fn(name, help, labels, [this, field] {
@@ -258,7 +255,7 @@ void SensorSession::register_metrics(obs::MetricsRegistry& registry,
   };
   counter("scbnn_session_produced_total", "Frames pulled from the source",
           &StreamStats::produced);
-  counter("scbnn_session_submitted_total", "Frames admitted to the router",
+  counter("scbnn_session_submitted_total", "Frames admitted to the server",
           &StreamStats::submitted);
   counter("scbnn_session_delivered_total",
           "Frames whose Prediction resolved", &StreamStats::delivered);
@@ -282,12 +279,15 @@ void SensorSession::register_metrics(obs::MetricsRegistry& registry,
   registry.gauge_fn("scbnn_session_recent_p99_ms",
                     "Sliding-window end-to-end p99 (the LoadSignal)",
                     labels, [this] { return recent_p99_ms(); });
+  registry.histogram_fn("scbnn_session_e2e_latency_ms",
+                        "Arrival to resolved Prediction latency", labels,
+                        [this] { return stats().e2e_ms; });
 }
 
 long SensorSession::inflight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Only admitted frames can be in flight: stats_.failed also counts
-  // admission-path failures that never reached the router, so subtracting
+  // admission-path failures that never reached the server, so subtracting
   // it wholesale could drive the supervisor's load signal negative.
   return stats_.submitted - stats_.delivered - resolved_failed_;
 }

@@ -1,13 +1,13 @@
-// One sensor stream, end to end: source -> session -> router -> ladder.
+// One sensor stream, end to end: source -> session -> server -> ladder.
 //
 // A SensorSession owns the life of one stream. Its producer thread pulls
 // frames from a FrameSource, honors the source's inter-arrival gaps
 // (open-loop: arrival times are scheduled from the gaps, so queueing delay
 // is measured, not hidden), stamps each frame's arrival, and submits it as
-// a single request to one model of a runtime::ModelRouter. Its collector
-// thread resolves the returned futures in admission order and accumulates
-// per-session StreamStats. What happens when the model's admission queue is
-// full is the session's pluggable backpressure policy:
+// a single request to a runtime::Server. Its collector thread resolves the
+// returned futures in admission order and accumulates per-session
+// StreamStats. What happens when the server's admission queue is full is
+// the session's pluggable backpressure policy:
 //
 //   - kBlock: retry until admitted. No frame is lost, but the sensor
 //     stalls and end-to-end latency grows without bound past saturation.
@@ -32,8 +32,8 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/model_router.h"
 #include "runtime/percentile.h"
+#include "runtime/server.h"
 #include "sensor/frame_source.h"
 #include "sensor/stream_supervisor.h"
 
@@ -70,7 +70,7 @@ struct SessionConfig {
 /// Per-session serving statistics.
 struct StreamStats {
   long produced = 0;    ///< frames pulled from the source
-  long submitted = 0;   ///< frames admitted to the router
+  long submitted = 0;   ///< frames admitted to the server
   long delivered = 0;   ///< frames whose Prediction resolved
   long failed = 0;      ///< frames whose future resolved with an exception
   long dropped = 0;     ///< frames shed by kDropOldest backpressure
@@ -78,7 +78,7 @@ struct StreamStats {
   long labeled = 0;     ///< delivered frames with known ground truth
   long correct = 0;     ///< labeled frames predicted correctly
   double energy_j = 0.0;            ///< summed per-frame first-layer energy
-  runtime::LatencySummary e2e_ms;   ///< arrival -> prediction resolved
+  runtime::LatencyHistogram e2e_ms; ///< arrival -> prediction resolved
   double wall_ms = 0.0;             ///< start() -> finish()
   /// Deepest escalation cap any delivered frame was served under
   /// (Prediction::rung_cap), i.e. the full ladder top when never degraded.
@@ -106,12 +106,11 @@ struct SessionOutcome {
 
 class SensorSession : public LoadSignal {
  public:
-  /// Stream `source` into `router`'s model `model`. The source, router,
-  /// and model registration must outlive the session; the model's full
-  /// ladder is sampled at construction (construct before any supervisor
-  /// lowers the cap). Throws std::out_of_range for an unknown model id.
-  SensorSession(FrameSource& source, runtime::ModelRouter& router,
-                std::string model, SessionConfig config = {});
+  /// Stream `source` into `server`. The source and server must outlive
+  /// the session; the backend's full ladder is sampled at construction
+  /// (construct before any supervisor lowers the cap).
+  SensorSession(FrameSource& source, runtime::Server& server,
+                SessionConfig config = {});
 
   /// Joins the worker threads (blocking until the stream completes) if
   /// finish() was not called.
@@ -136,22 +135,21 @@ class SensorSession : public LoadSignal {
     return outcomes_;
   }
 
-  [[nodiscard]] const std::string& model() const noexcept { return model_; }
   [[nodiscard]] const SessionConfig& config() const noexcept {
     return config_;
   }
 
-  /// Compute-executor counters behind this session's model (fleet-wide
-  /// totals when models share one executor) — lets a stream supervisor see
-  /// steals/parks/queue depth next to its latency signal.
+  /// Compute-executor counters behind this session's server (fleet-wide
+  /// totals when servers share one executor) — lets a stream supervisor
+  /// see steals/parks next to its latency signal.
   [[nodiscard]] runtime::ExecutorStats executor_stats() const {
-    return router_.executor_stats(model_);
+    return server_.executor_stats();
   }
 
   /// Register registry views over this session's live StreamStats (frame
-  /// flow, drops, degradation, accuracy, recent p99), labeled
-  /// session=`label`, model=<model>. The session must outlive exports
-  /// from `registry`.
+  /// flow, drops, degradation, accuracy, e2e latency histogram, recent
+  /// p99), labeled session=`label`, model=<the server's backend name>. The
+  /// session must outlive exports from `registry`.
   void register_metrics(obs::MetricsRegistry& registry,
                         const std::string& label);
 
@@ -181,8 +179,7 @@ class SensorSession : public LoadSignal {
   bool try_submit(Staged& staged);
 
   FrameSource& source_;
-  runtime::ModelRouter& router_;
-  std::string model_;
+  runtime::Server& server_;
   SessionConfig config_;
   int full_rung_ = 0;
 
@@ -194,7 +191,6 @@ class SensorSession : public LoadSignal {
   /// Failures of frames that WERE admitted (future resolved with an
   /// exception) — the subtractable part of stats_.failed for inflight().
   long resolved_failed_ = 0;
-  std::vector<double> e2e_samples_;
   /// {completion time, e2e_ms}: bounded by recent_window entries AND
   /// recent_max_age_ms of age.
   std::deque<std::pair<runtime::ServeClock::time_point, double>> recent_e2e_;

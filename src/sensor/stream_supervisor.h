@@ -68,7 +68,7 @@ struct SupervisorEvent {
 
 class StreamSupervisor {
  public:
-  /// Supervise `backend` (shared with the router that serves it). The
+  /// Supervise `backend` (shared with the Server that serves it). The
   /// backend's current max_rung() is taken as the full ladder to restore
   /// to, so construct the supervisor before anything else caps the rungs.
   explicit StreamSupervisor(std::shared_ptr<runtime::Servable> backend,

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "data/synthetic_mnist.h"
-#include "hybrid/binary_first_layer.h"
 #include "hybrid/first_layer.h"
 #include "hybrid/hybrid_network.h"
 #include "nn/activations.h"
@@ -109,41 +108,6 @@ TEST(BackendRegistry, UnknownBackendThrowsListingKnownNames) {
     EXPECT_NE(what.find("no-such-backend"), std::string::npos);
     EXPECT_NE(what.find("sc-proposed"), std::string::npos);
   }
-}
-
-TEST(BackendRegistry, CustomBackendPlugsInWithoutTouchingFactories) {
-  auto& reg = BackendRegistry::instance();
-  const std::string name = "test-binary-alias";
-  if (!reg.contains(name)) {
-    reg.register_backend(name, [](const nn::QuantizedConvWeights& w,
-                                  const hybrid::FirstLayerConfig& c) {
-      return std::make_unique<hybrid::BinaryFirstLayer>(w, c);
-    });
-  }
-  EXPECT_TRUE(reg.contains(name));
-  const auto qw = sample_qweights(2, 4, 3);
-  hybrid::FirstLayerConfig cfg;
-  cfg.bits = 4;
-  const auto engine = reg.create(name, qw, cfg);
-  EXPECT_EQ(engine->kernels(), 2);
-  // Duplicate registration is rejected.
-  EXPECT_THROW(reg.register_backend(
-                   name, [](const nn::QuantizedConvWeights& w,
-                            const hybrid::FirstLayerConfig& c) {
-                     return std::make_unique<hybrid::BinaryFirstLayer>(w, c);
-                   }),
-               std::invalid_argument);
-}
-
-TEST(BackendRegistry, InvalidRegistrationsRejected) {
-  auto& reg = BackendRegistry::instance();
-  EXPECT_THROW(reg.register_backend("", [](const nn::QuantizedConvWeights& w,
-                                           const hybrid::FirstLayerConfig& c) {
-                 return std::make_unique<hybrid::BinaryFirstLayer>(w, c);
-               }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.register_backend("null-factory", BackendFactory{}),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------ one-rung pipeline

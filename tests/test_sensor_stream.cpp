@@ -1,15 +1,18 @@
 // Sensor-stream subsystem tests: deterministic frame sources and arrival
 // models, noisy-sensor decorator seeding, the three backpressure policies
-// through a live ModelRouter, and StreamSupervisor rung-cap degradation and
+// through a live Server, and StreamSupervisor rung-cap degradation and
 // recovery (both against fake load signals and a real overloaded stream).
 #include "sensor/sensor_session.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,9 +20,10 @@
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
+#include "obs/metrics.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
-#include "runtime/model_router.h"
+#include "runtime/server.h"
 #include "sensor/frame_source.h"
 #include "sensor/stream_supervisor.h"
 
@@ -427,7 +431,7 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
   const data::Dataset pool = tiny_pool(8);
   auto backend = make_engine_backend();
 
-  // Direct reference BEFORE the router exists (the batch former is the
+  // Direct reference BEFORE the server exists (the batch former is the
   // sole classify() caller while the server runs).
   constexpr long kFrames = 40;
   DatasetReplaySource ref(pool, kFrames,
@@ -448,15 +452,14 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
   server_cfg.max_batch = 4;
   server_cfg.max_delay_us = 200;
   server_cfg.queue_capacity = 4;  // tiny queue: admission pressure is real
-  runtime::ModelRouter router(server_cfg);
-  router.register_model("m", backend);
+  runtime::Server server(*backend, server_cfg);
 
   DatasetReplaySource source(pool, kFrames,
                              arrivals(ArrivalKind::kPoisson, 2000.0), 17);
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kBlock;
   cfg.recent_max_age_ms = 50;
-  SensorSession session(source, router, "m", cfg);
+  SensorSession session(source, server, cfg);
   session.start();
   const StreamStats stats = session.finish();
 
@@ -467,7 +470,7 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
   EXPECT_EQ(stats.degraded, 0);
   EXPECT_EQ(stats.failed, 0);
   EXPECT_EQ(stats.labeled, kFrames);
-  EXPECT_GT(stats.e2e_ms.p50, 0.0);
+  EXPECT_GT(stats.e2e_ms.percentile(50), 0.0);
   EXPECT_GT(stats.energy_j, 0.0);
 
   ASSERT_EQ(session.outcomes().size(), static_cast<std::size_t>(kFrames));
@@ -478,6 +481,28 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
         << ": stream path must be bit-identical to direct classify";
     EXPECT_FALSE(o.degraded);
   }
+
+  // The latency histogram holds exactly the delivered frames' latencies:
+  // its exact moments match the per-frame outcomes bit for bit.
+  EXPECT_EQ(stats.e2e_ms.count(), static_cast<std::uint64_t>(kFrames));
+  double sum_ms = 0.0;
+  double min_ms = session.outcomes().front().e2e_ms;
+  double max_ms = min_ms;
+  for (const SessionOutcome& o : session.outcomes()) {
+    sum_ms += o.e2e_ms;
+    min_ms = std::min(min_ms, o.e2e_ms);
+    max_ms = std::max(max_ms, o.e2e_ms);
+  }
+  EXPECT_EQ(stats.e2e_ms.sum_ms(), sum_ms);
+  EXPECT_EQ(stats.e2e_ms.min_ms(), min_ms);
+  EXPECT_EQ(stats.e2e_ms.max_ms(), max_ms);
+  // The registry exports that histogram, labeled with the backend's name.
+  obs::MetricsRegistry registry;
+  session.register_metrics(registry, "s");
+  EXPECT_NE(registry.prometheus().find(
+                "scbnn_session_e2e_latency_ms_count{model=\"sc-proposed\","
+                "session=\"s\"} 40\n"),
+            std::string::npos);
 
   // The recent-latency window ages out on a quiescent stream, so a past
   // burst can never hold a supervisor's latency trigger hot.
@@ -497,8 +522,7 @@ TEST(SensorSession, DropOldestShedsFramesAndBoundsLatency) {
   server_cfg.max_batch = 1;  // one slow frame per dispatch
   server_cfg.max_delay_us = 0;
   server_cfg.queue_capacity = 2;
-  runtime::ModelRouter router(server_cfg);
-  router.register_model("m", backend);
+  runtime::Server server(*backend, server_cfg);
 
   constexpr long kFrames = 60;
   // ~100us between arrivals vs ~3ms+ service: sustained 30x overload.
@@ -507,7 +531,7 @@ TEST(SensorSession, DropOldestShedsFramesAndBoundsLatency) {
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kDropOldest;
   cfg.max_pending = 3;
-  SensorSession session(source, router, "m", cfg);
+  SensorSession session(source, server, cfg);
   session.start();
   const StreamStats stats = session.finish();
 
@@ -534,15 +558,14 @@ TEST(SensorSession, DegradePolicyShedsPrecisionAndSupervisorRecovers) {
   server_cfg.max_batch = 4;
   server_cfg.max_delay_us = 100;
   server_cfg.queue_capacity = 64;
-  runtime::ModelRouter router(server_cfg);
-  router.register_model("m", backend);
+  runtime::Server server(*backend, server_cfg);
 
   constexpr long kFrames = 80;
   DatasetReplaySource source(pool, kFrames,
                              arrivals(ArrivalKind::kUniform, 20000.0), 29);
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kDegrade;
-  SensorSession session(source, router, "m", cfg);
+  SensorSession session(source, server, cfg);
 
   SupervisorConfig sup_cfg;
   sup_cfg.high_inflight = 6;
@@ -586,7 +609,7 @@ TEST(SensorSession, DegradePolicyShedsPrecisionAndSupervisorRecovers) {
 
 // --------------------------------------------------------- queue depth view
 
-TEST(RouterQueueDepth, TracksWaitingRequestsAndDrains) {
+TEST(ServerQueueDepth, TracksWaitingRequestsAndDrains) {
   const data::Dataset pool = tiny_pool(4);
   auto backend = std::make_shared<SlowServable>(
       make_engine_backend(), std::chrono::microseconds(10000));
@@ -595,14 +618,12 @@ TEST(RouterQueueDepth, TracksWaitingRequestsAndDrains) {
   server_cfg.max_batch = 1;  // one slow frame per dispatch: a queue forms
   server_cfg.max_delay_us = 0;
   server_cfg.queue_capacity = 16;
-  runtime::ModelRouter router(server_cfg);
-  router.register_model("m", backend);
-  EXPECT_EQ(router.queue_depth("m"), 0u);
-  EXPECT_THROW((void)router.queue_depth("nope"), std::out_of_range);
+  runtime::Server server(*backend, server_cfg);
+  EXPECT_EQ(server.queue_depth(), 0u);
 
   std::vector<std::future<runtime::Prediction>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(router.submit("m", pool.images.data()));
+    futures.push_back(server.submit(pool.images.data()));
   }
   // With ~10ms per dispatched frame, the later submissions must be
   // observably parked in the admission queue.
@@ -610,12 +631,12 @@ TEST(RouterQueueDepth, TracksWaitingRequestsAndDrains) {
   const auto deadline =
       runtime::ServeClock::now() + std::chrono::seconds(5);
   while (deepest == 0 && runtime::ServeClock::now() < deadline) {
-    deepest = std::max(deepest, router.queue_depth("m"));
+    deepest = std::max(deepest, server.queue_depth());
   }
   EXPECT_GE(deepest, 1u);
 
   for (auto& f : futures) (void)f.get();
-  EXPECT_EQ(router.queue_depth("m"), 0u);
+  EXPECT_EQ(server.queue_depth(), 0u);
 }
 
 // ---------------------------------------------------------- Supervisor unit

@@ -1,7 +1,8 @@
 // Request-level serving core tests: bit identity between Server-coalesced
 // requests and direct Servable batch calls (both backends, several thread
 // counts), max_delay_us expiry dispatching partial batches, reject-not-block
-// admission control, drained graceful shutdown, and per-request accounting.
+// admission control, drained graceful shutdown, per-request accounting, the
+// registry views, and several Servers sharing one executor.
 #include "runtime/server.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -18,6 +23,7 @@
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
+#include "obs/metrics.h"
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
 
@@ -36,19 +42,18 @@ hybrid::LeNetConfig tiny_lenet() {
   return cfg;
 }
 
-/// Fixed-precision Servable: engine + tail from a shared deterministic base
-/// model. Two calls with the same threads argument build bit-identical
-/// backends.
-std::unique_ptr<AdaptivePipeline> make_engine_backend(unsigned threads) {
+/// Fixed-precision Servable at `bits`: engine + tail from a shared
+/// deterministic base model. Two calls with the same arguments build
+/// bit-identical backends; different `bits` give distinguishable models.
+std::unique_ptr<AdaptivePipeline> make_backend(unsigned bits,
+                                               RuntimeConfig rc = {}) {
   nn::Rng base_rng(3);
   nn::Network base = hybrid::build_lenet(tiny_lenet(), base_rng);
   const auto qw =
-      nn::quantize_conv_weights(hybrid::base_conv1_weights(base), 4);
+      nn::quantize_conv_weights(hybrid::base_conv1_weights(base), bits);
   hybrid::FirstLayerConfig flc;
-  flc.bits = 4;
+  flc.bits = bits;
   flc.soft_threshold = 0.3;
-  RuntimeConfig rc;
-  rc.threads = threads;
   rc.chunk_images = 3;
   nn::Rng tail_rng(7);
   nn::Network tail = hybrid::build_tail(tiny_lenet(), tail_rng);
@@ -56,6 +61,18 @@ std::unique_ptr<AdaptivePipeline> make_engine_backend(unsigned threads) {
   return std::make_unique<AdaptivePipeline>(
       BackendRegistry::instance().create("sc-proposed", qw, flc),
       std::move(tail), rc);
+}
+
+/// The 4-bit model of make_backend on a private pool of `threads` workers.
+std::unique_ptr<AdaptivePipeline> make_engine_backend(unsigned threads) {
+  RuntimeConfig rc;
+  rc.threads = threads;
+  return make_backend(4, rc);
+}
+
+nn::Tensor test_frames(int n) {
+  return data::generate_synthetic_mnist(static_cast<std::size_t>(n), 1, 99)
+      .train.images;
 }
 
 /// Two-rung adaptive Servable from the same deterministic base model.
@@ -375,6 +392,148 @@ TEST(Server, BackendExceptionReachesEveryFutureInTheBatch) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.failed, 2);
   EXPECT_EQ(stats.completed, 0);
+}
+
+// ----------------------------------------------------------- metrics views
+
+/// Metric family names a registry exports (its "# TYPE" lines).
+std::set<std::string> series_names(const obs::MetricsRegistry& registry) {
+  std::set<std::string> names;
+  std::istringstream text(registry.prometheus());
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      names.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  return names;
+}
+
+TEST(Server, ExportsEverySeriesAndReadsZerosOnceGone) {
+  obs::MetricsRegistry registry;
+  const auto backend = make_backend(4);
+  {
+    Server server(*backend);
+    server.register_metrics(registry, "m");
+    EXPECT_EQ(series_names(registry),
+              (std::set<std::string>{
+                  "scbnn_server_accepted_total",
+                  "scbnn_server_rejected_total",
+                  "scbnn_server_completed_total",
+                  "scbnn_server_failed_total",
+                  "scbnn_server_batches_total",
+                  "scbnn_server_queue_depth",
+                  "scbnn_server_mean_batch_size",
+                  "scbnn_server_energy_joules",
+                  "scbnn_server_mean_queue_wait_ms",
+                  "scbnn_executor_workers",
+                  "scbnn_executor_parallel_for_total",
+                  "scbnn_executor_chunks_total",
+                  "scbnn_executor_steal_attempts_total",
+                  "scbnn_executor_steals_total",
+                  "scbnn_executor_parks_total",
+              }));
+
+    const nn::Tensor frame = test_frames(1);
+    (void)server.submit(frame.data()).get();
+    EXPECT_NE(registry.prometheus().find(
+                  "scbnn_server_completed_total{model=\"m\"} 1\n"),
+              std::string::npos);
+  }
+  // The views outlive the Server and read zeros instead of dangling.
+  EXPECT_NE(registry.prometheus().find(
+                "scbnn_server_completed_total{model=\"m\"} 0\n"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------- shared executor
+
+TEST(SharedExecutor, ModelsOnOnePoolMatchPrivatePoolModels) {
+  const int n = 10;
+  const nn::Tensor frames = test_frames(n);
+
+  // Reference: private pools (the pre-refactor construction).
+  RuntimeConfig private_rc;
+  private_rc.threads = 2;
+  auto ref_low = make_backend(3, private_rc);
+  auto ref_high = make_backend(7, private_rc);
+  const auto direct_low = ref_low->classify(frames);
+  const auto direct_high = ref_high->classify(frames);
+
+  RuntimeConfig shared_rc;
+  shared_rc.executor = std::make_shared<Executor>(2);
+  auto low = make_backend(3, shared_rc);
+  auto high = make_backend(7, shared_rc);
+  EXPECT_EQ(low->executor().get(), high->executor().get());
+  EXPECT_EQ(low->threads(), 2u);
+
+  const auto shared_low = low->classify(frames);
+  const auto shared_high = high->classify(frames);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(shared_low[static_cast<std::size_t>(i)].label,
+              direct_low[static_cast<std::size_t>(i)].label);
+    EXPECT_EQ(shared_low[static_cast<std::size_t>(i)].margin,
+              direct_low[static_cast<std::size_t>(i)].margin);
+    EXPECT_EQ(shared_high[static_cast<std::size_t>(i)].label,
+              direct_high[static_cast<std::size_t>(i)].label);
+    EXPECT_EQ(shared_high[static_cast<std::size_t>(i)].margin,
+              direct_high[static_cast<std::size_t>(i)].margin);
+  }
+}
+
+TEST(SharedExecutor, ServersOnOneExecutorServeConcurrently) {
+  const int n = 24;
+  const nn::Tensor frames = test_frames(n);
+  RuntimeConfig rc;
+  rc.executor = std::make_shared<Executor>(2);
+
+  auto a = make_backend(3, rc);
+  auto b = make_backend(5, rc);
+  auto c = make_backend(7, rc);
+  const auto direct_a = a->classify(frames);
+  const auto direct_b = b->classify(frames);
+  const auto direct_c = c->classify(frames);
+
+  Server sa(*a);
+  Server sb(*b);
+  Server sc(*c);
+
+  // Interleave submissions so the three batch formers overlap on the one
+  // executor; every prediction must still match its model's direct result.
+  std::vector<std::future<Prediction>> fa, fb, fc;
+  for (int i = 0; i < n; ++i) {
+    const float* frame =
+        frames.data() + static_cast<std::size_t>(i) * kPixels;
+    fa.push_back(sa.submit(frame));
+    fb.push_back(sb.submit(frame));
+    fc.push_back(sc.submit(frame));
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(fa[static_cast<std::size_t>(i)].get().label,
+              direct_a[static_cast<std::size_t>(i)].label);
+    EXPECT_EQ(fb[static_cast<std::size_t>(i)].get().label,
+              direct_b[static_cast<std::size_t>(i)].label);
+    EXPECT_EQ(fc[static_cast<std::size_t>(i)].get().label,
+              direct_c[static_cast<std::size_t>(i)].label);
+  }
+
+  // Each Server counts only its own traffic...
+  for (const Server* server : {&sa, &sb, &sc}) {
+    EXPECT_EQ(server->stats().completed, n);
+  }
+  // ...while all three report the one executor's counters. Idle workers
+  // may still park (and a late thief may still count a lost attempt), so
+  // compare the fields that settle once every fan-out has returned.
+  const ExecutorStats ea = sa.executor_stats();
+  EXPECT_EQ(ea.workers, 2u);
+  EXPECT_GT(ea.parallel_fors, 0u);
+  EXPECT_GT(ea.chunks_run, 0u);
+  for (const Server* server : {&sb, &sc}) {
+    const ExecutorStats e = server->executor_stats();
+    EXPECT_EQ(e.workers, ea.workers);
+    EXPECT_EQ(e.parallel_fors, ea.parallel_fors);
+    EXPECT_EQ(e.chunks_run, ea.chunks_run);
+    EXPECT_EQ(e.steals, ea.steals);
+  }
 }
 
 }  // namespace
