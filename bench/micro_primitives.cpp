@@ -112,22 +112,25 @@ void BM_ScFirstLayerImage(benchmark::State& state) {
 BENCHMARK(BM_ScFirstLayerImage)->Arg(4)->Arg(8);
 
 void BM_BinaryFirstLayerImage(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
   nn::Rng rng(1);
   nn::Tensor w({32, 1, 5, 5});
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
-  const auto qw = nn::quantize_conv_weights(w, 8);
+  const auto qw = nn::quantize_conv_weights(w, bits);
   hybrid::FirstLayerConfig cfg;
-  cfg.bits = 8;
+  cfg.bits = bits;
   hybrid::BinaryFirstLayer engine(qw, cfg);
   const nn::Tensor img = data::render_digit(3, 0);
   std::vector<float> out(32 * 28 * 28);
   const auto scratch = engine.make_scratch();
   for (auto _ : state) {
     engine.compute_batch(img.data(), 1, out.data(), *scratch);
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
+  state.SetLabel("exact fixed-point 32-kernel conv in lanes, one 28x28 image");
 }
-BENCHMARK(BM_BinaryFirstLayerImage);
+BENCHMARK(BM_BinaryFirstLayerImage)->Arg(4)->Arg(8);
 
 void BM_FastScFirstLayerImage(benchmark::State& state) {
   // Same workload as BM_ScFirstLayerImage, on the count-domain engines:

@@ -15,6 +15,7 @@
 // count — same seed, same features, bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -29,6 +30,16 @@ inline constexpr int kKernelSize = 5;
 inline constexpr int kPad = 2;                      // 'same' padding
 inline constexpr int kFanIn = kKernelSize * kKernelSize;
 inline constexpr int kOutputsPerKernel = kImageSize * kImageSize;  // 784 units
+
+/// Lane geometry of the engines that evaluate a kernel at every output
+/// position at once (the count-domain SC engines and the binary engine).
+/// Row stride of the zero-padded level image.
+inline constexpr std::size_t kPadded = kImageSize + 2 * kPad;
+/// Output lanes: 28 rows of kPadded; lane oy*kPadded + ox, ox < 28 real.
+inline constexpr std::size_t kLanes = kImageSize * kPadded;
+/// Padded image plus the overhang the last lane's bottom-right tap reads.
+inline constexpr std::size_t kMapSize =
+    kLanes + (kKernelSize - 1) * (kPadded + 1);
 
 struct FirstLayerConfig {
   unsigned bits = 8;           ///< stream/weight precision (2..8 in the paper)

@@ -65,13 +65,6 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
 
  private:
   static constexpr int kSlots = 32;  // adder-tree leaves (25 taps + 7 zero)
-  /// Row stride of the zero-padded level image and count maps.
-  static constexpr std::size_t kPadded = kImageSize + 2 * kPad;
-  /// Output lanes: 28 rows of kPadded; lane oy*kPadded + ox, ox < 28 real.
-  static constexpr std::size_t kLanes = kImageSize * kPadded;
-  /// Padded image plus the overhang the last lane's bottom-right tap reads.
-  static constexpr std::size_t kMapSize =
-      kLanes + (kKernelSize - 1) * (kPadded + 1);
 
   struct CountScratch final : Scratch {
     CountScratch(std::size_t map_entries, std::size_t node_lanes)

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "data/synthetic_mnist.h"
 #include "hybrid/binary_first_layer.h"
@@ -91,6 +92,134 @@ TEST(BinaryFirstLayer, MatchesFloatConvolutionSigns) {
     }
   }
   EXPECT_LT(mismatches, 16u);  // ~1% of 1568 outputs
+}
+
+/// The engine's original scalar loop, kept as its referee: 64-bit integer
+/// dot products with two bounds checks per tap, then the normalized value
+/// dot / 4^bits against the soft threshold.
+std::vector<float> binary_reference(const nn::QuantizedConvWeights& qw,
+                                    double soft_threshold,
+                                    const float* image) {
+  const auto full = static_cast<long>(std::uint32_t{1} << qw.bits);
+  long x[kImageSize * kImageSize];
+  for (int i = 0; i < kImageSize * kImageSize; ++i) {
+    const float v =
+        image[i] < 0.0f ? 0.0f : (image[i] > 1.0f ? 1.0f : image[i]);
+    x[i] = std::lround(static_cast<double>(v) * static_cast<double>(full));
+  }
+  const double norm = static_cast<double>(full) * static_cast<double>(full);
+  std::vector<float> out(qw.kernels.size() * kOutputsPerKernel);
+  for (std::size_t k = 0; k < qw.kernels.size(); ++k) {
+    const int* w = qw.kernels[k].levels.data();
+    float* feat = out.data() + k * kOutputsPerKernel;
+    for (int oy = 0; oy < kImageSize; ++oy) {
+      for (int ox = 0; ox < kImageSize; ++ox) {
+        long dot = 0;
+        for (int ki = 0; ki < kKernelSize; ++ki) {
+          const int iy = oy + ki - kPad;
+          if (iy < 0 || iy >= kImageSize) continue;
+          for (int kj = 0; kj < kKernelSize; ++kj) {
+            const int ix = ox + kj - kPad;
+            if (ix < 0 || ix >= kImageSize) continue;
+            dot += x[iy * kImageSize + ix] *
+                   static_cast<long>(w[ki * kKernelSize + kj]);
+          }
+        }
+        const double v = static_cast<double>(dot) / norm;
+        feat[oy * kImageSize + ox] =
+            v > soft_threshold ? 1.0f
+                               : (v < -soft_threshold ? -1.0f : 0.0f);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(BinaryFirstLayer, MatchesScalarReferenceAtEveryPrecision) {
+  // Float lanes up to 9 bits, double lanes above. Kernels 0 and 1 are
+  // full-scale +-2^bits on every tap and images 0 and 2 carry a 5x5 block
+  // of out-of-range bright pixels in a corner, where the padding meets it,
+  // so |dot| reaches its bound 25 * 4^bits: exactly the threshold at
+  // t = 25. Kernel 2 is all zero, which only a negative threshold lights
+  // up. Kernel 3 is 2^bits - 1 on every tap over image 1's centre block of
+  // level 2^bits - 1, an odd dot, and the last threshold sits a fifth below
+  // it. From 10 bits on that dot is past 2^24 and a float lane would round
+  // it down onto the threshold's floor; at 9 bits a threshold kept in float
+  // instead of floored would round up onto the dot.
+  const double kThresholds[] = {0.0,
+                                0.3,
+                                1.0,
+                                -0.2,
+                                1e-300,
+                                25.0,
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (unsigned bits = 2; bits <= 16; ++bits) {
+    auto qw = sample_qweights(32, bits, 70 + bits);
+    const int full = 1 << bits;
+    qw.kernels[0].levels.assign(kFanIn, full);
+    qw.kernels[1].levels.assign(kFanIn, -full);
+    qw.kernels[2].levels.assign(kFanIn, 0);
+    qw.kernels[3].levels.assign(kFanIn, full - 1);
+    std::vector<nn::Tensor> images;
+    for (int i = 0; i < 3; ++i) {
+      nn::Tensor img = sample_image(100 + 10 * bits + static_cast<unsigned>(i));
+      for (std::size_t p = 7; p < img.size(); p += 61) {
+        img[p] = p % 2 == 0 ? -0.5f : -0.0f;
+      }
+      const int corner = i * (kImageSize - kKernelSize) / 2;
+      for (int y = corner; y < corner + kKernelSize; ++y) {
+        for (int x = corner; x < corner + kKernelSize; ++x) {
+          float& p = img[static_cast<std::size_t>(y * kImageSize + x)];
+          if (i == 1) {
+            p = static_cast<float>(full - 1) / static_cast<float>(full);
+          } else {
+            p = (x + y) % 2 == 0 ? 2.0f : 1.5f;
+          }
+        }
+      }
+      images.push_back(std::move(img));
+    }
+    const double odd_dot = kFanIn * static_cast<double>(full - 1) * (full - 1);
+    std::vector<double> thresholds(std::begin(kThresholds),
+                                   std::end(kThresholds));
+    thresholds.push_back((odd_dot - 0.2) / (static_cast<double>(full) * full));
+    for (const double t : thresholds) {
+      FirstLayerConfig cfg;
+      cfg.bits = bits;
+      cfg.soft_threshold = t;
+      const BinaryFirstLayer engine(qw, cfg);
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        const auto want = binary_reference(qw, t, images[i].data());
+        const auto got = run_engine(engine, images[i]);
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+                    std::bit_cast<std::uint32_t>(want[j]))
+              << "bits=" << bits << " t=" << t << " image " << i
+              << " output " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(BinaryFirstLayer, RejectsWeightsOutsideTheExactLanes) {
+  // The lanes are exact for |w| <= 2^bits, 25 taps and bits <= 16.
+  auto qw = sample_qweights(2, 4, 11);
+  FirstLayerConfig cfg;
+  cfg.bits = 4;
+  for (const int level : {17, -17}) {
+    auto bad = qw;
+    bad.kernels[1].levels[7] = level;
+    EXPECT_THROW(BinaryFirstLayer(bad, cfg), std::invalid_argument) << level;
+  }
+  auto short_kernel = qw;
+  short_kernel.kernels[0].levels.pop_back();
+  EXPECT_THROW(BinaryFirstLayer(short_kernel, cfg), std::invalid_argument);
+  qw.kernels[1].levels[7] = -16;
+  EXPECT_NO_THROW(BinaryFirstLayer(qw, cfg));
+  qw.bits = cfg.bits = 17;
+  EXPECT_THROW(BinaryFirstLayer(qw, cfg), std::invalid_argument);
 }
 
 /// Exact normalized dot-product values of every window for one kernel set,
@@ -249,16 +378,44 @@ TEST(FirstLayerEngine, BatchWrapperShapesAndParallelism) {
   const auto qw = sample_qweights(3, 4, 8);
   FirstLayerConfig cfg;
   cfg.bits = 4;
-  const auto engine =
-      make_first_layer_engine(FirstLayerDesign::kScProposed, qw, cfg);
   const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 13);
-  const nn::Tensor feats = engine->compute_batch(split.train.images);
-  EXPECT_EQ(feats.shape(), (std::vector<int>{12, 3, 28, 28}));
-  // Batch result must equal the single-image path.
-  std::vector<float> single(3 * 784);
-  engine->compute(split.train.images.data(), single.data());
-  for (std::size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(feats[i], single[i]);
+  for (const FirstLayerDesign design :
+       {FirstLayerDesign::kBinaryQuantized, FirstLayerDesign::kScProposed}) {
+    const auto engine = make_first_layer_engine(design, qw, cfg);
+    const nn::Tensor feats = engine->compute_batch(split.train.images);
+    EXPECT_EQ(feats.shape(), (std::vector<int>{12, 3, 28, 28}));
+    // Batch result must equal the single-image path, image by image.
+    std::vector<float> single(3 * 784);
+    for (int img = 0; img < 12; ++img) {
+      engine->compute(split.train.images.data() + img * 784, single.data());
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        ASSERT_EQ(feats[static_cast<std::size_t>(img) * single.size() + i],
+                  single[i])
+            << engine->name() << " image " << img;
+      }
+    }
+  }
+}
+
+// lround(NaN) is LONG_MIN on x86-64; an engine must not let it reach the
+// arithmetic. Every backend reads a NaN pixel as level 0, like a 0 pixel.
+TEST(FirstLayerEngine, NanPixelReadsAsZeroOnEveryBackend) {
+  const auto qw = sample_qweights(4, 4, 18);
+  FirstLayerConfig cfg;
+  cfg.bits = 4;
+  const nn::Tensor img = sample_image(27);
+  std::size_t stroke = 0;  // a lit pixel, so 0 there changes the features
+  while (img[stroke] < 0.5f) ++stroke;
+  nn::Tensor zero = img;
+  zero[stroke] = 0.0f;
+  nn::Tensor nan = img;
+  nan[stroke] = std::numeric_limits<float>::quiet_NaN();
+  const auto& reg = runtime::BackendRegistry::instance();
+  for (const std::string& name : reg.names()) {
+    const auto engine = reg.create(name, qw, cfg);
+    const auto want = run_engine(*engine, zero);
+    EXPECT_NE(want, run_engine(*engine, img)) << name;
+    EXPECT_EQ(run_engine(*engine, nan), want) << name;
   }
 }
 

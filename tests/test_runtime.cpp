@@ -407,11 +407,13 @@ long long warm_classify_allocations(AdaptivePipeline& pipeline,
   return g_heap_allocs.load(std::memory_order_relaxed) - before;
 }
 
-// Both contracts hold for the bit-level referee and for the count-domain
-// engines the serving benches run: every engine sizes its workspace in
-// make_scratch(), never per frame.
+// Both contracts hold for the bit-level referee, for the count-domain
+// engines the serving benches run, and for the binary engine the fleet
+// serves: every engine sizes its workspace in make_scratch() (the binary
+// engine keeps its lanes on the stack), never per frame.
 const char* const kWarmPathBackends[] = {"sc-proposed", "sc-proposed-fast",
-                                         "sc-conventional-fast"};
+                                         "sc-conventional-fast",
+                                         "binary-quantized"};
 
 TEST(FastTail, OneRungWarmPathIsAllocationFree) {
   const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
