@@ -26,8 +26,8 @@ BackendRegistry::BackendRegistry() {
             StochasticFirstLayer::Style::kConventional, w, c);
       };
   // Count-domain fast paths: bit-identical to the reference engines above
-  // (asserted by the serving bench and the first-layer tests), computed
-  // from the adder trees' exact closed forms on stream counts.
+  // (asserted by the first-layer and hybrid-network tests), computed from
+  // the adder trees' exact closed forms on stream counts.
   factories_["sc-proposed-fast"] =
       [](const nn::QuantizedConvWeights& w, const hybrid::FirstLayerConfig& c) {
         return std::make_unique<FastStochasticFirstLayer>(

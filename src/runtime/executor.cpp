@@ -1,8 +1,6 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -15,13 +13,6 @@ namespace {
 /// enough to ride out a chunk handoff, short enough not to burn a core
 /// when the executor is genuinely idle.
 constexpr int kSpinRounds = 64;
-
-bool steal_enabled_from_env() {
-  const char* value = std::getenv("SCBNN_STEAL");
-  if (value == nullptr || *value == '\0') return true;
-  return !(std::strcmp(value, "off") == 0 || std::strcmp(value, "0") == 0 ||
-           std::strcmp(value, "false") == 0);
-}
 
 void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -51,16 +42,8 @@ unsigned Executor::resolve_threads(unsigned threads) noexcept {
   return std::min(threads, kMaxThreads);
 }
 
-Executor::Executor(unsigned threads)
-    : Executor(Options{threads, std::nullopt, std::nullopt}) {}
-
-Executor::Executor(const Options& options) {
-  const unsigned threads = resolve_threads(options.threads);
-  steal_ = options.steal.value_or(steal_enabled_from_env());
-  pin_mode_ = options.pin.value_or(pin_mode_from_env());
-  if (pin_mode_ != PinMode::kOff) {
-    pin_plan_ = pin_plan(read_cpu_topology(), threads, pin_mode_);
-  }
+Executor::Executor(unsigned requested) {
+  const unsigned threads = resolve_threads(requested);
 
   // Enough fan-out frames that every worker could be inside a nested
   // dispatch and a healthy number of external callers can overlap before
@@ -113,9 +96,6 @@ void Executor::shutdown() {
 
 void Executor::worker_loop(unsigned slot) {
   tls_worker = {this, slot};
-  if (!pin_plan_.empty()) {
-    (void)pin_current_thread(pin_plan_[slot]);
-  }
   Worker& me = *workers_[slot];
 
   int idle_rounds = 0;
@@ -171,8 +151,7 @@ bool Executor::try_run_chunk(unsigned slot) {
     const int nchunks = op.nchunks.load(std::memory_order_relaxed);
     if (nchunks <= 0) continue;  // stale scan of a recycled frame
 
-    // Home chunk first: chunk c's home is worker c, so with stealing off
-    // the assignment is purely static.
+    // Home chunk first (chunk c's home is worker c), then steal.
     if (static_cast<int>(slot) < nchunks) {
       std::uint8_t expect = 0;
       if (op.chunk_state[slot].load(std::memory_order_relaxed) == 0 &&
@@ -183,7 +162,6 @@ bool Executor::try_run_chunk(unsigned slot) {
         return true;
       }
     }
-    if (!steal_) continue;
     for (int offset = 1; offset < nchunks; ++offset) {
       const int c = (static_cast<int>(slot) + offset) % nchunks;
       if (op.chunk_state[c].load(std::memory_order_relaxed) != 0) continue;
@@ -245,11 +223,12 @@ void Executor::parallel_for(int jobs, ForFn fn, void* ctx) {
 
   const int self = current_worker_slot();
   if (size() == 1 || self >= 0) {
-    // Single-worker executors run inline on the caller under slot 0 (no
-    // other worker could be computing on that scratch slot while the
-    // caller blocks here), and nested fan-out from inside a worker runs
-    // inline under that worker's own slot — the worker cannot overlap
-    // with itself, so the slot contract holds and nothing deadlocks.
+    // Single-worker executors run inline on the caller under slot 0, and
+    // nested fan-out from inside a worker runs inline under that worker's
+    // own slot, so nothing deadlocks. Two external callers of a 1-worker
+    // executor both run here under slot 0 at once; that is safe only
+    // because per-slot scratch belongs to one model with one caller (see
+    // the header's Sharing note).
     if (stop_.load(std::memory_order_seq_cst)) {
       throw std::runtime_error(
           "Executor::parallel_for: executor is shut down");

@@ -6,10 +6,9 @@
 //
 // parallel_for's contract is load-bearing for the whole runtime:
 //
-//   - fn receives (job, worker) where `worker` is a stable slot id in
-//     [0, size()): jobs run only on executor workers (plus the documented
-//     single-worker/nested inline paths), and two jobs observing the same
-//     slot never overlap in time — per-slot scratch buffers never race.
+//   - fn receives (job, worker) where `worker` is a slot id in
+//     [0, size()). Within one parallel_for call, two jobs observing the
+//     same slot never overlap in time.
 //   - job -> output mapping is caller-defined and position-based, so
 //     results are bit-identical at any worker count and any steal
 //     schedule.
@@ -19,7 +18,11 @@
 //   - size()==1 executors run the jobs inline on the caller under slot 0,
 //     and parallel_for() from inside a worker of this executor runs inline
 //     under that worker's slot instead of deadlocking — nested fan-out
-//     degrades to serial.
+//     degrades to serial. So on a multi-worker executor the jobs of
+//     concurrent callers never share a slot at one time, but on a
+//     size()==1 executor every concurrent caller runs under slot 0 at
+//     once: per-slot scratch is race-free only while one caller at a time
+//     uses it (see Sharing).
 //
 // How it schedules:
 //
@@ -35,18 +38,15 @@
 //   - A worker's idle round is: claim a chunk, else spin, then park on a
 //     private futex word (std::atomic::wait). Callers wake exactly as many
 //     workers as the fan-out has chunks — no global condvar broadcast.
-//   - Workers can optionally be pinned to cpus from the machine topology
-//     (SCBNN_PIN=auto|off|compact|scatter, default off; topology.h).
-//   - Chunk stealing can be disabled (SCBNN_STEAL=off) to prove bit
-//     identity of results with stealing on vs off; it is the scaling
-//     benches' control.
 //
 // Sharing: any number of engines/pipelines may hold one executor through
 // a std::shared_ptr (std::make_shared<Executor>(n)). N models on one
-// executor never oversubscribe the machine the way N private pools would;
+// executor never oversubscribe the machine the way N private pools would.
 // parallel_for is safe for concurrent callers (each call carries its own
-// chunk table and error slot), and worker slot ids stay unique at any
-// instant, so per-model per-slot scratch never races.
+// chunk table and error slot). Per-slot scratch stays race-free because
+// each model owns its own per-slot buffers and has one caller at a time
+// (its Server's batch former): on a 1-worker executor several models'
+// jobs may share slot 0 concurrently, but never one model's buffers.
 #pragma once
 
 #include <atomic>
@@ -54,14 +54,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "runtime/topology.h"
 
 namespace scbnn::runtime {
 
@@ -94,22 +91,12 @@ class Executor {
 
   /// The worker count a requested `threads` value actually yields: 0 maps
   /// to std::thread::hardware_concurrency() (min 1), values above
-  /// kMaxThreads are clamped. Constructors use exactly this rule, so
+  /// kMaxThreads are clamped. The constructor uses exactly this rule, so
   /// callers sizing per-worker state from a config need not build an
   /// executor (or re-derive the rule) to know the answer.
   [[nodiscard]] static unsigned resolve_threads(unsigned threads) noexcept;
 
-  struct Options {
-    unsigned threads = 0;  ///< resolved through resolve_threads()
-    /// Chunk stealing; unset reads SCBNN_STEAL (off/0/false disable,
-    /// anything else — including unset — enables).
-    std::optional<bool> steal;
-    /// Worker pinning; unset reads SCBNN_PIN (default off).
-    std::optional<PinMode> pin;
-  };
-
   explicit Executor(unsigned threads = 0);
-  explicit Executor(const Options& options);
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -126,13 +113,6 @@ class Executor {
 
   /// Counter snapshot.
   [[nodiscard]] ExecutorStats stats() const;
-
-  [[nodiscard]] bool stealing_enabled() const noexcept { return steal_; }
-  [[nodiscard]] PinMode pin_mode() const noexcept { return pin_mode_; }
-  /// cpu each worker slot is pinned to; empty when pinning is off.
-  [[nodiscard]] const std::vector<int>& pin_targets() const noexcept {
-    return pin_plan_;
-  }
 
   /// The allocation-free fan-out primitive: a plain function pointer plus
   /// a context pointer, so dispatching a parallel_for never constructs a
@@ -199,7 +179,7 @@ class Executor {
 
   void worker_loop(unsigned slot);
   /// Claim and run one chunk of any active fan-out (home chunk first,
-  /// then — with stealing on — any other). False when none was claimable.
+  /// then any other). False when none was claimable.
   bool try_run_chunk(unsigned slot);
   void run_chunk(ForOp& op, int chunk, unsigned slot);
 
@@ -214,10 +194,6 @@ class Executor {
                                                        int chunk) noexcept;
   /// Worker slot of `this` executor the calling thread runs as, or -1.
   [[nodiscard]] int current_worker_slot() const noexcept;
-
-  bool steal_ = true;
-  PinMode pin_mode_ = PinMode::kOff;
-  std::vector<int> pin_plan_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<ForOp>> ops_;

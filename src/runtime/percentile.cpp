@@ -16,18 +16,6 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-LatencySummary summarize_latencies(std::vector<double> samples) {
-  LatencySummary summary;
-  if (samples.empty()) return summary;
-  std::sort(samples.begin(), samples.end());
-  summary.samples = static_cast<long>(samples.size());
-  summary.p50 = percentile(samples, 50.0);
-  summary.p95 = percentile(samples, 95.0);
-  summary.p99 = percentile(samples, 99.0);
-  summary.max = samples.back();
-  return summary;
-}
-
 // ---------------------------------------------------------- LatencyHistogram
 
 int LatencyHistogram::bucket_of(double ms) noexcept {

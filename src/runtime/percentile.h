@@ -2,9 +2,8 @@
 //
 // One definition of "p99" for the whole repo: linear interpolation between
 // closest ranks over a sorted sample (the same rule NumPy's default and the
-// previous bench-local helper used), so a latency number in BENCH_stream.json
-// is comparable to one in BENCH_serving.json and to a SensorSession's
-// StreamStats.
+// previous bench-local helper used), so a percentile perfbench reports is
+// comparable to a SensorSession's StreamStats.
 #pragma once
 
 #include <array>
@@ -18,18 +17,6 @@ namespace scbnn::runtime {
 /// for every p. The input must already be sorted — callers that batch many
 /// queries sort once.
 [[nodiscard]] double percentile(const std::vector<double>& sorted, double p);
-
-/// The serving layer's standard latency digest.
-struct LatencySummary {
-  long samples = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// Summarize an unsorted sample (sorts a copy; the input is untouched).
-[[nodiscard]] LatencySummary summarize_latencies(std::vector<double> samples);
 
 /// Mergeable fixed-log-bucket latency histogram.
 ///

@@ -33,23 +33,6 @@ void RequestQueue::push(Request&& request) {
   cv_.notify_one();
 }
 
-void RequestQueue::push_burst(std::vector<Request>&& burst) {
-  if (burst.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) {
-      throw std::runtime_error("RequestQueue: push after close");
-    }
-    if (queue_.size() + burst.size() > capacity_) {
-      throw QueueFullError(capacity_, queue_.size());  // all-or-nothing
-    }
-    for (Request& request : burst) {
-      queue_.push_back(std::move(request));
-    }
-  }
-  cv_.notify_one();
-}
-
 std::vector<Request> RequestQueue::pop_batch(
     int max_batch, std::chrono::microseconds max_delay) {
   // Bound the delay so enqueued_at + max_delay cannot overflow the

@@ -25,18 +25,15 @@
 namespace scbnn::runtime {
 
 /// Typed admission-control rejection: the request queue is at capacity.
-/// Carries the queue's bound and the depth observed at rejection, so
-/// backpressure policies can react to *how* full the queue was (a burst
-/// that missed by one frame is not a sustained overload).
+/// Carries the queue's bound and the depth observed at rejection.
 class QueueFullError : public std::runtime_error {
  public:
   QueueFullError(std::size_t capacity, std::size_t depth);
 
   /// The queue's configured bound.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Requests waiting when the push was rejected: == capacity for a
-  /// single-request push, possibly below it for an all-or-nothing burst
-  /// that did not fit as a whole.
+  /// Requests waiting when the push was rejected; a push is rejected only
+  /// at capacity, so this equals capacity().
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
  private:
@@ -63,10 +60,6 @@ class RequestQueue {
   /// Enqueue one request. Throws QueueFullError at capacity and
   /// std::runtime_error after close().
   void push(Request&& request);
-
-  /// Enqueue a small burst atomically: either every request is admitted or
-  /// none is (QueueFullError when the burst does not fit as a whole).
-  void push_burst(std::vector<Request>&& burst);
 
   /// Consumer side. Blocks until at least one request is waiting, then
   /// until `max_batch` requests are waiting or the oldest has waited

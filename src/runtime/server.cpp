@@ -60,7 +60,7 @@ Server::Server(Servable& backend, ServerConfig config)
 
 Server::~Server() { shutdown(); }
 
-Request Server::make_request(const float* image) const {
+std::future<Prediction> Server::submit(const float* image) {
   Request request;
   request.image.assign(image, image + kPixels);
   request.enqueued_at = ServeClock::now();
@@ -70,11 +70,6 @@ Request Server::make_request(const float* image) const {
     obs::trace_instant(obs::SpanName::kServerSubmit, request.trace_id,
                        queue_.size());
   }
-  return request;
-}
-
-std::future<Prediction> Server::submit(const float* image) {
-  Request request = make_request(image);
   std::future<Prediction> future = request.result.get_future();
   // Count acceptance *before* the enqueue: the batch former may complete
   // the request before this thread regains stats_mutex_, and a stats()
@@ -96,39 +91,6 @@ std::future<Prediction> Server::submit(const float* image) {
     throw;
   }
   return future;
-}
-
-std::vector<std::future<Prediction>> Server::submit_burst(const float* images,
-                                                          int n) {
-  if (n < 1) {
-    throw std::invalid_argument("Server::submit_burst: n must be >= 1");
-  }
-  std::vector<Request> burst;
-  std::vector<std::future<Prediction>> futures;
-  burst.reserve(static_cast<std::size_t>(n));
-  futures.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    burst.push_back(make_request(images + static_cast<std::size_t>(i) *
-                                              kPixels));
-    futures.push_back(burst.back().result.get_future());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.accepted += n;  // pre-counted, same invariant as submit()
-  }
-  try {
-    queue_.push_burst(std::move(burst));
-  } catch (const QueueFullError&) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.accepted -= n;
-    stats_.rejected += n;
-    throw;
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.accepted -= n;
-    throw;
-  }
-  return futures;
 }
 
 void Server::serve_loop() {

@@ -94,12 +94,6 @@ class Server {
   /// and std::runtime_error after shutdown.
   [[nodiscard]] std::future<Prediction> submit(const float* image);
 
-  /// Submit a small burst of `n` contiguous frames with all-or-nothing
-  /// admission: either every frame is queued (futures returned in order)
-  /// or none is (QueueFullError).
-  [[nodiscard]] std::vector<std::future<Prediction>> submit_burst(
-      const float* images, int n);
-
   /// Stop admitting requests, serve everything already queued, resolve all
   /// outstanding futures, and join the batch former. Idempotent; safe to
   /// call from any thread except the batch former itself.
@@ -130,7 +124,6 @@ class Server {
 
  private:
   void serve_loop();
-  [[nodiscard]] Request make_request(const float* image) const;
 
   Servable& backend_;
   ServerConfig config_;

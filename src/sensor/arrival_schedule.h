@@ -1,9 +1,9 @@
 // Deterministic arrival processes for synthetic sensor load.
 //
 // Extracted from the frame sources so every load generator in the repo —
-// DatasetReplaySource's stream gaps, bench/latency_under_load's open-loop
-// Poisson generator, and the fleet bench's thousand-session schedules —
-// draws inter-arrival times from one implementation with one seeding rule.
+// DatasetReplaySource's stream gaps, perfbench's open-loop arrivals, and
+// the fleet bench's thousand-session schedules — draws inter-arrival
+// times from one implementation with one seeding rule.
 // The same (config, seed) produces the same gap sequence on every run and
 // after every reset(), which is what the benches' bit-identity gates and
 // the replay tests lean on.

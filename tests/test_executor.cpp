@@ -1,9 +1,8 @@
 // Executor tests: lifecycle and exception safety of the parallel_for
 // contract, the concurrency contract (concurrent parallel_for callers,
-// exception mid-steal, shutdown racing callers),
-// steal-on/off bit identity across the fast SC backends, the
-// zero-allocation guarantee of the parallel_for hot path, per-worker stat
-// aggregation, and the pure topology/pin-plan layer.
+// exception mid-steal, shutdown racing callers), bit identity of the fast
+// SC backends' features across worker counts, the zero-allocation
+// guarantee of the parallel_for hot path, and per-worker stat aggregation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +22,6 @@
 #include "runtime/adaptive_pipeline.h"
 #include "runtime/backend_registry.h"
 #include "runtime/executor.h"
-#include "runtime/topology.h"
 
 #include "counting_allocator.h"
 
@@ -189,25 +187,7 @@ TEST(Executor, ShutdownRacingProducersNeverLosesAdmittedWork) {
   EXPECT_EQ(executed.load(), admitted.load() * 64);
 }
 
-// ------------------------------------------------------- steal on/off knob
-
-TEST(Executor, StealEnvToggleIsRespected) {
-  ASSERT_EQ(setenv("SCBNN_STEAL", "off", 1), 0);
-  EXPECT_FALSE(Executor(2).stealing_enabled());
-  ASSERT_EQ(setenv("SCBNN_STEAL", "0", 1), 0);
-  EXPECT_FALSE(Executor(2).stealing_enabled());
-  ASSERT_EQ(setenv("SCBNN_STEAL", "on", 1), 0);
-  EXPECT_TRUE(Executor(2).stealing_enabled());
-  ASSERT_EQ(unsetenv("SCBNN_STEAL"), 0);
-  EXPECT_TRUE(Executor(2).stealing_enabled());
-  // An explicit Options::steal wins over the environment.
-  ASSERT_EQ(setenv("SCBNN_STEAL", "off", 1), 0);
-  Executor::Options opt;
-  opt.threads = 2;
-  opt.steal = true;
-  EXPECT_TRUE(Executor(opt).stealing_enabled());
-  ASSERT_EQ(unsetenv("SCBNN_STEAL"), 0);
-}
+// ----------------------------------------------------------- bit identity
 
 nn::QuantizedConvWeights sample_qweights(int kernels, unsigned bits,
                                          std::uint64_t seed) {
@@ -232,10 +212,11 @@ std::unique_ptr<AdaptivePipeline> one_rung(const std::string& backend,
       std::move(rc));
 }
 
-TEST(Executor, StealOnOffBitIdenticalAcrossFastBackends) {
-  // The determinism acceptance gate: predictions of the fast SC backends
-  // must not depend on whether chunks were stolen — the job->output
-  // mapping is static, stealing only moves *where* a chunk runs.
+TEST(Executor, FeaturesBitIdenticalAcrossWorkerCounts) {
+  // The determinism acceptance gate: features of the fast SC backends
+  // must not depend on the worker count or on which worker ran a chunk —
+  // the job->output mapping is static, stealing only moves *where* a
+  // chunk runs.
   const auto qw = sample_qweights(4, 4, 21);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
@@ -243,24 +224,17 @@ TEST(Executor, StealOnOffBitIdenticalAcrossFastBackends) {
   const data::DataSplit split = data::generate_synthetic_mnist(23, 1, 17);
 
   for (const char* backend : {"sc-proposed-fast", "sc-conventional-fast"}) {
-    auto features_with = [&](bool steal, unsigned threads) {
-      Executor::Options opt;
-      opt.threads = threads;
-      opt.steal = steal;
+    auto features_with = [&](unsigned threads) {
       RuntimeConfig rc;
       rc.threads = threads;
       rc.chunk_images = 3;  // 23 images -> uneven chunks
-      rc.executor = std::make_shared<Executor>(opt);
       return one_rung(backend, qw, cfg, rc)->features(split.train.images);
     };
-    const nn::Tensor reference = features_with(false, 1);
-    for (bool steal : {false, true}) {
-      const nn::Tensor got = features_with(steal, 4);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(got[i], reference[i])
-            << backend << " steal=" << steal << " diverged at " << i;
-      }
+    const nn::Tensor reference = features_with(1);
+    const nn::Tensor got = features_with(4);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(got[i], reference[i]) << backend << " diverged at " << i;
     }
   }
 }
@@ -335,102 +309,6 @@ TEST(Executor, ServableExposesExecutorStats) {
   EXPECT_EQ(s.workers, 2u);
   EXPECT_GT(s.parallel_fors, 0u);
   EXPECT_GT(s.chunks_run, 0u);
-}
-
-// --------------------------------------------------------------- topology
-
-TEST(Topology, ParseCpuListHandlesRangesAndGarbage) {
-  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"),
-            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(parse_cpu_list("5"), (std::vector<int>{5}));
-  EXPECT_EQ(parse_cpu_list(""), (std::vector<int>{}));
-  // Malformed chunks are skipped, valid ones survive.
-  EXPECT_EQ(parse_cpu_list("x,2-1,4,-3"), (std::vector<int>{4}));
-}
-
-TEST(Topology, PinModeStringsRoundTripAndReject) {
-  for (PinMode mode : {PinMode::kOff, PinMode::kAuto, PinMode::kCompact,
-                       PinMode::kScatter}) {
-    EXPECT_EQ(pin_mode_from_string(to_string(mode)), mode);
-  }
-  EXPECT_THROW((void)pin_mode_from_string("numa"), std::invalid_argument);
-  EXPECT_THROW((void)pin_mode_from_string(""), std::invalid_argument);
-}
-
-TEST(Topology, PinModeFromEnvWarnsAndDefaultsOff) {
-  ASSERT_EQ(setenv("SCBNN_PIN", "scatter", 1), 0);
-  EXPECT_EQ(pin_mode_from_env(), PinMode::kScatter);
-  ASSERT_EQ(setenv("SCBNN_PIN", "not-a-mode", 1), 0);
-  EXPECT_EQ(pin_mode_from_env(), PinMode::kOff);  // warn, keep default
-  ASSERT_EQ(unsetenv("SCBNN_PIN"), 0);
-  EXPECT_EQ(pin_mode_from_env(), PinMode::kOff);
-}
-
-/// 2 packages x 2 physical cores x 2 SMT threads. Kernel cpu ids are laid
-/// out the common x86 way: primaries 0..3 first, SMT siblings 4..7.
-CpuTopology dual_socket_smt() {
-  CpuTopology topo;
-  topo.cpus = {
-      {0, 0, 0}, {1, 1, 0}, {2, 0, 1}, {3, 1, 1},  // one thread per core
-      {4, 0, 0}, {5, 1, 0}, {6, 0, 1}, {7, 1, 1},  // their SMT siblings
-  };
-  return topo;
-}
-
-TEST(Topology, SyntheticTopologyCounts) {
-  const CpuTopology topo = dual_socket_smt();
-  EXPECT_EQ(topo.physical_cores(), 4u);
-  EXPECT_EQ(topo.packages(), 2u);
-}
-
-TEST(Topology, CompactPlanFillsCoresBeforeSiblings) {
-  const CpuTopology topo = dual_socket_smt();
-  // Package 0's cores first, then package 1's — siblings only after every
-  // physical core already has a worker.
-  EXPECT_EQ(pin_plan(topo, 4, PinMode::kCompact),
-            (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(pin_plan(topo, 6, PinMode::kCompact),
-            (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  // More workers than cpus: the plan wraps so every worker has a target.
-  EXPECT_EQ(pin_plan(topo, 10, PinMode::kCompact),
-            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 0, 1}));
-}
-
-TEST(Topology, ScatterPlanRoundRobinsPackages) {
-  const CpuTopology topo = dual_socket_smt();
-  // Alternate packages: worker 0 -> package 0, worker 1 -> package 1, ...
-  EXPECT_EQ(pin_plan(topo, 4, PinMode::kScatter),
-            (std::vector<int>{0, 2, 1, 3}));
-  EXPECT_EQ(pin_plan(topo, 2, PinMode::kScatter), (std::vector<int>{0, 2}));
-}
-
-TEST(Topology, AutoPlanDeclinesWhenWorkersExceedPhysicalCores) {
-  const CpuTopology topo = dual_socket_smt();
-  EXPECT_EQ(pin_plan(topo, 4, PinMode::kAuto),
-            (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_TRUE(pin_plan(topo, 5, PinMode::kAuto).empty());
-  EXPECT_TRUE(pin_plan(topo, 4, PinMode::kOff).empty());
-  EXPECT_TRUE(pin_plan(CpuTopology{}, 4, PinMode::kCompact).empty());
-}
-
-TEST(Topology, ExecutorWithPinningStillServes) {
-  // On any machine the compact plan over the real topology is a valid
-  // affinity target per worker; pinning failures are best-effort no-ops,
-  // so the executor must work regardless.
-  Executor::Options opt;
-  opt.threads = 2;
-  opt.pin = PinMode::kCompact;
-  Executor pool(opt);
-  EXPECT_EQ(pool.pin_mode(), PinMode::kCompact);
-  EXPECT_EQ(pool.pin_targets().size(), 2u);
-  for (int cpu : pool.pin_targets()) EXPECT_GE(cpu, 0);
-  std::atomic<int> n{0};
-  pool.parallel_for(50, [&n](int, unsigned) { ++n; });
-  EXPECT_EQ(n.load(), 50);
-
-  Executor unpinned(2);
-  EXPECT_EQ(unpinned.pin_mode(), PinMode::kOff);
-  EXPECT_TRUE(unpinned.pin_targets().empty());
 }
 
 }  // namespace

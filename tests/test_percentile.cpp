@@ -1,9 +1,8 @@
 // Percentile helper tests: the edge cases every latency report depends on
-// (empty and single samples, ties, interpolation between ranks, clamped p),
-// the summarize_latencies digest, and the mergeable LatencyHistogram — in
-// particular that merging per-shard histograms answers percentiles within
-// one bucket width of pooling the raw samples, which is what licenses the
-// fleet's cross-process p99s.
+// (empty and single samples, ties, interpolation between ranks, clamped p)
+// and the mergeable LatencyHistogram — in particular that merging per-shard
+// histograms answers percentiles within one bucket width of pooling the raw
+// samples, which is what licenses the fleet's cross-process p99s.
 #include "runtime/percentile.h"
 
 #include <gtest/gtest.h>
@@ -64,24 +63,6 @@ TEST(Percentile, PartialTiesPlateau) {
   // Half the sample is tied at 2.0: the median sits inside the plateau.
   const std::vector<double> sorted = {1.0, 2.0, 2.0, 2.0, 9.0, 10.0};
   EXPECT_DOUBLE_EQ(percentile(sorted, 50.0), 2.0);
-}
-
-TEST(SummarizeLatencies, SortsACopyAndFillsTheDigest) {
-  const std::vector<double> unsorted = {9.0, 1.0, 5.0, 3.0, 7.0};
-  const LatencySummary s = summarize_latencies(unsorted);
-  EXPECT_EQ(s.samples, 5);
-  EXPECT_DOUBLE_EQ(s.p50, 5.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_GE(s.p99, s.p95);
-  EXPECT_GE(s.p95, s.p50);
-}
-
-TEST(SummarizeLatencies, EmptyDigestIsAllZero) {
-  const LatencySummary s = summarize_latencies({});
-  EXPECT_EQ(s.samples, 0);
-  EXPECT_EQ(s.p50, 0.0);
-  EXPECT_EQ(s.p99, 0.0);
-  EXPECT_EQ(s.max, 0.0);
 }
 
 // One bucket width in relative terms: adjacent bucket edges are a factor of

@@ -36,22 +36,6 @@ TEST(RequestQueue, QueueFullErrorCarriesCapacityAndDepth) {
   }
 }
 
-TEST(RequestQueue, BurstRejectionReportsCurrentDepth) {
-  RequestQueue queue(4);
-  queue.push(make_request(0, 0));
-  queue.push(make_request(0, 1));
-  std::vector<Request> burst;
-  for (int i = 0; i < 3; ++i) burst.push_back(make_request(1, i));
-  try {
-    queue.push_burst(std::move(burst));
-    FAIL() << "burst past capacity must throw QueueFullError";
-  } catch (const QueueFullError& e) {
-    EXPECT_EQ(e.capacity(), 4u);
-    EXPECT_EQ(e.depth(), 2u);  // what was queued when the burst bounced
-  }
-  EXPECT_EQ(queue.size(), 2u);  // all-or-nothing: nothing was admitted
-}
-
 TEST(RequestQueue, CloseWakesAConsumerWaitingOnAFullQueue) {
   // The queue is full but below max_batch, so the consumer sits in the
   // deadline wait hoping for companions that can never be admitted.

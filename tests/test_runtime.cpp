@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -302,34 +303,43 @@ struct FastTailRig {
   }
 };
 
-// The acceptance gate: classify()'s labels AND margins are bit-identical
-// to the Network::forward + softmax_margins reference, across thread
-// counts and odd batch sizes (1, 7, max) at the ambient dispatch level
-// (CI reruns this suite with SCBNN_SIMD=scalar).
+// The acceptance gate: for every registered backend, classify()'s labels
+// AND margins are bit-identical to the Network::forward + softmax_margins
+// reference and to the 1-thread predictions, across thread counts and odd
+// batch sizes (1, 7, max) at the ambient dispatch level (CI reruns this
+// suite with SCBNN_SIMD=scalar).
 TEST(FastTail, ClassifyBitIdenticalToReferenceAcrossThreadsAndBatches) {
   const data::DataSplit split = data::generate_synthetic_mnist(16, 1, 41);
-  for (const unsigned threads : {1u, 3u}) {
-    FastTailRig rig(threads, 3);
-    for (const int n : {1, 7, 16}) {
-      nn::Tensor batch({n, 1, 28, 28});
-      std::copy(split.train.images.data(),
-                split.train.images.data() + batch.size(), batch.data());
+  for (const std::string& backend : BackendRegistry::instance().names()) {
+    std::map<int, std::vector<Prediction>> one_thread;  // by batch size
+    for (const unsigned threads : {1u, 3u}) {
+      FastTailRig rig(threads, 3, backend);
+      for (const int n : {1, 7, 16}) {
+        nn::Tensor batch({n, 1, 28, 28});
+        std::copy(split.train.images.data(),
+                  split.train.images.data() + batch.size(), batch.data());
 
-      const nn::Tensor feats = rig.pipeline->features(batch);
-      const nn::Tensor ref_logits = rig.ref_tail.forward(feats, false);
-      const auto ref_margins = nn::softmax_margins(ref_logits);
+        const nn::Tensor feats = rig.pipeline->features(batch);
+        const nn::Tensor ref_logits = rig.ref_tail.forward(feats, false);
+        const auto ref_margins = nn::softmax_margins(ref_logits);
 
-      std::vector<Prediction> preds(static_cast<std::size_t>(n));
-      (void)rig.pipeline->classify(batch.data(), n, preds.data());
-      for (int i = 0; i < n; ++i) {
-        const auto& rm = ref_margins[static_cast<std::size_t>(i)];
-        ASSERT_EQ(preds[static_cast<std::size_t>(i)].label, rm.best)
-            << "threads=" << threads << " n=" << n << " image " << i;
-        ASSERT_EQ(
-            std::bit_cast<std::uint64_t>(
-                preds[static_cast<std::size_t>(i)].margin),
-            std::bit_cast<std::uint64_t>(rm.margin))
-            << "threads=" << threads << " n=" << n << " image " << i;
+        std::vector<Prediction> preds(static_cast<std::size_t>(n));
+        (void)rig.pipeline->classify(batch.data(), n, preds.data());
+        if (threads == 1) one_thread[n] = preds;
+        const auto& serial = one_thread.at(n);
+        for (int i = 0; i < n; ++i) {
+          SCOPED_TRACE(backend + " threads=" + std::to_string(threads) +
+                       " n=" + std::to_string(n) + " image " +
+                       std::to_string(i));
+          const auto k = static_cast<std::size_t>(i);
+          const auto margin = std::bit_cast<std::uint64_t>(preds[k].margin);
+          ASSERT_EQ(preds[k].label, ref_margins[k].best);
+          ASSERT_EQ(margin,
+                    std::bit_cast<std::uint64_t>(ref_margins[k].margin));
+          ASSERT_EQ(preds[k].label, serial[k].label) << "vs 1 thread";
+          ASSERT_EQ(margin, std::bit_cast<std::uint64_t>(serial[k].margin))
+              << "vs 1 thread";
+        }
       }
     }
   }

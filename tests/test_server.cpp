@@ -316,38 +316,12 @@ TEST(Server, FullQueueRejectsInsteadOfBlocking) {
   auto queued1 = server.submit(frame.data());
   auto queued2 = server.submit(frame.data());
   EXPECT_THROW((void)server.submit(frame.data()), QueueFullError);
-  // Burst admission is all-or-nothing against the same bound.
-  EXPECT_THROW((void)server.submit_burst(frame.data(), 1), QueueFullError);
-  EXPECT_EQ(server.stats().rejected, 2);
+  EXPECT_EQ(server.stats().rejected, 1);
 
   backend.release();
   EXPECT_EQ(pinned.get().label, 1);
   EXPECT_EQ(queued1.get().label, 1);
   EXPECT_EQ(queued2.get().label, 1);
-}
-
-TEST(Server, BurstIsAllOrNothing) {
-  BlockingServable backend;
-  ServerConfig cfg;
-  cfg.max_batch = 1;
-  cfg.max_delay_us = 0;
-  cfg.queue_capacity = 3;
-  Server server(backend, cfg);
-  const std::vector<float> frames(4 * kPixels, 0.5f);
-
-  auto pinned = server.submit(frames.data());
-  backend.wait_until_entered(1);
-  // 3 fit exactly; a burst of 4 would have been rejected wholesale.
-  EXPECT_THROW((void)server.submit_burst(frames.data(), 4), QueueFullError);
-  auto futures = server.submit_burst(frames.data(), 3);
-  EXPECT_EQ(futures.size(), 3u);
-
-  backend.release();
-  for (auto& f : futures) EXPECT_EQ(f.get().label, 1);
-  (void)pinned.get();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.rejected, 4);
-  EXPECT_EQ(stats.accepted, 4);
 }
 
 // --------------------------------------------- graceful shutdown (criterion d)
@@ -481,58 +455,69 @@ TEST(SharedExecutor, ModelsOnOnePoolMatchPrivatePoolModels) {
 }
 
 TEST(SharedExecutor, ServersOnOneExecutorServeConcurrently) {
+  // Four models, each behind its own Server, on one executor of 1, 2 and
+  // 4 workers. The 1-worker case runs every batch former's fan-out inline
+  // under slot 0 at once, so it holds the executor's per-model slot
+  // contract.
   const int n = 24;
   const nn::Tensor frames = test_frames(n);
-  RuntimeConfig rc;
-  rc.executor = std::make_shared<Executor>(2);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    RuntimeConfig rc;
+    rc.executor = std::make_shared<Executor>(workers);
 
-  auto a = make_backend(3, rc);
-  auto b = make_backend(5, rc);
-  auto c = make_backend(7, rc);
-  const auto direct_a = a->classify(frames);
-  const auto direct_b = b->classify(frames);
-  const auto direct_c = c->classify(frames);
+    std::vector<std::unique_ptr<AdaptivePipeline>> models;
+    std::vector<std::vector<Prediction>> direct;
+    for (const unsigned bits : {3u, 4u, 5u, 7u}) {
+      models.push_back(make_backend(bits, rc));
+      direct.push_back(models.back()->classify(frames));
+    }
+    std::vector<std::unique_ptr<Server>> servers;
+    for (auto& model : models) {
+      servers.push_back(std::make_unique<Server>(*model));
+    }
 
-  Server sa(*a);
-  Server sb(*b);
-  Server sc(*c);
+    // Interleave submissions so the four batch formers overlap on the one
+    // executor; every prediction must still match its model's direct
+    // result.
+    std::vector<std::vector<std::future<Prediction>>> futures(servers.size());
+    for (int i = 0; i < n; ++i) {
+      const float* frame =
+          frames.data() + static_cast<std::size_t>(i) * kPixels;
+      for (std::size_t m = 0; m < servers.size(); ++m) {
+        futures[m].push_back(servers[m]->submit(frame));
+      }
+    }
+    for (std::size_t m = 0; m < servers.size(); ++m) {
+      for (std::size_t k = 0; k < futures[m].size(); ++k) {
+        const Prediction got = futures[m][k].get();
+        EXPECT_EQ(got.label, direct[m][k].label)
+            << "model " << m << " frame " << k;
+        EXPECT_EQ(got.margin, direct[m][k].margin)
+            << "model " << m << " frame " << k;
+      }
+    }
 
-  // Interleave submissions so the three batch formers overlap on the one
-  // executor; every prediction must still match its model's direct result.
-  std::vector<std::future<Prediction>> fa, fb, fc;
-  for (int i = 0; i < n; ++i) {
-    const float* frame =
-        frames.data() + static_cast<std::size_t>(i) * kPixels;
-    fa.push_back(sa.submit(frame));
-    fb.push_back(sb.submit(frame));
-    fc.push_back(sc.submit(frame));
-  }
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(fa[static_cast<std::size_t>(i)].get().label,
-              direct_a[static_cast<std::size_t>(i)].label);
-    EXPECT_EQ(fb[static_cast<std::size_t>(i)].get().label,
-              direct_b[static_cast<std::size_t>(i)].label);
-    EXPECT_EQ(fc[static_cast<std::size_t>(i)].get().label,
-              direct_c[static_cast<std::size_t>(i)].label);
-  }
-
-  // Each Server counts only its own traffic...
-  for (const Server* server : {&sa, &sb, &sc}) {
-    EXPECT_EQ(server->stats().completed, n);
-  }
-  // ...while all three report the one executor's counters. Idle workers
-  // may still park (and a late thief may still count a lost attempt), so
-  // compare the fields that settle once every fan-out has returned.
-  const ExecutorStats ea = sa.executor_stats();
-  EXPECT_EQ(ea.workers, 2u);
-  EXPECT_GT(ea.parallel_fors, 0u);
-  EXPECT_GT(ea.chunks_run, 0u);
-  for (const Server* server : {&sb, &sc}) {
-    const ExecutorStats e = server->executor_stats();
-    EXPECT_EQ(e.workers, ea.workers);
-    EXPECT_EQ(e.parallel_fors, ea.parallel_fors);
-    EXPECT_EQ(e.chunks_run, ea.chunks_run);
-    EXPECT_EQ(e.steals, ea.steals);
+    // Each Server counts only its own traffic...
+    for (const auto& server : servers) {
+      EXPECT_EQ(server->stats().completed, n);
+    }
+    // ...while all four report the one executor's counters. Idle workers
+    // may still park (and a late thief may still count a lost attempt), so
+    // compare the fields that settle once every fan-out has returned.
+    const ExecutorStats first = servers.front()->executor_stats();
+    EXPECT_EQ(first.workers, workers);
+    EXPECT_GT(first.parallel_fors, 0u);
+    // One worker runs every fan-out inline; with more, chunks must reach
+    // the worker threads.
+    if (workers > 1) EXPECT_GT(first.chunks_run, 0u);
+    for (const auto& server : servers) {
+      const ExecutorStats e = server->executor_stats();
+      EXPECT_EQ(e.workers, first.workers);
+      EXPECT_EQ(e.parallel_fors, first.parallel_fors);
+      EXPECT_EQ(e.chunks_run, first.chunks_run);
+      EXPECT_EQ(e.steals, first.steals);
+    }
   }
 }
 
