@@ -1,5 +1,7 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -22,23 +24,27 @@ void Conv2D::im2col(const float* x, int c, int h, int w, int kernel, int pad,
                     float* col) {
   const int out_h = h + 2 * pad - kernel + 1;
   const int out_w = w + 2 * pad - kernel + 1;
-  const int cols = out_h * out_w;
+  float* dst = col;
   for (int ch = 0; ch < c; ++ch) {
+    const float* xc = x + static_cast<std::size_t>(ch) * h * w;
     for (int ki = 0; ki < kernel; ++ki) {
       for (int kj = 0; kj < kernel; ++kj) {
-        const int row = (ch * kernel + ki) * kernel + kj;
-        float* dst = col + static_cast<std::size_t>(row) * cols;
-        for (int oi = 0; oi < out_h; ++oi) {
+        // Output columns [lo, hi) read image columns lo + kj - pad onward;
+        // the columns either side of the run read the zero border, and so
+        // does a whole row whose run is empty or whose image row is.
+        const int lo = std::clamp(pad - kj, 0, out_w);
+        const int hi = std::clamp(w + pad - kj, lo, out_w);
+        for (int oi = 0; oi < out_h; ++oi, dst += out_w) {
           const int src_i = oi + ki - pad;
-          for (int oj = 0; oj < out_w; ++oj) {
-            const int src_j = oj + kj - pad;
-            const bool in_bounds =
-                src_i >= 0 && src_i < h && src_j >= 0 && src_j < w;
-            dst[oi * out_w + oj] =
-                in_bounds
-                    ? x[(static_cast<std::size_t>(ch) * h + src_i) * w + src_j]
-                    : 0.0f;
+          if (src_i < 0 || src_i >= h || lo == hi) {
+            std::fill_n(dst, out_w, 0.0f);
+            continue;
           }
+          std::fill_n(dst, lo, 0.0f);
+          std::memcpy(dst + lo,
+                      xc + static_cast<std::size_t>(src_i) * w + lo + kj - pad,
+                      static_cast<std::size_t>(hi - lo) * sizeof(float));
+          std::fill_n(dst + hi, out_w - hi, 0.0f);
         }
       }
     }

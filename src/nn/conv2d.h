@@ -1,4 +1,6 @@
-// 2-D convolution layer (stride 1) via im2col + GEMM.
+// 2-D convolution layer (stride 1) via im2col + GEMM: the training path and
+// the reference order. Serving runs the same per-output float sequence
+// without the im2col panel (nn/inference_plan.h).
 #pragma once
 
 #include "nn/init.h"
@@ -29,7 +31,9 @@ class Conv2D final : public Layer {
   [[nodiscard]] int in_channels() const noexcept { return in_c_; }
   [[nodiscard]] int out_channels() const noexcept { return out_c_; }
 
-  /// im2col for one image: x [C,H,W] -> col [C*K*K, outH*outW].
+  /// im2col for one image: x [C,H,W] -> col [C*K*K, outH*outW]. Each
+  /// output row is one copied run of image pixels with zeros either side
+  /// where the window overhangs the padding.
   static void im2col(const float* x, int c, int h, int w, int kernel, int pad,
                      float* col);
   /// Transpose of im2col: accumulate col gradients back into the image.

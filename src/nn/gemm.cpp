@@ -42,8 +42,8 @@ Level resolve_level() {
 }
 
 void gemm_rowbias_act_scalar(const float* a, const float* b,
-                             const float* row_bias, float* c, int m, int k,
-                             int n, bool relu) {
+                             const std::size_t* b_row, const float* row_bias,
+                             float* c, int m, int k, int n, bool relu) {
   for (int i = 0; i < m; ++i) {
     float* crow = c + static_cast<std::size_t>(i) * n;
     const float bias = row_bias[i];
@@ -51,7 +51,7 @@ void gemm_rowbias_act_scalar(const float* a, const float* b,
     const float* arow = a + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
-      const float* brow = b + static_cast<std::size_t>(p) * n;
+      const float* brow = b + b_row[p];
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
     if (relu) {
@@ -123,13 +123,14 @@ std::vector<Level> available_levels() {
   return levels;
 }
 
-void gemm_rowbias_act(const float* a, const float* b, const float* row_bias,
+void gemm_rowbias_act(const float* a, const float* b,
+                      const std::size_t* b_row, const float* row_bias,
                       float* c, int m, int k, int n, bool relu, Level level) {
   if (level == Level::kAvx2) {
-    detail::gemm_rowbias_act_avx2(a, b, row_bias, c, m, k, n, relu);
+    detail::gemm_rowbias_act_avx2(a, b, b_row, row_bias, c, m, k, n, relu);
     return;
   }
-  gemm_rowbias_act_scalar(a, b, row_bias, c, m, k, n, relu);
+  gemm_rowbias_act_scalar(a, b, b_row, row_bias, c, m, k, n, relu);
 }
 
 void gemm_colbias_act(const float* a, const float* b, const float* col_bias,

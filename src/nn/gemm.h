@@ -35,10 +35,14 @@ enum class Level { kScalar = 0, kAvx2 = 1 };
 
 /// C[i,j] = relu?( row_bias[i] + sum_p A[i,p] * B[p,j] ), accumulation
 /// STARTING at the bias — the operation order of Conv2D::forward's fused
-/// bias-init GEMM (A = conv weights [outC, inC*K*K], B = im2col patch
-/// matrix [inC*K*K, outH*outW], row_bias = per-output-channel bias).
-/// All matrices row-major, no aliasing.
-void gemm_rowbias_act(const float* a, const float* b, const float* row_bias,
+/// bias-init GEMM (A = conv weights [outC, inC*K*K], row_bias =
+/// per-output-channel bias). Row p of B is the n floats starting at
+/// `b + b_row[p]`: a dense row-major [k, n] matrix is b_row[p] = p*n, and
+/// a stride-1 conv reads its source image in place with b_row[p] = the
+/// offset of tap p's window, rows overlapping (InferencePlan builds the
+/// table). A and C are row-major; C aliases neither A nor B.
+void gemm_rowbias_act(const float* a, const float* b,
+                      const std::size_t* b_row, const float* row_bias,
                       float* c, int m, int k, int n, bool relu, Level level);
 
 /// C[i,j] = relu?( (sum_p A[i,p] * B[p,j]) + col_bias[j] ), accumulation
@@ -66,8 +70,8 @@ namespace detail {
 
 // AVX2 entry points (defined in gemm_avx2.cpp; stubs elsewhere).
 void gemm_rowbias_act_avx2(const float* a, const float* b,
-                           const float* row_bias, float* c, int m, int k,
-                           int n, bool relu);
+                           const std::size_t* b_row, const float* row_bias,
+                           float* c, int m, int k, int n, bool relu);
 void gemm_colbias_act_avx2(const float* a, const float* b,
                            const float* col_bias, float* c, int m, int k,
                            int n, bool relu);

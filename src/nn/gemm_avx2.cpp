@@ -20,14 +20,31 @@ namespace scbnn::nn::kern::detail {
 
 namespace {
 
+// Where row p of B starts: a dense row-major [k, n] matrix (the dense
+// GEMM), or a table of offsets (the conv GEMM; see nn/gemm.h).
+struct DenseRows {
+  const float* b;
+  int n;
+  const float* operator()(int p) const {
+    return b + static_cast<std::size_t>(p) * n;
+  }
+};
+
+struct OffsetRows {
+  const float* b;
+  const std::size_t* b_row;
+  const float* operator()(int p) const { return b + b_row[p]; }
+};
+
 // One tile of MR rows x (vectorized) columns of C for the shared inner
 // pattern of both GEMMs: init each accumulator from `init[r]` (the row
 // bias or 0), run the k-loop with one broadcast-mul-add per (row, p),
 // optionally add a per-column bias vector, optionally ReLU, store.
 // Column blocks go 16-wide (2 ymm per row), then 8-wide, then scalar —
 // the scalar remainder replays the reference loop element by element.
-template <int MR>
-inline void gemm_tile(const float* a, const float* b, const float* init,
+// Every load stays inside B's rows [rows(p), rows(p) + n).
+template <int MR, typename Rows>
+inline void gemm_tile(const float* a, Rows rows, const float* init,
                       const float* col_bias, float* c, int k, int n,
                       bool relu, int i0) {
   const float* arow[MR];
@@ -45,7 +62,7 @@ inline void gemm_tile(const float* a, const float* b, const float* init,
       acc1[r] = acc0[r];
     }
     for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + j;
+      const float* brow = rows(p) + j;
       const __m256 b0 = _mm256_loadu_ps(brow);
       const __m256 b1 = _mm256_loadu_ps(brow + 8);
       for (int r = 0; r < MR; ++r) {
@@ -71,7 +88,7 @@ inline void gemm_tile(const float* a, const float* b, const float* init,
     __m256 acc[MR];
     for (int r = 0; r < MR; ++r) acc[r] = _mm256_set1_ps(init[r]);
     for (int p = 0; p < k; ++p) {
-      const __m256 b0 = _mm256_loadu_ps(b + static_cast<std::size_t>(p) * n + j);
+      const __m256 b0 = _mm256_loadu_ps(rows(p) + j);
       for (int r = 0; r < MR; ++r) {
         const __m256 av = _mm256_set1_ps(arow[r][p]);
         acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(av, b0));
@@ -89,7 +106,7 @@ inline void gemm_tile(const float* a, const float* b, const float* init,
     for (int r = 0; r < MR; ++r) {
       float acc = init[r];
       for (int p = 0; p < k; ++p) {
-        acc += arow[r][p] * b[static_cast<std::size_t>(p) * n + j];
+        acc += arow[r][p] * rows(p)[j];
       }
       if (col_bias != nullptr) acc += col_bias[j];
       if (relu) acc = acc > 0.0f ? acc : 0.0f;
@@ -98,33 +115,34 @@ inline void gemm_tile(const float* a, const float* b, const float* init,
   }
 }
 
-inline void gemm_any(const float* a, const float* b, const float* row_bias,
+template <typename Rows>
+inline void gemm_any(const float* a, Rows rows, const float* row_bias,
                      const float* col_bias, float* c, int m, int k, int n,
                      bool relu) {
   const float zeros4[4] = {0.0f, 0.0f, 0.0f, 0.0f};
   int i = 0;
   for (; i + 4 <= m; i += 4) {
     const float* init = row_bias != nullptr ? row_bias + i : zeros4;
-    gemm_tile<4>(a, b, init, col_bias, c, k, n, relu, i);
+    gemm_tile<4>(a, rows, init, col_bias, c, k, n, relu, i);
   }
   for (; i < m; ++i) {
     const float* init = row_bias != nullptr ? row_bias + i : zeros4;
-    gemm_tile<1>(a, b, init, col_bias, c, k, n, relu, i);
+    gemm_tile<1>(a, rows, init, col_bias, c, k, n, relu, i);
   }
 }
 
 }  // namespace
 
 void gemm_rowbias_act_avx2(const float* a, const float* b,
-                           const float* row_bias, float* c, int m, int k,
-                           int n, bool relu) {
-  gemm_any(a, b, row_bias, nullptr, c, m, k, n, relu);
+                           const std::size_t* b_row, const float* row_bias,
+                           float* c, int m, int k, int n, bool relu) {
+  gemm_any(a, OffsetRows{b, b_row}, row_bias, nullptr, c, m, k, n, relu);
 }
 
 void gemm_colbias_act_avx2(const float* a, const float* b,
                            const float* col_bias, float* c, int m, int k,
                            int n, bool relu) {
-  gemm_any(a, b, nullptr, col_bias, c, m, k, n, relu);
+  gemm_any(a, DenseRows{b, n}, nullptr, col_bias, c, m, k, n, relu);
 }
 
 void maxpool2_avx2(const float* x, int planes, int h, int w, float* y) {
@@ -188,8 +206,8 @@ namespace scbnn::nn::kern::detail {
 
 bool avx2_compiled() noexcept { return false; }
 
-void gemm_rowbias_act_avx2(const float*, const float*, const float*, float*,
-                           int, int, int, bool) {}
+void gemm_rowbias_act_avx2(const float*, const float*, const std::size_t*,
+                           const float*, float*, int, int, int, bool) {}
 void gemm_colbias_act_avx2(const float*, const float*, const float*, float*,
                            int, int, int, bool) {}
 void maxpool2_avx2(const float*, int, int, int, float*) {}

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -18,6 +19,22 @@ namespace {
 [[noreturn]] void bad_layer(std::size_t idx, const std::string& what) {
   throw std::invalid_argument("InferencePlan: layer " + std::to_string(idx) +
                               ": " + what);
+}
+
+/// One [c, h, w] image into the middle of a zeroed [c, h + 2*pad,
+/// w + 2*pad] buffer.
+void copy_bordered(const float* x, int c, int h, int w, int pad,
+                   float* dst) {
+  const int bh = h + 2 * pad, bw = w + 2 * pad;
+  std::fill_n(dst, static_cast<std::size_t>(c) * bh * bw, 0.0f);
+  for (int ch = 0; ch < c; ++ch) {
+    for (int i = 0; i < h; ++i) {
+      std::memcpy(dst + (static_cast<std::size_t>(ch) * bh + i + pad) * bw +
+                      pad,
+                  x + (static_cast<std::size_t>(ch) * h + i) * w,
+                  static_cast<std::size_t>(w) * sizeof(float));
+    }
+  }
 }
 
 }  // namespace
@@ -60,13 +77,30 @@ InferencePlan::InferencePlan(Network& net, int in_c, int in_h, int in_w)
       step.out_c = conv->out_channels();
       step.out_h = oh;
       step.out_w = ow;
-      step.kernel = k;
       step.pad = pad;
       step.w = conv->weights().data();
       step.b = conv->bias().data();
-      const std::size_t krows = static_cast<std::size_t>(c) * k * k;
-      col_size_ = std::max(col_size_,
-                           krows * static_cast<std::size_t>(oh) * ow);
+      const int src_h = h + 2 * pad;
+      step.src_w = w + 2 * pad;
+      step.lanes = (oh - 1) * step.src_w + ow;
+      for (int ch = 0; ch < c; ++ch) {
+        for (int ki = 0; ki < k; ++ki) {
+          for (int kj = 0; kj < k; ++kj) {
+            step.b_row.push_back(
+                (static_cast<std::size_t>(ch) * src_h + ki) * step.src_w +
+                kj);
+          }
+        }
+      }
+      if (pad > 0) {
+        bordered_size_ =
+            std::max(bordered_size_,
+                     static_cast<std::size_t>(c) * src_h * step.src_w);
+      }
+      lanes_size_ = std::max(lanes_size_,
+                             static_cast<std::size_t>(step.out_c) *
+                                 step.lanes);
+      const std::size_t krows = step.b_row.size();
       flops_ += 2.0 * step.out_c * static_cast<double>(krows) * oh * ow;
     } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
       const int out_f = dense->weights().dim(0);
@@ -119,7 +153,7 @@ InferencePlan::InferencePlan(Network& net, int in_c, int in_h, int in_w)
     h = step.out_h;
     w = step.out_w;
     max_act_ = std::max(max_act_, step.out_size());
-    steps_.push_back(step);
+    steps_.push_back(std::move(step));
   }
   classes_ = static_cast<int>(static_cast<std::size_t>(c) * h * w);
   refresh_params();
@@ -150,7 +184,8 @@ InferencePlan::Arena InferencePlan::make_arena(int max_images) const {
   a.max_images = max_images;
   a.ping.resize(max_act_ * static_cast<std::size_t>(max_images));
   a.pong.resize(max_act_ * static_cast<std::size_t>(max_images));
-  a.col.resize(col_size_);
+  a.bordered.resize(bordered_size_);
+  a.lanes.resize(lanes_size_);
   return a;
 }
 
@@ -177,18 +212,30 @@ void InferencePlan::run(const float* x, int n, float* logits, Arena& arena,
         kern::maxpool2(cur, n * step.in_c, step.in_h, step.in_w, out, level);
         break;
       case Step::Kind::kConv: {
-        const std::size_t in_size = step.in_size();
-        const std::size_t out_size = step.out_size();
-        const int krows = step.in_c * step.kernel * step.kernel;
-        const int cols = step.out_h * step.out_w;
+        const int krows = static_cast<int>(step.b_row.size());
+        const std::size_t row_bytes =
+            static_cast<std::size_t>(step.out_w) * sizeof(float);
+        float* dst = out;
         for (int img = 0; img < n; ++img) {
-          Conv2D::im2col(cur + static_cast<std::size_t>(img) * in_size,
-                         step.in_c, step.in_h, step.in_w, step.kernel,
-                         step.pad, arena.col.data());
-          kern::gemm_rowbias_act(step.w, arena.col.data(), step.b,
-                                 out + static_cast<std::size_t>(img) *
-                                           out_size,
-                                 step.out_c, krows, cols, step.relu, level);
+          const float* src =
+              cur + static_cast<std::size_t>(img) * step.in_size();
+          if (step.pad > 0) {
+            copy_bordered(src, step.in_c, step.in_h, step.in_w, step.pad,
+                          arena.bordered.data());
+            src = arena.bordered.data();
+          }
+          kern::gemm_rowbias_act(step.w, src, step.b_row.data(), step.b,
+                                 arena.lanes.data(), step.out_c, krows,
+                                 step.lanes, step.relu, level);
+          for (int oc = 0; oc < step.out_c; ++oc) {
+            const float* lane_row = arena.lanes.data() +
+                                    static_cast<std::size_t>(oc) * step.lanes;
+            for (int oi = 0; oi < step.out_h; ++oi) {
+              std::memcpy(dst, lane_row, row_bytes);
+              dst += step.out_w;
+              lane_row += step.src_w;
+            }
+          }
         }
         break;
       }

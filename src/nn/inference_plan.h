@@ -4,9 +4,11 @@
 // loops — fine for training, wasteful for serving. InferencePlan walks the
 // network once at build time, resolves every intermediate shape, packs the
 // Dense weights into GEMM-friendly layout, and fuses conv→bias→ReLU and
-// dense→bias→ReLU into single microkernel calls (nn/gemm.h). At run time
-// the plan executes out of a caller-owned Arena (ping-pong activation
-// buffers + im2col scratch), so the warm path performs ZERO heap
+// dense→bias→ReLU into single microkernel calls (nn/gemm.h). A conv step
+// builds no im2col panel: its GEMM reads the input image in place through
+// a plan-time table of tap offsets (see Step). At run time the plan
+// executes out of a caller-owned Arena (ping-pong activation buffers plus
+// one image of conv scratch), so the warm path performs ZERO heap
 // allocations per batch — a property regression tests enforce by counting
 // operator new calls.
 //
@@ -31,10 +33,12 @@ class InferencePlan {
  public:
   /// Caller-owned scratch for one worker: two ping-pong activation buffers
   /// sized for `max_images()` images at the widest intermediate shape,
-  /// plus one image worth of im2col columns. Build with make_arena(); a
-  /// given Arena is only valid for the plan that built it.
+  /// plus one image of conv scratch: the zero-bordered copy of a padded
+  /// conv's input, and the conv GEMM's lanes before the real ones are
+  /// kept. Build with make_arena(); a given Arena is only valid for the
+  /// plan that built it.
   struct Arena {
-    std::vector<float> ping, pong, col;
+    std::vector<float> ping, pong, bordered, lanes;
     int max_images = 0;
   };
 
@@ -73,7 +77,16 @@ class InferencePlan {
     bool relu = false;                   // fused activation (conv/dense)
     const float* w = nullptr;            // conv weights [outC, inC*K*K]
     const float* b = nullptr;            // bias (conv: outC, dense: outF)
-    int kernel = 0, pad = 0;             // conv geometry
+    // A conv reads its input through a zero border of `pad`: a source of
+    // [in_c, src_h, src_w], src_h = in_h + 2*pad, src_w = in_w + 2*pad
+    // (the input itself when pad == 0). GEMM column t is output row
+    // t / src_w, column t % src_w: `lanes` = (out_h-1)*src_w + out_w
+    // columns, whose last tap reads the source's last float; the
+    // src_w - out_w wrapped columns of each row are computed and dropped.
+    // Tap p = (ch*K + ki)*K + kj starts at b_row[p] = (ch*src_h + ki)*src_w
+    // + kj.
+    int pad = 0, src_w = 0, lanes = 0;
+    std::vector<std::size_t> b_row;
     Dense* dense = nullptr;              // source layer for re-packing
     std::size_t packed_off = 0;          // dense weights into packed_
     [[nodiscard]] std::size_t in_size() const noexcept {
@@ -91,7 +104,8 @@ class InferencePlan {
   /// Widest per-image step output: what the ping-pong buffers hold. The
   /// input is read in place and never copied into them.
   std::size_t max_act_ = 0;
-  std::size_t col_size_ = 0; ///< widest one-image im2col buffer
+  std::size_t bordered_size_ = 0;  ///< widest one-image padded conv input
+  std::size_t lanes_size_ = 0;     ///< widest one-image conv GEMM output
   int classes_ = 0;
   double flops_ = 0.0;
 };

@@ -2,7 +2,8 @@
 // dispatch level must match the scalar reference BIT FOR BIT — including
 // signed zeros — on random and boundary inputs, across shapes that exercise
 // the 16-wide, 8-wide, and scalar remainder column paths and every row-tile
-// remainder.
+// remainder — and the conv GEMM's B rows as overlapping windows into an
+// image read in place.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,6 +12,7 @@
 #include <random>
 #include <vector>
 
+#include "nn/conv2d.h"
 #include "nn/gemm.h"
 
 namespace {
@@ -61,6 +63,15 @@ struct Shape {
   int m, k, n;
 };
 
+// Row offsets of a dense row-major [k, n] B: row p starts at p*n.
+std::vector<std::size_t> dense_rows(int k, int n) {
+  std::vector<std::size_t> rows(static_cast<std::size_t>(k));
+  for (int p = 0; p < k; ++p) {
+    rows[static_cast<std::size_t>(p)] = static_cast<std::size_t>(p) * n;
+  }
+  return rows;
+}
+
 // Covers full 4-row tiles + 1..3-row remainders, and 16/8/scalar column
 // paths (n = 1, 5, 8, 16, 17, 23, 100).
 const Shape kShapes[] = {{1, 1, 1},   {1, 7, 5},    {3, 8, 8},
@@ -74,13 +85,14 @@ TEST(GemmKernels, RowBiasMatchesScalarAtEveryLevel) {
       const auto a = boundary_mix(static_cast<std::size_t>(s.m) * s.k, seed++);
       const auto b = boundary_mix(static_cast<std::size_t>(s.k) * s.n, seed++);
       const auto bias = boundary_mix(static_cast<std::size_t>(s.m), seed++);
+      const auto rows = dense_rows(s.k, s.n);
       std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n);
-      gemm_rowbias_act(a.data(), b.data(), bias.data(), ref.data(), s.m, s.k,
-                       s.n, relu, Level::kScalar);
+      gemm_rowbias_act(a.data(), b.data(), rows.data(), bias.data(),
+                       ref.data(), s.m, s.k, s.n, relu, Level::kScalar);
       for (const Level level : available_levels()) {
         std::vector<float> got(ref.size(), -1.0f);
-        gemm_rowbias_act(a.data(), b.data(), bias.data(), got.data(), s.m,
-                         s.k, s.n, relu, level);
+        gemm_rowbias_act(a.data(), b.data(), rows.data(), bias.data(),
+                         got.data(), s.m, s.k, s.n, relu, level);
         expect_bitwise_equal(ref, got, to_string(level));
       }
     }
@@ -144,9 +156,83 @@ TEST(GemmKernels, ScalarRowBiasIsTheConvOrder) {
     }
   }
   std::vector<float> got(want.size());
-  gemm_rowbias_act(a.data(), b.data(), bias.data(), got.data(), s.m, s.k,
-                   s.n, false, Level::kScalar);
+  const auto rows = dense_rows(s.k, s.n);
+  gemm_rowbias_act(a.data(), b.data(), rows.data(), bias.data(), got.data(),
+                   s.m, s.k, s.n, false, Level::kScalar);
   expect_bitwise_equal(want, got, "conv order");
+}
+
+// The conv GEMM as InferencePlan runs it: B's rows are overlapping tap
+// windows into a [c, h + 2*pad, w + 2*pad] zero-bordered source, read in
+// place. The source is allocated to exactly that size, with no slack, so
+// ASan reports any read past its last float — which the last lane's last
+// tap reads. Each real lane must equal im2col + the dense-offset GEMM bit
+// for bit at every level; the wrapped lanes are dropped.
+TEST(GemmKernels, RowOffsetConvWindowsMatchIm2colAtEveryLevel) {
+  struct Conv {
+    int m, c, h, w, kernel, pad;
+  };
+  // Lanes = (out_h-1)*(w+2*pad) + out_w, split into 16-wide / 8-wide /
+  // remainder column blocks: 43 = 16+16+8+3, 136 = 8x16+8 (the serving
+  // conv2), 38 = 16+16+6, 22 = 16+6, 6 = remainder only. m covers full
+  // 4-row tiles and 1..3-row remainders.
+  const Conv kConvs[] = {{5, 3, 7, 9, 3, 0},  {8, 32, 14, 14, 5, 0},
+                         {3, 2, 5, 6, 3, 1},  {6, 1, 2, 2, 3, 2},
+                         {1, 1, 4, 4, 3, 0}};
+  std::uint32_t seed = 501;
+  for (const Conv& cv : kConvs) {
+    const int sh = cv.h + 2 * cv.pad, sw = cv.w + 2 * cv.pad;
+    const int out_h = sh - cv.kernel + 1, out_w = sw - cv.kernel + 1;
+    const int lanes = (out_h - 1) * sw + out_w;
+    const int k = cv.c * cv.kernel * cv.kernel;
+    const int cols = out_h * out_w;
+    std::vector<std::size_t> rows;
+    for (int ch = 0; ch < cv.c; ++ch) {
+      for (int ki = 0; ki < cv.kernel; ++ki) {
+        for (int kj = 0; kj < cv.kernel; ++kj) {
+          rows.push_back((static_cast<std::size_t>(ch) * sh + ki) * sw + kj);
+        }
+      }
+    }
+    for (const bool relu : {false, true}) {
+      const auto x = boundary_mix(static_cast<std::size_t>(cv.c) * cv.h * cv.w,
+                                  seed++);
+      std::vector<float> src(static_cast<std::size_t>(cv.c) * sh * sw, 0.0f);
+      const float* px = x.data();
+      for (int ch = 0; ch < cv.c; ++ch) {
+        for (int i = 0; i < cv.h; ++i) {
+          for (int j = 0; j < cv.w; ++j) {
+            src[(static_cast<std::size_t>(ch) * sh + i + cv.pad) * sw + j +
+                cv.pad] = *px++;
+          }
+        }
+      }
+      const auto a = boundary_mix(static_cast<std::size_t>(cv.m) * k, seed++);
+      const auto bias = boundary_mix(static_cast<std::size_t>(cv.m), seed++);
+      std::vector<float> col(static_cast<std::size_t>(k) * cols);
+      scbnn::nn::Conv2D::im2col(x.data(), cv.c, cv.h, cv.w, cv.kernel, cv.pad,
+                                col.data());
+      const auto col_rows = dense_rows(k, cols);
+      std::vector<float> ref(static_cast<std::size_t>(cv.m) * cols);
+      gemm_rowbias_act(a.data(), col.data(), col_rows.data(), bias.data(),
+                       ref.data(), cv.m, k, cols, relu, Level::kScalar);
+      for (const Level level : available_levels()) {
+        std::vector<float> wide(static_cast<std::size_t>(cv.m) * lanes);
+        gemm_rowbias_act(a.data(), src.data(), rows.data(), bias.data(),
+                         wide.data(), cv.m, k, lanes, relu, level);
+        std::vector<float> got(ref.size(), -1.0f);
+        for (int i = 0; i < cv.m; ++i) {
+          for (int oi = 0; oi < out_h; ++oi) {
+            for (int oj = 0; oj < out_w; ++oj) {
+              got[(static_cast<std::size_t>(i) * out_h + oi) * out_w + oj] =
+                  wide[static_cast<std::size_t>(i) * lanes + oi * sw + oj];
+            }
+          }
+        }
+        expect_bitwise_equal(ref, got, to_string(level));
+      }
+    }
+  }
 }
 
 TEST(MaxPoolKernel, MatchesScalarAtEveryLevel) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
@@ -112,6 +113,64 @@ TEST(Conv2D, RejectsWrongChannelCount) {
   Conv2D conv(3, 2, 3, 0, rng);
   Tensor x({1, 2, 5, 5});
   EXPECT_THROW((void)conv.forward(x, false), std::invalid_argument);
+}
+
+// The element-by-element im2col that Conv2D::im2col's row runs replaced,
+// kept as their referee: every element bounds-checked on its own.
+void im2col_reference(const float* x, int c, int h, int w, int kernel,
+                      int pad, float* col) {
+  const int out_h = h + 2 * pad - kernel + 1;
+  const int out_w = w + 2 * pad - kernel + 1;
+  const int cols = out_h * out_w;
+  for (int ch = 0; ch < c; ++ch) {
+    for (int ki = 0; ki < kernel; ++ki) {
+      for (int kj = 0; kj < kernel; ++kj) {
+        const int row = (ch * kernel + ki) * kernel + kj;
+        float* dst = col + static_cast<std::size_t>(row) * cols;
+        for (int oi = 0; oi < out_h; ++oi) {
+          const int src_i = oi + ki - pad;
+          for (int oj = 0; oj < out_w; ++oj) {
+            const int src_j = oj + kj - pad;
+            const bool in_bounds =
+                src_i >= 0 && src_i < h && src_j >= 0 && src_j < w;
+            dst[oi * out_w + oj] =
+                in_bounds
+                    ? x[(static_cast<std::size_t>(ch) * h + src_i) * w + src_j]
+                    : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Pads 0..kernel-1 over square and non-square images, including images
+// narrower or shorter than the kernel, where whole output rows and row
+// runs lie in the padding.
+TEST(Im2Col, RowRunsMatchElementReferenceForEveryPad) {
+  const int geoms[][4] = {// c, h, w, kernel
+                          {1, 5, 5, 3}, {2, 6, 4, 5},  {3, 2, 7, 3},
+                          {1, 1, 1, 5}, {1, 3, 2, 4},  {32, 14, 14, 5},
+                          {1, 28, 28, 5}};
+  for (const auto& g : geoms) {
+    const int c = g[0], h = g[1], w = g[2], kernel = g[3];
+    std::vector<float> x(static_cast<std::size_t>(c) * h * w);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>(i) + 1.0f;  // no pixel reads as border
+    }
+    for (int pad = 0; pad < kernel; ++pad) {
+      const int out_h = h + 2 * pad - kernel + 1;
+      const int out_w = w + 2 * pad - kernel + 1;
+      if (out_h <= 0 || out_w <= 0) continue;
+      const std::size_t size =
+          static_cast<std::size_t>(c) * kernel * kernel * out_h * out_w;
+      std::vector<float> want(size, -1.0f), got(size, -2.0f);
+      im2col_reference(x.data(), c, h, w, kernel, pad, want.data());
+      Conv2D::im2col(x.data(), c, h, w, kernel, pad, got.data());
+      ASSERT_EQ(want, got) << c << "x" << h << "x" << w << " kernel "
+                           << kernel << " pad " << pad;
+    }
+  }
 }
 
 TEST(Im2Col, ZeroPaddingPlacesBorderZeros) {

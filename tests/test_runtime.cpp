@@ -475,14 +475,14 @@ TEST(FastTail, EscalatingLadderWarmPathIsAllocationFree) {
 
 // ------------------------------------------------------------ InferencePlan
 
-TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
-  nn::Rng rng(123);
-  nn::Network net = hybrid::build_tail(kTestLeNet, rng);
-  nn::InferencePlan plan(net, kTestLeNet.conv1_kernels, 28, 28);
+// Plan logits of `net` over [in_c, 28, 28] inputs against
+// Network::forward, bit for bit at every dispatch level.
+void expect_plan_matches_forward(nn::Network& net, int in_c) {
+  nn::InferencePlan plan(net, in_c, 28, 28);
   ASSERT_EQ(plan.classes(), 10);
 
   const int kBatch = 5;
-  nn::Tensor x({kBatch, kTestLeNet.conv1_kernels, 28, 28});
+  nn::Tensor x({kBatch, in_c, 28, 28});
   nn::Rng data_rng(7);
   for (std::size_t i = 0; i < x.size(); ++i) {
     // Ternary feature-like inputs plus signed zeros.
@@ -514,6 +514,21 @@ TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
       }
     }
   }
+}
+
+TEST(InferencePlan, MatchesNetworkForwardBitExactAtEveryLevel) {
+  nn::Rng rng(123);
+  nn::Network net = hybrid::build_tail(kTestLeNet, rng);
+  expect_plan_matches_forward(net, kTestLeNet.conv1_kernels);
+}
+
+// The full LeNet's conv1 (5x5, pad 2, over 1x28x28) reads a zero-bordered
+// 32x32 copy of each image: 27*32 + 28 = 892 lanes, which end in a 4-lane
+// remainder after the 16- and 8-wide blocks.
+TEST(InferencePlan, PaddedConvMatchesNetworkForwardBitExactAtEveryLevel) {
+  nn::Rng rng(321);
+  nn::Network net = hybrid::build_lenet(kTestLeNet, rng);
+  expect_plan_matches_forward(net, 1);
 }
 
 TEST(InferencePlan, RejectsUnsupportedLayersAndBadShapes) {
