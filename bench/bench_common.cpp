@@ -10,6 +10,7 @@
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
 #include "nn/quantize.h"
+#include "runtime/process_stats.h"
 
 namespace scbnn::bench {
 
@@ -36,8 +37,7 @@ void warn(const std::string& source, const std::string& value) {
                source.c_str(), value.c_str());
 }
 
-}  // namespace
-
+/// Split a comma-separated string into non-empty trimmed-as-is pieces.
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> pieces;
   std::string::size_type start = 0;
@@ -52,6 +52,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
   }
   return pieces;
 }
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -105,17 +107,6 @@ std::string Flags::get_string(const std::string& key, const char* env,
                               const std::string& fallback) const {
   const auto candidates = sources(key, env);
   return candidates.empty() ? fallback : candidates.front().second;
-}
-
-std::vector<std::string> Flags::get_list(const std::string& key,
-                                         const char* env,
-                                         const std::string& fallback_csv) const {
-  for (const auto& [source, text] : sources(key, env)) {
-    std::vector<std::string> pieces = split_csv(text);
-    if (!pieces.empty()) return pieces;
-    warn(source, text);
-  }
-  return split_csv(fallback_csv);
 }
 
 std::vector<double> Flags::get_double_list(const std::string& key,
@@ -178,16 +169,5 @@ hybrid::ModelBundle make_frozen_bundle(
 }
 
 std::uint64_t peak_rss_bytes() { return runtime::peak_rss_bytes(); }
-std::uint64_t peak_rss_bytes(pid_t pid) {
-  return runtime::peak_rss_bytes(pid);
-}
-
-std::unique_ptr<runtime::Servable> make_frozen_servable(
-    const std::string& entry, unsigned bits, runtime::RuntimeConfig rc) {
-  hybrid::ModelBundle bundle =
-      entry == "adaptive" ? make_frozen_bundle("sc-proposed", {3, 6})
-                          : make_frozen_bundle(entry, {bits});
-  return hybrid::instantiate_servable(bundle, std::move(rc));
-}
 
 }  // namespace scbnn::bench

@@ -1,17 +1,20 @@
 // Progressive-precision classification: the dynamic energy-accuracy
 // trade-off of Kim et al. [16] realized on the paper's hybrid design.
 //
-// Uses precision rungs (default 3, 5, 8 bits) with retrained tails, then
-// sweeps the confidence margin through the batched runtime::AdaptivePipeline:
-// a margin of 0 always accepts the cheap 3-bit verdict; a margin of 1 always
-// escalates to 8-bit. In between, easy inputs stop early and the AVERAGE
-// energy approaches the cheap rung while accuracy approaches the precise
-// rung. The whole test split is served as one batch per margin, so the
-// per-rung breakdown comes straight from the pipeline's stats.
+// The repo's Fig. 9 margin sweep. Uses 3-, 5- and 8-bit precision rungs
+// with retrained tails, then sweeps the confidence margin through the
+// batched runtime::AdaptivePipeline: a margin of 0 always accepts the cheap
+// 3-bit verdict; a margin of 1 always escalates to 8-bit. In between, easy
+// inputs stop early and the AVERAGE energy approaches the cheap rung while
+// accuracy approaches the precise rung. The whole test split is served as
+// one batch per margin, so the per-rung breakdown comes straight from the
+// pipeline's stats. Energy is the pipeline's own: each frame pays the
+// calibrated per-frame energy (hw::backend_energy_per_frame_j) of every
+// rung it enters, the same model Server, sessions and perfbench report.
 //
-// The ladder is a persistent ModelBundle shared with adaptive_serving
-// (--bundle/SCBNN_BUNDLE, default scbnn_adaptive.bundle): a matching bundle
-// on disk means zero training at startup.
+// The ladder is a persistent ModelBundle (--bundle/SCBNN_BUNDLE, default
+// scbnn_adaptive.bundle): a matching bundle on disk means zero training at
+// startup.
 //
 // Knobs (flag -> env -> default): --bundle/SCBNN_BUNDLE,
 // --margins/SCBNN_PP_MARGINS (comma list in [0,1]), plus the same SCBNN_*
@@ -22,7 +25,7 @@
 
 #include "bench_common.h"
 #include "data/dataset.h"
-#include "hw/stochastic_design.h"
+#include "hw/report.h"
 #include "hybrid/bundle.h"
 #include "hybrid/experiment.h"
 #include "runtime/adaptive_pipeline.h"
@@ -42,14 +45,7 @@ int main(int argc, char** argv) {
   const std::vector<double> margins = flags.get_double_list(
       "margins", "SCBNN_PP_MARGINS", "0.0,0.2,0.4,0.6,0.8,0.95,1.0", 0.0,
       1.0);
-  // Same ladder selection as adaptive_serving — the two benches share the
-  // bundle at bundle_path, so agreeing runs reuse one artifact instead of
-  // retraining over each other.
-  const int rung_count =
-      static_cast<int>(flags.get_long("rungs", "SCBNN_BENCH_RUNGS", 3, 2, 3));
-  const std::vector<unsigned> rung_bits =
-      rung_count == 2 ? std::vector<unsigned>{3u, 8u}
-                      : std::vector<unsigned>{3u, 5u, 8u};
+  const std::vector<unsigned> rung_bits{3u, 5u, 8u};
 
   std::printf("Progressive precision on the hybrid design (rungs:");
   for (unsigned b : rung_bits) std::printf(" %u", b);
@@ -64,10 +60,12 @@ int main(int argc, char** argv) {
               trained_fresh ? "trained and exported" : "loaded",
               bundle_path.c_str());
 
-  // Per-cycle energy of the SC design (power / clock) converts average
-  // cycles into average energy.
-  const hw::StochasticConvDesign sc8(8);
-  const double joules_per_cycle = sc8.power_w() / sc8.tech().sc_clock_hz;
+  // The fixed 8-bit design, priced per frame by the same model the
+  // pipeline charges each rung with.
+  const double fixed8_nj =
+      1e9 * hw::backend_energy_per_frame_j(bundle.backend,
+                                           bundle.rungs.back().bits,
+                                           bundle.lenet.conv1_kernels);
   const int n = static_cast<int>(test.size());
 
   std::printf("%10s %12s %14s %16s %18s %14s\n", "margin", "miscl (%)",
@@ -87,10 +85,7 @@ int main(int argc, char** argv) {
       }
     }
     const double avg_cycles = stats.mean_cycles_per_image();
-    const double avg_nj = avg_cycles * joules_per_cycle * 1e9;
-    const double fixed8_cycles =
-        pipeline.rung_cycles_per_image(pipeline.rung_count() - 1);
-    const double fixed8_nj = fixed8_cycles * joules_per_cycle * 1e9;
+    const double avg_nj = stats.energy_j * 1e9 / n;
     const int entered_last = stats.rungs.back().images_in;
     std::printf("%10.2f %12.2f %14.1f %16.2f %17.1f%% %13.1f%%\n", margin,
                 100.0 * (1.0 - static_cast<double>(correct) / n), avg_cycles,

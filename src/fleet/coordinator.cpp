@@ -251,12 +251,6 @@ void FleetCoordinator::complete_response(std::uint32_t shard,
     } else {
       shard_tenant_latency_[shard][pending.tenant].record(result.e2e_ms);
     }
-    if ((slot.flags & kFlagFirstAfterRespawn) != 0 &&
-        shards_[shard].awaiting_first_response) {
-      shards_[shard].awaiting_first_response = false;
-      stats_.recovery_first_response_ms.push_back(
-          runtime::ms_between(shards_[shard].death_detected, now));
-    }
     promise = std::move(pending.promise);
   }
   obs::trace_instant(
@@ -397,7 +391,6 @@ void FleetCoordinator::supervisor_loop() {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.respawns;
         slot.awaiting_ready = true;
-        slot.awaiting_first_response = true;
       }
     }
   }

@@ -140,8 +140,6 @@ struct FleetStats {
   /// Detect-death -> shard ready again (bundle reloaded), one entry per
   /// respawn.
   std::vector<double> recovery_ready_ms;
-  /// Detect-death -> first response out of the new incarnation.
-  std::vector<double> recovery_first_response_ms;
   std::vector<ShardReport> shards;
   /// Per-tenant end-to-end latency histograms, merged across shards
   /// (mergeable log-bucket histograms — per-shard p99s are never
@@ -218,11 +216,10 @@ class FleetCoordinator {
     ShardChannel channel;
     pid_t pid = -1;
     bool alive = false;
-    /// Set when the supervisor notices a death; consumed by the recovery
-    /// timestamps.
+    /// Set when the supervisor notices a death; recovery_ready_ms is
+    /// measured from it.
     runtime::ServeClock::time_point death_detected;
     bool awaiting_ready = false;
-    bool awaiting_first_response = false;
   };
 
   void spawn_shard(std::uint32_t shard);

@@ -111,9 +111,7 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
     return 1;
   }
 
-  const std::uint32_t epoch =
-      status.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  bool first_response_of_epoch = epoch > 1;
+  status.epoch.fetch_add(1, std::memory_order_relaxed);
   // The model is the bulk of a shard's footprint — publish the high-water
   // mark (and the CPU/context-switch counters) as soon as it is loaded,
   // then refresh periodically below.
@@ -206,10 +204,6 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
       } else {
         out.flags |= kFlagDeadlineDropped;
         status.dropped_deadline.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (first_response_of_epoch) {
-        out.flags |= kFlagFirstAfterRespawn;
-        first_response_of_epoch = false;
       }
       if (!responses.push_wait(out)) break;  // torn down underneath us
     }

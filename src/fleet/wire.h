@@ -68,8 +68,6 @@ struct alignas(64) RequestSlot {
 
 /// Response flags.
 inline constexpr std::uint32_t kFlagDeadlineDropped = 1u << 0;
-/// First response after a respawn: lets the coordinator timestamp recovery.
-inline constexpr std::uint32_t kFlagFirstAfterRespawn = 1u << 1;
 
 /// One prediction (or drop notice): shard -> coordinator. Exactly one
 /// cache line.

@@ -22,8 +22,8 @@ namespace scbnn::runtime {
 [[nodiscard]] std::uint64_t peak_rss_bytes(pid_t pid);
 
 /// One getrusage(RUSAGE_SELF) snapshot: the per-process cost axes the
-/// fleet benches report per shard (CPU split user/system, scheduler
-/// pressure via context switches) next to the memory high-water mark.
+/// fleet reports per shard (CPU split user/system, scheduler pressure via
+/// context switches) next to the memory high-water mark.
 struct ProcessUsage {
   std::uint64_t peak_rss_bytes = 0;
   double utime_s = 0.0;  ///< user CPU seconds

@@ -16,8 +16,6 @@ void ServeStats::set_timing(int n, unsigned thread_count,
   images = n;
   threads = thread_count;
   latency_ms = elapsed_ms;
-  images_per_sec =
-      elapsed_ms > 0.0 ? static_cast<double>(n) * 1e3 / elapsed_ms : 0.0;
 }
 
 Servable::~Servable() = default;

@@ -71,7 +71,6 @@ struct ServeStats {
   int images = 0;
   unsigned threads = 1;
   double latency_ms = 0.0;
-  double images_per_sec = 0.0;
   /// First-layer energy for the whole batch (J) from the calibrated 65nm
   /// model; 0 when the backend has no hardware model at this precision.
   double energy_j = 0.0;

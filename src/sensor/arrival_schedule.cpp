@@ -19,16 +19,6 @@ std::string to_string(ArrivalKind kind) {
   return "unknown";
 }
 
-ArrivalKind arrival_from_string(const std::string& name) {
-  if (name == "uniform") return ArrivalKind::kUniform;
-  if (name == "poisson") return ArrivalKind::kPoisson;
-  if (name == "bursty") return ArrivalKind::kBursty;
-  if (name == "diurnal") return ArrivalKind::kDiurnal;
-  throw std::invalid_argument(
-      "unknown arrival process '" + name +
-      "' (valid: uniform, poisson, bursty, diurnal)");
-}
-
 const ArrivalConfig& ArrivalConfig::validate() const {
   if (!(rate_hz > 0.0)) {
     throw std::invalid_argument("ArrivalConfig: rate_hz must be > 0");

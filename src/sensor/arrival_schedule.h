@@ -2,11 +2,11 @@
 //
 // Extracted from the frame sources so every load generator in the repo —
 // DatasetReplaySource's stream gaps, perfbench's open-loop arrivals, and
-// the fleet bench's thousand-session schedules — draws inter-arrival
+// SessionStreamDriver's per-session schedules — draws inter-arrival
 // times from one implementation with one seeding rule.
 // The same (config, seed) produces the same gap sequence on every run and
-// after every reset(), which is what the benches' bit-identity gates and
-// the replay tests lean on.
+// after every reset(), which is what perfbench's bitwise referee and the
+// replay tests lean on.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +37,6 @@ enum class ArrivalKind {
 };
 
 [[nodiscard]] std::string to_string(ArrivalKind kind);
-/// Inverse of to_string; throws std::invalid_argument listing the valid
-/// names — used by benches that take an arrival process on the command
-/// line.
-[[nodiscard]] ArrivalKind arrival_from_string(const std::string& name);
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kPoisson;

@@ -19,7 +19,7 @@
 //
 // Everything is deterministically seeded: the same (source config, seed)
 // yields the same frames and the same gaps on every run and after every
-// reset(), which is what makes the stream benches' bit-identity gates and
+// reset(), which is what makes the session tests' bit-identity checks and
 // the replay tests possible.
 #pragma once
 

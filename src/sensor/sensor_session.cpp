@@ -13,24 +13,6 @@ using Clock = runtime::ServeClock;
 
 }  // namespace
 
-std::string to_string(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kDropOldest: return "drop-oldest";
-    case BackpressurePolicy::kDegrade: return "degrade";
-  }
-  return "unknown";
-}
-
-BackpressurePolicy policy_from_string(const std::string& name) {
-  if (name == "block") return BackpressurePolicy::kBlock;
-  if (name == "drop-oldest") return BackpressurePolicy::kDropOldest;
-  if (name == "degrade") return BackpressurePolicy::kDegrade;
-  throw std::invalid_argument(
-      "unknown backpressure policy '" + name +
-      "' (valid: block, drop-oldest, degrade)");
-}
-
 const SessionConfig& SessionConfig::validate() const {
   if (max_pending < 1) {
     throw std::invalid_argument("SessionConfig: max_pending must be >= 1");
@@ -227,20 +209,12 @@ StreamStats SensorSession::finish() {
   if (producer_.joinable()) producer_.join();
   if (collector_.joinable()) collector_.join();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!finished_) {
-    finished_ = true;
-    stats_.wall_ms = runtime::ms_between(started_at_, Clock::now());
-  }
   return stats_;
 }
 
 StreamStats SensorSession::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  StreamStats snapshot = stats_;
-  if (started_ && !finished_) {
-    snapshot.wall_ms = runtime::ms_between(started_at_, Clock::now());
-  }
-  return snapshot;
+  return stats_;
 }
 
 void SensorSession::register_metrics(obs::MetricsRegistry& registry,

@@ -41,11 +41,6 @@ namespace scbnn::sensor {
 
 enum class BackpressurePolicy { kBlock, kDropOldest, kDegrade };
 
-[[nodiscard]] std::string to_string(BackpressurePolicy policy);
-/// "block", "drop-oldest", "degrade"; throws std::invalid_argument listing
-/// the valid names for anything else.
-[[nodiscard]] BackpressurePolicy policy_from_string(const std::string& name);
-
 struct SessionConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// kDropOldest: staged frames allowed to wait for admission before the
@@ -79,7 +74,6 @@ struct StreamStats {
   long correct = 0;     ///< labeled frames predicted correctly
   double energy_j = 0.0;            ///< summed per-frame first-layer energy
   runtime::LatencyHistogram e2e_ms; ///< arrival -> prediction resolved
-  double wall_ms = 0.0;             ///< start() -> finish()
   /// Deepest escalation cap any delivered frame was served under
   /// (Prediction::rung_cap), i.e. the full ladder top when never degraded.
   int min_rung_cap_seen = 0;
@@ -92,8 +86,8 @@ struct StreamStats {
   }
 };
 
-/// One delivered frame's outcome — what the stream bench's bit-identity
-/// gate compares against direct Servable::classify.
+/// One delivered frame's outcome — what the session tests compare, frame
+/// by frame, against a direct Servable::classify of the same stream.
 struct SessionOutcome {
   long sequence = -1;
   int predicted = -1;
@@ -196,11 +190,9 @@ class SensorSession : public LoadSignal {
   std::deque<std::pair<runtime::ServeClock::time_point, double>> recent_e2e_;
   std::vector<SessionOutcome> outcomes_;
 
-  // started_/finished_/started_at_ are guarded by mutex_ (stats() reads
-  // them from arbitrary threads).
+  // started_/started_at_ are guarded by mutex_.
   runtime::ServeClock::time_point started_at_{};
   bool started_ = false;
-  bool finished_ = false;
   std::thread producer_;
   std::thread collector_;
 };

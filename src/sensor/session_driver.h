@@ -8,13 +8,14 @@
 // own ArrivalSchedule (the population cycles Poisson / bursty / diurnal, so
 // a single driver exercises all three regimes at once) — and merges the
 // per-session timelines into one stream ordered by absolute due time,
-// which is exactly the open-loop offered load a fleet bench replays.
+// which is exactly the open-loop offered load perfbench's binary-fleet
+// workload replays.
 //
 // Determinism contract matches FrameSource: the same config yields the
 // same events, pixel for pixel and gap for gap, on every run and after
-// every reset(). The fleet bench leans on this to feed the identical frame
+// every reset(). The fleet tests lean on this to feed the identical frame
 // sequence to a sharded fleet and to a single in-process reference, and to
-// gate on bitwise-equal predictions.
+// check bitwise-equal predictions.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,8 @@
 // real shared-memory rings. Covered here: bit-identity of fleet predictions
 // vs an in-process Servable from the same bundle, kill -9 recovery (respawn
 // + ring-tail replay) under the 250 ms budget, per-tenant admission quotas,
-// hard-deadline SLO drops, and graceful shutdown serving every accepted
-// frame.
+// hard-deadline SLO drops, graceful shutdown serving every accepted frame,
+// and the metric families register_metrics exports.
 //
 // Skipped under ThreadSanitizer: TSan does not support fork() from a
 // multi-threaded process (the coordinator runs collector + supervisor
@@ -19,12 +19,14 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hybrid/bundle.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "hybrid/hybrid_network.h"
 #include "nn/init.h"
@@ -496,6 +498,70 @@ TEST(Fleet, StatsReportPerShardFootprint) {
     tenant_total += histogram.count();
   }
   EXPECT_EQ(tenant_total, stats.fleet_latency.count());
+  fleet.shutdown();
+}
+
+TEST(Fleet, RegisterMetricsExportsEveryFamilyAndCountsCompletions) {
+  SKIP_UNDER_TSAN();
+  FleetCoordinator fleet(small_config(2));
+  obs::MetricsRegistry registry;  // destroyed first: its views read `fleet`
+  fleet.register_metrics(registry);
+
+  const std::vector<std::string> shard_gauges = {
+      "scbnn_fleet_shard_heartbeat",
+      "scbnn_fleet_shard_served",
+      "scbnn_fleet_shard_peak_rss_bytes",
+      "scbnn_fleet_shard_vol_ctx_switches",
+      "scbnn_fleet_shard_invol_ctx_switches",
+      "scbnn_fleet_shard_cpu_utime_seconds",
+      "scbnn_fleet_shard_cpu_stime_seconds",
+      "scbnn_fleet_shard_epoch",
+      "scbnn_fleet_shard_alive",
+      "scbnn_fleet_shard_request_ring_depth",
+  };
+  std::set<std::string> expected = {
+      "scbnn_fleet_submitted_total",
+      "scbnn_fleet_completed_total",
+      "scbnn_fleet_rejected_quota_total",
+      "scbnn_fleet_rejected_backpressure_total",
+      "scbnn_fleet_duplicates_total",
+      "scbnn_fleet_deadline_dropped_total",
+      "scbnn_fleet_respawns_total",
+      "scbnn_fleet_wedged_events_total",
+      "scbnn_fleet_energy_joules",
+      "scbnn_fleet_e2e_latency_ms",
+  };
+  expected.insert(shard_gauges.begin(), shard_gauges.end());
+
+  // The family set is the exposition's "# TYPE" lines.
+  const std::string text = registry.prometheus();
+  std::set<std::string> families;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      families.insert(line.substr(7, line.find(' ', 7) - 7));
+    }
+  }
+  EXPECT_EQ(families, expected);
+  // Every shard gauge has one series per shard.
+  for (const std::string& name : shard_gauges) {
+    for (const char* shard : {"0", "1"}) {
+      EXPECT_NE(text.find(name + "{shard=\"" + shard + "\"} "),
+                std::string::npos)
+          << name << " shard " << shard;
+    }
+  }
+
+  const Workload work = make_workload(8, 1);
+  std::vector<std::future<FleetResult>> futures;
+  for (std::size_t i = 0; i < work.keys.size(); ++i) {
+    futures.push_back(
+        fleet.submit(work.keys[i], /*tenant=*/0, work.frames[i].data()));
+  }
+  for (auto& future : futures) (void)future.get();
+  EXPECT_NE(registry.prometheus().find("scbnn_fleet_completed_total 8\n"),
+            std::string::npos)
+      << registry.prometheus();
   fleet.shutdown();
 }
 

@@ -249,8 +249,7 @@ TEST(OneRungPipeline, StatsReportBatchAndEnergy) {
   const ServeStats& stats = pipeline->last_stats();
   EXPECT_EQ(stats.images, 10);
   EXPECT_EQ(stats.threads, 2u);
-  EXPECT_GE(stats.latency_ms, 0.0);
-  EXPECT_GT(stats.images_per_sec, 0.0);
+  EXPECT_GT(stats.latency_ms, 0.0);
   // 4-bit proposed SC has a calibrated hardware model -> non-zero energy.
   EXPECT_GT(stats.energy_j, 0.0);
   // ... and an SC backend reports its cycle spend.

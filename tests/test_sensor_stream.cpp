@@ -195,6 +195,23 @@ data::Dataset tiny_pool(std::size_t n) {
   return data::generate_synthetic_mnist(n, 1, 11).train;
 }
 
+/// Direct Servable::classify of a source's whole stream, indexed by frame
+/// sequence; leaves the source reset for the session. Call before a Server
+/// owns `backend` (the batch former is its sole classify() caller while
+/// the server runs).
+std::vector<runtime::Prediction> classify_stream(runtime::Servable& backend,
+                                                 FrameSource& source) {
+  const std::vector<Frame> frames = drain(source);
+  source.reset();
+  nn::Tensor batch({static_cast<int>(frames.size()), 1, hybrid::kImageSize,
+                    hybrid::kImageSize});
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    std::copy(frames[i].pixels.begin(), frames[i].pixels.end(),
+              batch.data() + i * kPixels);
+  }
+  return backend.classify(batch);
+}
+
 // ------------------------------------------------------------ ArrivalModel
 
 TEST(ArrivalModel, DeterministicPerSeedAndAcrossReset) {
@@ -431,22 +448,11 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
   const data::Dataset pool = tiny_pool(8);
   auto backend = make_engine_backend();
 
-  // Direct reference BEFORE the server exists (the batch former is the
-  // sole classify() caller while the server runs).
   constexpr long kFrames = 40;
-  DatasetReplaySource ref(pool, kFrames,
-                          arrivals(ArrivalKind::kPoisson, 2000.0), 17);
-  nn::Tensor batch({static_cast<int>(kFrames), 1, hybrid::kImageSize,
-                    hybrid::kImageSize});
-  {
-    const std::vector<Frame> frames = drain(ref);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      std::copy(frames[i].pixels.begin(), frames[i].pixels.end(),
-                batch.data() + i * kPixels);
-    }
-  }
+  DatasetReplaySource source(pool, kFrames,
+                             arrivals(ArrivalKind::kPoisson, 2000.0), 17);
   const std::vector<runtime::Prediction> reference =
-      backend->classify(batch);
+      classify_stream(*backend, source);
 
   runtime::ServerConfig server_cfg;
   server_cfg.max_batch = 4;
@@ -454,8 +460,6 @@ TEST(SensorSession, BlockPolicyDeliversEveryFrameBitIdentically) {
   server_cfg.queue_capacity = 4;  // tiny queue: admission pressure is real
   runtime::Server server(*backend, server_cfg);
 
-  DatasetReplaySource source(pool, kFrames,
-                             arrivals(ArrivalKind::kPoisson, 2000.0), 17);
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kBlock;
   cfg.recent_max_age_ms = 50;
@@ -518,16 +522,19 @@ TEST(SensorSession, DropOldestShedsFramesAndBoundsLatency) {
   auto backend = std::make_shared<SlowServable>(
       inner, std::chrono::microseconds(3000));
 
+  constexpr long kFrames = 60;
+  // ~100us between arrivals vs ~3ms+ service: sustained 30x overload.
+  DatasetReplaySource source(pool, kFrames,
+                             arrivals(ArrivalKind::kUniform, 10000.0), 23);
+  const std::vector<runtime::Prediction> reference =
+      classify_stream(*inner, source);
+
   runtime::ServerConfig server_cfg;
   server_cfg.max_batch = 1;  // one slow frame per dispatch
   server_cfg.max_delay_us = 0;
   server_cfg.queue_capacity = 2;
   runtime::Server server(*backend, server_cfg);
 
-  constexpr long kFrames = 60;
-  // ~100us between arrivals vs ~3ms+ service: sustained 30x overload.
-  DatasetReplaySource source(pool, kFrames,
-                             arrivals(ArrivalKind::kUniform, 10000.0), 23);
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kDropOldest;
   cfg.max_pending = 3;
@@ -539,8 +546,14 @@ TEST(SensorSession, DropOldestShedsFramesAndBoundsLatency) {
   EXPECT_GT(stats.dropped, 0) << "30x overload must shed frames";
   EXPECT_EQ(stats.delivered + stats.dropped + stats.failed, kFrames);
   EXPECT_EQ(stats.degraded, 0);  // dropping sheds frames, not precision
-  // Everything that survived was really served.
+  // Everything that survived was really served, with the arithmetic of a
+  // direct classify.
   EXPECT_EQ(static_cast<long>(session.outcomes().size()), stats.delivered);
+  for (const SessionOutcome& o : session.outcomes()) {
+    EXPECT_EQ(o.predicted,
+              reference[static_cast<std::size_t>(o.sequence)].label)
+        << "frame " << o.sequence;
+  }
 }
 
 // ---------------------------------------------------- Backpressure: degrade
@@ -554,15 +567,24 @@ TEST(SensorSession, DegradePolicyShedsPrecisionAndSupervisorRecovers) {
       adaptive, std::chrono::microseconds(2000));
   ASSERT_EQ(backend->max_rung(), 1);
 
+  constexpr long kFrames = 80;
+  DatasetReplaySource source(pool, kFrames,
+                             arrivals(ArrivalKind::kUniform, 20000.0), 29);
+  // References for both operating points: the full ladder for frames
+  // served undegraded, the cheap rung alone for frames served under cap 0.
+  const std::vector<runtime::Prediction> full =
+      classify_stream(*adaptive, source);
+  adaptive->set_max_rung(0);
+  const std::vector<runtime::Prediction> capped =
+      classify_stream(*adaptive, source);
+  adaptive->set_max_rung(runtime::Servable::kUncappedRung);
+
   runtime::ServerConfig server_cfg;
   server_cfg.max_batch = 4;
   server_cfg.max_delay_us = 100;
   server_cfg.queue_capacity = 64;
   runtime::Server server(*backend, server_cfg);
 
-  constexpr long kFrames = 80;
-  DatasetReplaySource source(pool, kFrames,
-                             arrivals(ArrivalKind::kUniform, 20000.0), 29);
   SessionConfig cfg;
   cfg.policy = BackpressurePolicy::kDegrade;
   SensorSession session(source, server, cfg);
@@ -586,12 +608,16 @@ TEST(SensorSession, DegradePolicyShedsPrecisionAndSupervisorRecovers) {
   EXPECT_LT(stats.min_rung_cap_seen, 1);
   EXPECT_FALSE(supervisor.events().empty());
   EXPECT_LT(supervisor.min_cap_seen(), supervisor.full_rung());
-  bool any_capped_bits = false;
+  // Degrading changes which rung answers, never a rung's arithmetic:
+  // every frame matches a direct classify at the cap it was served under,
+  // so a capped frame exits at the cheap rung's precision.
+  ASSERT_EQ(session.outcomes().size(), static_cast<std::size_t>(kFrames));
   for (const SessionOutcome& o : session.outcomes()) {
-    if (o.degraded) any_capped_bits |= o.bits_used == 3;
+    const runtime::Prediction& ref =
+        (o.degraded ? capped : full)[static_cast<std::size_t>(o.sequence)];
+    EXPECT_EQ(o.predicted, ref.label) << "frame " << o.sequence;
+    EXPECT_EQ(o.bits_used, ref.bits_used) << "frame " << o.sequence;
   }
-  EXPECT_TRUE(any_capped_bits)
-      << "capped frames must exit at the cheap rung's precision";
 
   // ...and with the stream idle, the control loop must walk the cap back
   // to the full ladder on its own.
@@ -746,19 +772,7 @@ TEST(StreamSupervisor, StopRestoresTheFullLadder) {
 
 // ------------------------------------------------------------- validation
 
-TEST(SensorStreamConfig, ValidatesAndParses) {
-  EXPECT_EQ(policy_from_string("block"), BackpressurePolicy::kBlock);
-  EXPECT_EQ(policy_from_string("drop-oldest"),
-            BackpressurePolicy::kDropOldest);
-  EXPECT_EQ(policy_from_string("degrade"), BackpressurePolicy::kDegrade);
-  EXPECT_THROW((void)policy_from_string("degrade-hard"),
-               std::invalid_argument);
-  EXPECT_EQ(to_string(BackpressurePolicy::kDropOldest), "drop-oldest");
-
-  EXPECT_EQ(arrival_from_string("bursty"), ArrivalKind::kBursty);
-  EXPECT_THROW((void)arrival_from_string("sinusoid"),
-               std::invalid_argument);
-
+TEST(SensorStreamConfig, Validates) {
   SessionConfig session_cfg;
   session_cfg.max_pending = 0;
   EXPECT_THROW(session_cfg.validate(), std::invalid_argument);

@@ -510,7 +510,9 @@ TEST(SharedExecutor, ServersOnOneExecutorServeConcurrently) {
     EXPECT_GT(first.parallel_fors, 0u);
     // One worker runs every fan-out inline; with more, chunks must reach
     // the worker threads.
-    if (workers > 1) EXPECT_GT(first.chunks_run, 0u);
+    if (workers > 1) {
+      EXPECT_GT(first.chunks_run, 0u);
+    }
     for (const auto& server : servers) {
       const ExecutorStats e = server->executor_stats();
       EXPECT_EQ(e.workers, first.workers);
