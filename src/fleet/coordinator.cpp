@@ -41,10 +41,6 @@ const FleetConfig& FleetConfig::validate() const {
   if (bundle_path.empty()) {
     throw std::invalid_argument("FleetConfig: bundle_path must be set");
   }
-  if (supervise_interval_us < 100) {
-    throw std::invalid_argument(
-        "FleetConfig: supervise_interval_us must be >= 100");
-  }
   if (wedged_threshold_ms < 0.0) {
     throw std::invalid_argument(
         "FleetConfig: wedged_threshold_ms must be >= 0 (0 disables)");
@@ -65,6 +61,7 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
     slot.channel = ShardChannel::attach(slot.segment->data(),
                                         config_.ring_capacity,
                                         response_slots, /*initialize=*/true);
+    slot.channel.response_bell = response_bell_;
     placement_.add_shard(i);
   }
   // Fork the whole fleet BEFORE starting any coordinator thread: the
@@ -260,8 +257,16 @@ void FleetCoordinator::complete_response(std::uint32_t shard,
 }
 
 void FleetCoordinator::collector_loop() {
+  // Something to do: a response is waiting, or shutdown closed every ring.
+  const auto ready = [this] {
+    bool all_closed = true;
+    for (const ShardSlot& shard : shards_) {
+      if (shard.channel.responses.size() > 0) return true;
+      all_closed = all_closed && shard.channel.responses.closed();
+    }
+    return all_closed && shutting_down_.load(std::memory_order_acquire);
+  };
   ResponseSlot slot;
-  int idle_rounds = 0;
   while (true) {
     bool any = false;
     bool all_drained = true;
@@ -278,30 +283,32 @@ void FleetCoordinator::collector_loop() {
         all_drained = false;
       }
     }
-    if (any) {
-      idle_rounds = 0;
-      continue;
-    }
+    if (any) continue;
     if (shutting_down_.load(std::memory_order_acquire) && all_drained) {
       return;
     }
-    // Adaptive idle: spin a few empty rounds, then sleep briefly. The
-    // sleep bounds added latency at ~100us while keeping the idle
-    // coordinator off the CPU.
-    if (++idle_rounds > 64) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else {
-      detail::cpu_relax();
-    }
+    // Spin briefly, then park until a shard announces a batch of
+    // responses, the supervisor reaps a dead shard, or shutdown closes
+    // the rings — each rings the response doorbell.
+    response_bell_->wait(ready);
   }
 }
+
+namespace {
+
+/// Supervisor tick: death detection, respawn readiness and the heartbeat
+/// watchdog run at this period. A kill -9 is noticed at most one tick
+/// late, well inside the respawn budget, and an idle coordinator wakes
+/// only 100 times a second for it.
+constexpr auto kSuperviseInterval = std::chrono::milliseconds(10);
+
+}  // namespace
 
 void FleetCoordinator::supervisor_loop() {
   obs::HeartbeatWatchdog watchdog(
       static_cast<std::int64_t>(config_.wedged_threshold_ms * 1e6));
   while (!shutting_down_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(config_.supervise_interval_us));
+    std::this_thread::sleep_for(kSuperviseInterval);
     for (std::uint32_t i = 0; i < shards_.size(); ++i) {
       ShardSlot& slot = shards_[i];
       pid_t pid = -1;
@@ -367,6 +374,9 @@ void FleetCoordinator::supervisor_loop() {
         slot.death_detected = Clock::now();
       }
       watchdog.forget(i);
+      // A shard killed between its last push and its ring left responses
+      // unannounced; wake the collector for them now.
+      response_bell_->ring();
 
       // Flight-recorder post-mortem: the dead incarnation's spans are
       // still sitting in the shm trace rings (plain atomic words — no
@@ -397,7 +407,7 @@ void FleetCoordinator::supervisor_loop() {
 }
 
 FleetStats FleetCoordinator::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   FleetStats out = stats_;
   out.shards.clear();
   out.energy_j = 0.0;
@@ -430,12 +440,6 @@ FleetStats FleetCoordinator::stats() const {
         status.vol_ctx_switches.load(std::memory_order_relaxed);
     report.invol_ctx_switches =
         status.invol_ctx_switches.load(std::memory_order_relaxed);
-    if (slot.alive) {
-      // The shard only refreshes its status word periodically; for a live
-      // process the kernel's current high-water mark is authoritative.
-      report.peak_rss_bytes = std::max(
-          report.peak_rss_bytes, runtime::peak_rss_bytes(report.pid));
-    }
     report.request_ring_depth = slot.channel.requests.size();
     report.sessions = placement_.load(i);
     out.energy_j += report.energy_j;
@@ -446,6 +450,18 @@ FleetStats FleetCoordinator::stats() const {
     for (const auto& [tenant, histogram] : tenants) {
       out.tenant_latency[tenant].merge(histogram);
       out.fleet_latency.merge(histogram);
+    }
+  }
+  lock.unlock();
+
+  // The shard only refreshes its status word periodically; for a live
+  // process the kernel's current high-water mark is authoritative. Read
+  // after unlocking: a /proc read per shard must not stall submit() and
+  // the collector.
+  for (ShardReport& report : out.shards) {
+    if (report.alive) {
+      report.peak_rss_bytes = std::max(report.peak_rss_bytes,
+                                       runtime::peak_rss_bytes(report.pid));
     }
   }
   return out;
@@ -618,6 +634,7 @@ void FleetCoordinator::shutdown() {
     for (ShardSlot& slot : shards_) {
       slot.channel.responses.close();
     }
+    response_bell_->ring();
 
     if (supervisor_.joinable()) supervisor_.join();
     if (collector_.joinable()) collector_.join();

@@ -13,7 +13,8 @@
 //                reduced rung cap stamped into its header once the target
 //                shard's ring backs up;
 //   transport  — one pair of lock-free SPSC shared-memory rings per shard
-//                (shm_ring.h), created before fork() and inherited;
+//                (shm_ring.h), created before fork() and inherited, plus
+//                one fleet-wide response doorbell the collector parks on;
 //   liveness   — a supervisor thread watches waitpid + heartbeat words,
 //                respawns killed shards onto the same rings (the
 //                unacknowledged ring tail replays — at-least-once,
@@ -86,8 +87,7 @@ struct FleetConfig {
   std::size_t degrade_watermark = 64;
   int degraded_rung_cap = 0;
 
-  bool respawn = true;             ///< revive kill -9'd shards
-  long supervise_interval_us = 1000;
+  bool respawn = true;  ///< revive kill -9'd shards
   /// Stale-heartbeat watchdog: a shard whose heartbeat word stays flat
   /// longer than this while the process is alive is reported wedged (log
   /// line + FleetStats::wedged_events). 0 disables. waitpid only sees
@@ -228,6 +228,10 @@ class FleetCoordinator {
   void complete_response(std::uint32_t shard, const ResponseSlot& slot);
 
   FleetConfig config_;
+  /// The collector's doorbell, in its own shared page mapped before any
+  /// fork so every shard incarnation can ring it.
+  ShmSegment bell_segment_{sizeof(Doorbell)};
+  Doorbell* response_bell_ = new (bell_segment_.data()) Doorbell();
   std::vector<ShardSlot> shards_;
 
   mutable std::mutex mutex_;  ///< placement, pending map, stats, quotas

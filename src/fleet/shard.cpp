@@ -178,6 +178,13 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
     const double energy_per_frame =
         live.empty() ? 0.0
                      : stats.energy_j / static_cast<double>(live.size());
+    // Count the batch before answering it: once a future resolves, the
+    // status words already include its frame.
+    status.served.fetch_add(live.size(), std::memory_order_relaxed);
+    status.batches.fetch_add(live.empty() ? 0 : 1,
+                             std::memory_order_relaxed);
+    add_status_double(status.energy_j_bits, stats.energy_j);
+    add_status_double(status.compute_ms_bits, stats.latency_ms);
 
     // Responses in ring order: dropped requests get a drop notice, live
     // ones their Prediction. Every response is pushed before the requests
@@ -205,15 +212,15 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
         out.flags |= kFlagDeadlineDropped;
         status.dropped_deadline.fetch_add(1, std::memory_order_relaxed);
       }
-      if (!responses.push_wait(out)) break;  // torn down underneath us
+      // A full ring waits on the collector: announce what is already
+      // pushed before parking, so the collector is never asleep on it.
+      if (!responses.try_push(out)) {
+        channel.response_bell->ring();
+        if (!responses.push_wait(out)) break;  // torn down underneath us
+      }
     }
+    channel.response_bell->ring();
     requests.release(batch);
-
-    status.served.fetch_add(live.size(), std::memory_order_relaxed);
-    status.batches.fetch_add(live.empty() ? 0 : 1,
-                             std::memory_order_relaxed);
-    add_status_double(status.energy_j_bits, stats.energy_j);
-    add_status_double(status.compute_ms_bits, stats.latency_ms);
     if ((++iterations & 63u) == 0) {
       publish_usage(status);
     }

@@ -64,6 +64,10 @@ struct ShardChannel {
   obs::TraceRecorder trace;  ///< shard-side spans, readable post-mortem
   SpscRing<RequestSlot> requests;
   SpscRing<ResponseSlot> responses;
+  /// The fleet-wide response doorbell (its own shared segment, mapped by
+  /// the coordinator before fork): the shard rings it after each batch's
+  /// responses, and the coordinator's collector parks on it.
+  Doorbell* response_bell = nullptr;
 
   /// Bytes one channel occupies for the given ring capacities.
   [[nodiscard]] static std::size_t bytes_for(std::size_t request_slots,

@@ -10,14 +10,15 @@
 //     64-bit counters on their own cache lines; slot index = counter &
 //     (capacity - 1). Producer publishes a slot with a release store of
 //     tail; consumer frees space with a release store of head.
-//   - blocking is adaptive spin-then-park: a side that finds nothing to do
-//     spins briefly, then parks on a futex doorbell word (cross-process
-//     futexes, so no pthread state is shared between processes). The
-//     opposite side only issues the FUTEX_WAKE syscall when the parked
-//     flag says someone is actually sleeping — an uncontended push or pop
-//     never enters the kernel. Parks are timed (1 ms) so a lost wakeup
-//     (or a peer killed mid-handshake) degrades to a bounded stall, never
-//     a hang.
+//   - blocking is event-driven: a side that finds nothing to do spins
+//     briefly, then parks on a futex Doorbell (cross-process futexes, so
+//     no pthread state is shared between processes) that the other side
+//     rings on every push, release and close. ring() only issues the
+//     FUTEX_WAKE syscall when the parked flag says someone is actually
+//     sleeping — an uncontended push or pop never enters the kernel. Every
+//     real wake is explicit; the timed park (20 ms) is only a backstop, so
+//     a lost wakeup (or a peer killed mid-handshake) degrades to a bounded
+//     stall, never a hang.
 //
 // Crash-tolerance is structural: there are no locks to leak. The consumer
 // side advances head only after the work a slot describes is fully
@@ -49,6 +50,62 @@ void cpu_relax();
 
 }  // namespace detail
 
+/// A futex doorbell in shared memory: the one wait/wake handshake of the
+/// fleet. A producer publishes its state change (a push, a release, a
+/// close, a batch of responses) and then calls ring(); a waiter calls
+/// wait(ready) with a predicate over that state. Any number of threads or
+/// processes may ring; at most one may wait at a time (the parked flag is
+/// a single word).
+struct alignas(64) Doorbell {
+  /// Spins before a waiter parks (~2 us): long enough to ride out a
+  /// handoff between two running threads (at 64, a tiny ring's producer
+  /// and consumer fall into a park/wake on most handoffs), short enough
+  /// not to burn a core through an idle gap.
+  static constexpr int kSpinIters = 128;
+  /// Park timeout. Only a backstop for a lost wake: every real wake is a
+  /// ring().
+  static constexpr long kParkNs = 20'000'000;
+
+  std::atomic<std::uint32_t> bell{0};    ///< bumped by every ring()
+  std::atomic<std::uint32_t> parked{0};  ///< 1 while a waiter may sleep
+
+  /// Announce a state change published before the call. Enters the kernel
+  /// only when a waiter is parked.
+  void ring() noexcept {
+    bell.fetch_add(1, std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_seq_cst) != 0) {
+      detail::futex_wake_all(&bell);
+    }
+  }
+
+  /// Return once `ready()` is true: spin, then park. The handshake reads
+  /// the bell, re-checks, sets the parked flag, re-checks, and only then
+  /// sleeps on the bell value it read — a ringer either sees the flag and
+  /// wakes us, or bumped the bell first and the futex refuses to sleep.
+  template <typename Ready>
+  void wait(Ready&& ready) noexcept {
+    for (int spin = 0; spin < kSpinIters; ++spin) {
+      if (ready()) return;
+      detail::cpu_relax();
+    }
+    while (true) {
+      const std::uint32_t seen = bell.load(std::memory_order_acquire);
+      if (ready()) return;
+      parked.store(1, std::memory_order_seq_cst);
+      if (ready()) {
+        parked.store(0, std::memory_order_seq_cst);
+        return;
+      }
+      detail::futex_wait(&bell, seen, kParkNs);
+      parked.store(0, std::memory_order_seq_cst);
+    }
+  }
+
+  /// Clear a parked flag a dead waiter left set, so ringers stop issuing
+  /// needless wakes.
+  void reset() noexcept { parked.store(0, std::memory_order_seq_cst); }
+};
+
 /// Shared control block of one SPSC ring. Head, tail, and the doorbells
 /// live on separate cache lines so the producer and consumer never
 /// false-share.
@@ -57,12 +114,8 @@ struct alignas(64) RingControl {
 
   alignas(64) std::atomic<std::uint64_t> tail{0};  ///< producer cursor
   alignas(64) std::atomic<std::uint64_t> head{0};  ///< consumer cursor
-  /// Push doorbell: bumped on every push; the consumer parks on it.
-  alignas(64) std::atomic<std::uint32_t> data_bell{0};
-  std::atomic<std::uint32_t> consumer_parked{0};
-  /// Pop doorbell: bumped on every release; the producer parks on it.
-  alignas(64) std::atomic<std::uint32_t> space_bell{0};
-  std::atomic<std::uint32_t> producer_parked{0};
+  Doorbell data;   ///< rung on every push; the consumer parks on it
+  Doorbell space;  ///< rung on every release; the producer parks on it
   alignas(64) std::atomic<std::uint32_t> closed{0};
   std::uint32_t capacity = 0;
   std::uint64_t magic = 0;
@@ -120,10 +173,8 @@ class SpscRing {
 
   void close() noexcept {
     ctl_->closed.store(1, std::memory_order_release);
-    ring_bell(ctl_->data_bell);
-    ring_bell(ctl_->space_bell);
-    detail::futex_wake_all(&ctl_->data_bell);
-    detail::futex_wake_all(&ctl_->space_bell);
+    ctl_->data.ring();
+    ctl_->space.ring();
   }
   [[nodiscard]] bool closed() const noexcept {
     return ctl_->closed.load(std::memory_order_acquire) != 0;
@@ -131,12 +182,8 @@ class SpscRing {
 
   /// A freshly (re)attached endpoint clears the parked flag its dead
   /// predecessor may have left set, so the peer never skips a wake.
-  void reset_consumer_park() noexcept {
-    ctl_->consumer_parked.store(0, std::memory_order_seq_cst);
-  }
-  void reset_producer_park() noexcept {
-    ctl_->producer_parked.store(0, std::memory_order_seq_cst);
-  }
+  void reset_consumer_park() noexcept { ctl_->data.reset(); }
+  void reset_producer_park() noexcept { ctl_->space.reset(); }
 
   // ------------------------------------------------------------- producer
 
@@ -149,34 +196,19 @@ class SpscRing {
     if (tail - head >= capacity()) return false;
     std::memcpy(&slots_[tail & mask_], &slot, sizeof(T));
     ctl_->tail.store(tail + 1, std::memory_order_release);
-    ctl_->data_bell.fetch_add(1, std::memory_order_release);
-    if (ctl_->consumer_parked.load(std::memory_order_seq_cst) != 0) {
-      detail::futex_wake_all(&ctl_->data_bell);
-    }
+    ctl_->data.ring();
     return true;
   }
 
-  /// Push, waiting for space with adaptive spin-then-park. False when the
-  /// ring closes before space appears.
+  /// Push, waiting for space (spin, then park on the space doorbell).
+  /// False when the ring closes before space appears.
   bool push_wait(const T& slot) noexcept {
-    for (int spin = 0; spin < kSpinIters; ++spin) {
-      if (try_push(slot)) return true;
-      if (closed()) return false;
-      detail::cpu_relax();
-    }
-    while (!closed()) {
-      const std::uint32_t bell =
-          ctl_->space_bell.load(std::memory_order_acquire);
-      if (try_push(slot)) return true;
-      ctl_->producer_parked.store(1, std::memory_order_seq_cst);
-      if (try_push(slot)) {
-        ctl_->producer_parked.store(0, std::memory_order_seq_cst);
-        return true;
-      }
-      detail::futex_wait(&ctl_->space_bell, bell, kParkNs);
-      ctl_->producer_parked.store(0, std::memory_order_seq_cst);
-    }
-    return false;
+    bool pushed = false;
+    ctl_->space.wait([&] {
+      pushed = try_push(slot);
+      return pushed || closed();
+    });
+    return pushed;
   }
 
   // ------------------------------------------------------------- consumer
@@ -192,10 +224,7 @@ class SpscRing {
   void release(std::size_t k) noexcept {
     const std::uint64_t head = ctl_->head.load(std::memory_order_relaxed);
     ctl_->head.store(head + k, std::memory_order_release);
-    ctl_->space_bell.fetch_add(1, std::memory_order_release);
-    if (ctl_->producer_parked.load(std::memory_order_seq_cst) != 0) {
-      detail::futex_wake_all(&ctl_->space_bell);
-    }
+    ctl_->space.ring();
   }
 
   /// Copy-and-consume one slot; false when the ring is empty.
@@ -206,43 +235,22 @@ class SpscRing {
     return true;
   }
 
-  /// Wait until at least one slot is readable (spin, then timed futex
-  /// park). Returns the number readable; 0 only when the ring is closed
-  /// and fully drained. The producer may push its last items between an
-  /// empty size() and close(), so after seeing closed() the count is read
-  /// again — the close flag orders after every push before it.
+  /// Wait until at least one slot is readable (spin, then park on the
+  /// data doorbell). Returns the number readable; 0 only when the ring is
+  /// closed and fully drained. The producer may push its last items
+  /// between an empty size() and close(), so after seeing closed() the
+  /// count is read again — the close flag orders after every push before
+  /// it.
   std::size_t wait_nonempty() noexcept {
-    for (int spin = 0; spin < kSpinIters; ++spin) {
-      const std::size_t n = size();
-      if (n > 0) return n;
-      if (closed()) return size();
-      detail::cpu_relax();
-    }
-    while (true) {
-      const std::uint32_t bell =
-          ctl_->data_bell.load(std::memory_order_acquire);
-      std::size_t n = size();
-      if (n > 0) return n;
-      if (closed()) return size();
-      ctl_->consumer_parked.store(1, std::memory_order_seq_cst);
+    std::size_t n = 0;
+    ctl_->data.wait([&] {
       n = size();
-      if (n > 0) {
-        ctl_->consumer_parked.store(0, std::memory_order_seq_cst);
-        return n;
-      }
-      detail::futex_wait(&ctl_->data_bell, bell, kParkNs);
-      ctl_->consumer_parked.store(0, std::memory_order_seq_cst);
-    }
+      return n > 0 || closed();
+    });
+    return n > 0 ? n : size();
   }
 
  private:
-  static constexpr int kSpinIters = 2048;
-  static constexpr long kParkNs = 1'000'000;  // 1 ms; lost wakes self-heal
-
-  static void ring_bell(std::atomic<std::uint32_t>& bell) noexcept {
-    bell.fetch_add(1, std::memory_order_release);
-  }
-
   RingControl* ctl_ = nullptr;
   T* slots_ = nullptr;
   std::size_t mask_ = 0;

@@ -3,7 +3,8 @@
 // vs an in-process Servable from the same bundle, kill -9 recovery (respawn
 // + ring-tail replay) under the 250 ms budget, per-tenant admission quotas,
 // hard-deadline SLO drops, graceful shutdown serving every accepted frame,
-// and the metric families register_metrics exports.
+// an idle fleet parking instead of polling, and the metric families
+// register_metrics exports.
 //
 // Skipped under ThreadSanitizer: TSan does not support fork() from a
 // multi-threaded process (the coordinator runs collector + supervisor
@@ -12,10 +13,12 @@
 #include "fleet/coordinator.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -170,6 +173,30 @@ std::vector<runtime::Prediction> reference_predictions(
               all.data() + i * static_cast<std::size_t>(kFramePixels));
   }
   return direct->classify(all);
+}
+
+/// Voluntary context switches of this process so far, summed over threads.
+std::uint64_t own_voluntary_switches() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_nvcsw);
+}
+
+/// Voluntary context switches of every live thread of process `pid`, read
+/// from /proc/<pid>/task/*/status.
+std::uint64_t voluntary_switches(std::int32_t pid) {
+  std::uint64_t total = 0;
+  const std::filesystem::path tasks =
+      "/proc/" + std::to_string(pid) + "/task";
+  for (const auto& task : std::filesystem::directory_iterator(tasks)) {
+    std::ifstream status(task.path() / "status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+        total += std::stoull(line.substr(line.find(':') + 1));
+      }
+    }
+  }
+  return total;
 }
 
 TEST(FleetConfigTest, ValidateNamesTheOffendingField) {
@@ -498,6 +525,50 @@ TEST(Fleet, StatsReportPerShardFootprint) {
     tenant_total += histogram.count();
   }
   EXPECT_EQ(tenant_total, stats.fleet_latency.count());
+  fleet.shutdown();
+}
+
+TEST(Fleet, IdleFleetStaysParked) {
+  SKIP_UNDER_TSAN();
+  // An idle fleet sleeps instead of polling: every waiting thread parks on
+  // a doorbell its producer rings, so over 200 ms of idle only the
+  // supervisor's 10 ms tick and the parks' 20 ms lost-wake backstops wake
+  // anything (~30 coordinator and ~10 shard switches). These are counts,
+  // not times: a sleep or a timed park never ends early, so a slow or
+  // loaded host cannot raise them.
+  FleetCoordinator fleet(small_config(2));
+  const Workload work = make_workload(8, 1);
+  std::vector<std::future<FleetResult>> futures;
+  for (std::size_t i = 0; i < work.keys.size(); ++i) {
+    futures.push_back(
+        fleet.submit(work.keys[i], /*tenant=*/0, work.frames[i].data()));
+  }
+  for (auto& future : futures) (void)future.get();
+  for (bool serving = false; !serving;) {
+    serving = true;
+    for (const ShardReport& shard : fleet.stats().shards) {
+      serving &= shard.epoch >= 1;
+    }
+    if (!serving) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // A parked shard does not refresh the counters in its status words, so
+  // the shards' switches are read from /proc.
+  std::vector<std::int32_t> pids;
+  std::vector<std::uint64_t> shard_before;
+  for (const ShardReport& shard : fleet.stats().shards) {
+    pids.push_back(shard.pid);
+    shard_before.push_back(voluntary_switches(shard.pid));
+  }
+  const std::uint64_t coordinator_before = own_voluntary_switches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(own_voluntary_switches() - coordinator_before, 150u)
+      << "coordinator";
+  for (std::size_t i = 0; i < pids.size(); ++i) {
+    EXPECT_LT(voluntary_switches(pids[i]) - shard_before[i], 50u)
+        << "shard " << i;
+  }
   fleet.shutdown();
 }
 

@@ -1,15 +1,18 @@
 // SpscRing torture tests: wrap-around correctness, full-ring backpressure,
-// and producer/consumer tear-down races — run with in-process threads over
-// a ShmSegment so the exact shared-memory code paths execute under TSan
-// (the fork-based fleet tests cannot; TSan does not support multi-threaded
-// fork, so this file is the transport's sanitizer coverage).
+// producer/consumer tear-down races, and the Doorbell the fleet's waiters
+// park on — run with in-process threads over a ShmSegment so the exact
+// shared-memory code paths execute under TSan (the fork-based fleet tests
+// cannot; TSan does not support multi-threaded fork, so this file is the
+// transport's sanitizer coverage).
 #include "fleet/shm_ring.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -232,6 +235,114 @@ TEST(SpscRing, UnreleasedSlotsSurviveForReplay) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(respawned.peek(i).value, i);
   }
+}
+
+/// A Doorbell living in a real shared mapping, like the fleet's.
+struct BellFixture {
+  BellFixture()
+      : segment(sizeof(Doorbell)),
+        bell(*new (segment.data()) Doorbell()) {}
+  ShmSegment segment;
+  Doorbell& bell;
+};
+
+TEST(Doorbell, OneWaiterDrainsManyRingsInPerRingOrder) {
+  // The collector's shape in one process: each producer pushes into its
+  // own tiny ring and rings one shared doorbell after every batch of
+  // pushes, and also before it blocks on a full ring (pushes since its
+  // last ring are unannounced). The one consumer parks on the doorbell
+  // until any ring has data and must drain every item in per-ring order.
+  constexpr int kProducers = 3;
+  constexpr int kRounds = 20;
+  constexpr std::uint64_t kItems = 1000;
+  constexpr std::uint64_t kBatch = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    BellFixture fx;
+    std::vector<std::unique_ptr<RingFixture>> rings;
+    for (int p = 0; p < kProducers; ++p) {
+      rings.push_back(std::make_unique<RingFixture>(8));
+    }
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&fx, &ring = rings[p]->ring] {
+        for (std::uint64_t i = 0; i < kItems; ++i) {
+          if (!ring.try_push(make_item(i))) {
+            fx.bell.ring();
+            ASSERT_TRUE(ring.push_wait(make_item(i)));
+          }
+          if ((i + 1) % kBatch == 0) fx.bell.ring();
+        }
+        ring.close();
+        fx.bell.ring();
+      });
+    }
+
+    const auto ready = [&rings] {
+      bool all_closed = true;
+      for (const auto& ring : rings) {
+        if (ring->ring.size() > 0) return true;
+        all_closed = all_closed && ring->ring.closed();
+      }
+      return all_closed;
+    };
+    std::vector<std::uint64_t> expect(kProducers, 0);
+    while (true) {
+      bool any = false;
+      bool drained = true;
+      for (int p = 0; p < kProducers; ++p) {
+        SpscRing<Item>& ring = rings[p]->ring;
+        // closed() before size(): a closed ring's count is final.
+        const bool closed = ring.closed();
+        const std::size_t n = ring.size();
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(ring.peek(i).value, expect[p] + i);
+          EXPECT_EQ(ring.peek(i).check, ~(expect[p] + i));
+        }
+        if (n > 0) ring.release(n);
+        expect[p] += n;
+        any = any || n > 0;
+        drained = drained && closed && n == 0;
+      }
+      if (drained) break;
+      if (!any) fx.bell.wait(ready);
+    }
+    for (std::thread& producer : producers) producer.join();
+    for (int p = 0; p < kProducers; ++p) {
+      ASSERT_EQ(expect[p], kItems) << "round " << round << " ring " << p;
+    }
+  }
+}
+
+TEST(Doorbell, RingWakesAParkedWaiterBeforeTheBackstop) {
+  // A waiter parked with nothing ready must be woken by ring(), not by the
+  // timed park's backstop. The waiter is left parked for 1 ms first, so a
+  // ring() that failed to wake it would show the rest of the backstop.
+  static_assert(Doorbell::kParkNs >= 20'000'000);
+  using Clock = std::chrono::steady_clock;
+  BellFixture fx;
+  std::vector<double> latency_ms;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::atomic<bool> go{false};
+    Clock::time_point woke;
+    std::thread waiter([&] {
+      fx.bell.wait([&] { return go.load(std::memory_order_acquire); });
+      woke = Clock::now();
+    });
+    while (fx.bell.parked.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const Clock::time_point rung = Clock::now();
+    go.store(true, std::memory_order_release);
+    fx.bell.ring();
+    waiter.join();
+    latency_ms.push_back(
+        std::chrono::duration<double, std::milli>(woke - rung).count());
+  }
+  std::sort(latency_ms.begin(), latency_ms.end());
+  EXPECT_LT(latency_ms[latency_ms.size() / 2], 10.0)
+      << "min " << latency_ms.front() << " ms, max " << latency_ms.back()
+      << " ms";
 }
 
 }  // namespace
