@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -128,7 +129,9 @@ void BM_BinaryFirstLayerImage(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel("exact fixed-point 32-kernel conv in lanes, one 28x28 image");
+  state.SetLabel(std::string("exact fixed-point 32-kernel conv, one 28x28 "
+                             "image, conv GEMM at ") +
+                 nn::kern::to_string(nn::kern::active_level()));
 }
 BENCHMARK(BM_BinaryFirstLayerImage)->Arg(4)->Arg(8);
 

@@ -11,7 +11,6 @@
 #include "sc/fsm.h"
 #include "sc/gates.h"
 #include "sc/lfsr.h"
-#include "sc/stream_ops.h"
 
 namespace scbnn::hybrid {
 

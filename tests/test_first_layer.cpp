@@ -136,7 +136,10 @@ std::vector<float> binary_reference(const nn::QuantizedConvWeights& qw,
 }
 
 TEST(BinaryFirstLayer, MatchesScalarReferenceAtEveryPrecision) {
-  // Float lanes up to 9 bits, double lanes above. Kernels 0 and 1 are
+  // Float lanes (the conv GEMM) up to 9 bits, double lanes above. The
+  // GEMM takes the kernels in groups of four rows, and AVX2 tiles each
+  // group four rows at a time, so 32 kernels fill every tile and 5 leave
+  // one kernel to the 1-row remainder tile. Kernels 0 and 1 are
   // full-scale +-2^bits on every tap and images 0 and 2 carry a 5x5 block
   // of out-of-range bright pixels in a corner, where the padding meets it,
   // so |dot| reaches its bound 25 * 4^bits: exactly the threshold at
@@ -155,12 +158,16 @@ TEST(BinaryFirstLayer, MatchesScalarReferenceAtEveryPrecision) {
                                 std::numeric_limits<double>::infinity(),
                                 std::numeric_limits<double>::quiet_NaN()};
   for (unsigned bits = 2; bits <= 16; ++bits) {
-    auto qw = sample_qweights(32, bits, 70 + bits);
     const int full = 1 << bits;
-    qw.kernels[0].levels.assign(kFanIn, full);
-    qw.kernels[1].levels.assign(kFanIn, -full);
-    qw.kernels[2].levels.assign(kFanIn, 0);
-    qw.kernels[3].levels.assign(kFanIn, full - 1);
+    std::vector<nn::QuantizedConvWeights> weight_sets;
+    for (const int kernels : {32, 5}) {
+      auto qw = sample_qweights(kernels, bits, 70 + bits);
+      qw.kernels[0].levels.assign(kFanIn, full);
+      qw.kernels[1].levels.assign(kFanIn, -full);
+      qw.kernels[2].levels.assign(kFanIn, 0);
+      qw.kernels[3].levels.assign(kFanIn, full - 1);
+      weight_sets.push_back(std::move(qw));
+    }
     std::vector<nn::Tensor> images;
     for (int i = 0; i < 3; ++i) {
       nn::Tensor img = sample_image(100 + 10 * bits + static_cast<unsigned>(i));
@@ -184,19 +191,21 @@ TEST(BinaryFirstLayer, MatchesScalarReferenceAtEveryPrecision) {
     std::vector<double> thresholds(std::begin(kThresholds),
                                    std::end(kThresholds));
     thresholds.push_back((odd_dot - 0.2) / (static_cast<double>(full) * full));
-    for (const double t : thresholds) {
-      FirstLayerConfig cfg;
-      cfg.bits = bits;
-      cfg.soft_threshold = t;
-      const BinaryFirstLayer engine(qw, cfg);
-      for (std::size_t i = 0; i < images.size(); ++i) {
-        const auto want = binary_reference(qw, t, images[i].data());
-        const auto got = run_engine(engine, images[i]);
-        for (std::size_t j = 0; j < want.size(); ++j) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
-                    std::bit_cast<std::uint32_t>(want[j]))
-              << "bits=" << bits << " t=" << t << " image " << i
-              << " output " << j;
+    for (const auto& qw : weight_sets) {
+      for (const double t : thresholds) {
+        FirstLayerConfig cfg;
+        cfg.bits = bits;
+        cfg.soft_threshold = t;
+        const BinaryFirstLayer engine(qw, cfg);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+          const auto want = binary_reference(qw, t, images[i].data());
+          const auto got = run_engine(engine, images[i]);
+          for (std::size_t j = 0; j < want.size(); ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+                      std::bit_cast<std::uint32_t>(want[j]))
+                << "bits=" << bits << " kernels=" << qw.kernels.size()
+                << " t=" << t << " image " << i << " output " << j;
+          }
         }
       }
     }

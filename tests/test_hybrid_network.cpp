@@ -1,9 +1,12 @@
 // Hybrid network assembly and the retraining pipeline (scaled down).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -256,8 +259,11 @@ TEST(Experiment, EnvIgnoresGarbageValues) {
 }
 
 TEST(Experiment, CacheRoundTrip) {
+  // One file per process, so two copies of this binary running at once do
+  // not remove or fill each other's cache between the two calls.
   const std::string cache =
-      (std::filesystem::temp_directory_path() / "scbnn_exp_cache.bin")
+      (std::filesystem::temp_directory_path() /
+       ("scbnn_exp_cache_" + std::to_string(::getpid()) + ".bin"))
           .string();
   std::remove(cache.c_str());
   ExperimentConfig cfg;
