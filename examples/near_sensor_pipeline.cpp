@@ -17,10 +17,12 @@
 // Per-frame latency and energy come from the calibrated 65nm model, with
 // the all-binary design for comparison.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -30,10 +32,9 @@
 #include "hybrid/bundle.h"
 #include "hybrid/experiment.h"
 #include "runtime/adaptive_pipeline.h"
+#include "runtime/percentile.h"
 #include "runtime/server.h"
 #include "sensor/frame_source.h"
-#include "sensor/sensor_session.h"
-#include "sensor/stream_supervisor.h"
 
 namespace {
 
@@ -192,9 +193,9 @@ int main(int argc, char** argv) {
   // ---- Sensor stream: a noisy, bursty camera overloads the ladder ----
   //
   // The full near-sensor loop: frames arrive in bursts through a noisy
-  // sensor, a SensorSession feeds them to a Server one request at a
-  // time, and a StreamSupervisor sheds *precision* (not frames) when the
-  // queue backs up — then walks the ladder back up once the burst passes.
+  // sensor, and each one is submitted to the adaptive Server at its arrival
+  // time. A sensor cannot wait, so a full admission queue sheds the frame
+  // (QueueFullError) instead of stalling the stream.
   {
     constexpr long kStreamFrames = 96;
 
@@ -229,36 +230,61 @@ int main(int argc, char** argv) {
     stream_cfg.queue_capacity = 24;
     runtime::Server stream_server(*adaptive, stream_cfg);
 
-    sensor::SessionConfig session_cfg;
-    session_cfg.policy = sensor::BackpressurePolicy::kDegrade;
-    sensor::SensorSession session(source, stream_server, session_cfg);
-    sensor::SupervisorConfig sup_cfg;
-    sup_cfg.high_inflight = 18;
-    sup_cfg.low_inflight = 6;
-    sup_cfg.tick_us = 1000;
-    sensor::StreamSupervisor supervisor(adaptive, sup_cfg);
-    supervisor.watch(&session);
-    supervisor.start();
+    // Open loop: arrivals follow the source's gaps whatever the server is
+    // doing, so queueing delay lands in the end-to-end latency.
+    struct Admitted {
+      std::future<runtime::Prediction> future;
+      double lag_ms = 0.0;  ///< arrival -> admitted
+      int truth = -1;
+    };
+    std::vector<Admitted> admitted;
+    long produced = 0;
+    long shed = 0;
+    sensor::Frame frame;
+    auto arrival = runtime::ServeClock::now();
+    while (source.next(frame)) {
+      arrival += std::chrono::duration_cast<runtime::ServeClock::duration>(
+          std::chrono::duration<double>(frame.gap_s));
+      std::this_thread::sleep_until(arrival);
+      ++produced;
+      try {
+        std::future<runtime::Prediction> future =
+            stream_server.submit(frame.pixels.data());
+        admitted.push_back(
+            {std::move(future),
+             runtime::ms_between(arrival, runtime::ServeClock::now()),
+             frame.label});
+      } catch (const runtime::QueueFullError&) {
+        ++shed;
+      }
+    }
 
-    session.start();
-    const sensor::StreamStats stream = session.finish();
-    const std::vector<sensor::SupervisorEvent> events = supervisor.events();
-    supervisor.stop();
+    std::vector<double> e2e_ms;
+    long correct = 0;
+    double energy_j = 0.0;
+    for (Admitted& a : admitted) {
+      const runtime::Prediction p = a.future.get();
+      e2e_ms.push_back(a.lag_ms + p.e2e_ms());
+      correct += p.label == a.truth ? 1 : 0;
+      energy_j += p.energy_j;
+    }
+    std::sort(e2e_ms.begin(), e2e_ms.end());
+    const long delivered = static_cast<long>(admitted.size());
+    const double accuracy_pct =
+        delivered > 0 ? 100.0 * static_cast<double>(correct) / delivered : 0.0;
+    const double nj_per_frame =
+        delivered > 0 ? energy_j * 1e9 / delivered : 0.0;
 
     std::printf("\nSensor stream (%s, ~%.0f frames/s offered vs ~%.0f "
-                "sustainable, degrade policy):\n",
-                source.name().c_str(), arrivals.rate_hz, peak_rps);
-    std::printf("  delivered %ld/%ld frames (0 dropped), %ld served at "
-                "reduced precision (cap floor rung %d of %d)\n",
-                stream.delivered, stream.produced, stream.degraded,
-                stream.min_rung_cap_seen, supervisor.full_rung());
+                "sustainable, queue of %zu):\n",
+                source.name().c_str(), arrivals.rate_hz, peak_rps,
+                stream_cfg.queue_capacity);
+    std::printf("  delivered %ld + shed %ld = %ld frames produced\n",
+                delivered, shed, produced);
     std::printf("  e2e latency p50/p99: %.2f/%.2f ms; accuracy %.0f%%; "
-                "first-layer energy %.1f nJ/frame\n",
-                stream.e2e_ms.percentile(50), stream.e2e_ms.percentile(99),
-                100.0 * stream.accuracy(), stream.energy_nj_per_frame());
-    std::printf("  supervisor moved the rung cap %zu times and restored "
-                "the full ladder afterwards\n",
-                events.size());
+                "first-layer energy %.1f nJ per delivered frame\n",
+                runtime::percentile(e2e_ms, 50),
+                runtime::percentile(e2e_ms, 99), accuracy_pct, nj_per_frame);
   }
 
   std::printf("\nNote: sensor conversion energy is excluded, as in the "

@@ -175,9 +175,6 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
       stats = backend->classify(staged.data(),
                                 static_cast<int>(live.size()), preds.data());
     }
-    const double energy_per_frame =
-        live.empty() ? 0.0
-                     : stats.energy_j / static_cast<double>(live.size());
     // Count the batch before answering it: once a future resolves, the
     // status words already include its frame.
     status.served.fetch_add(live.size(), std::memory_order_relaxed);
@@ -205,7 +202,7 @@ int shard_main(const ShardChannel& channel, const ShardSpec& spec) {
         // Report the cap the batch was actually served under (the min over
         // its headers) — backend-independent, unlike Prediction::rung_cap.
         out.rung_cap = static_cast<std::int32_t>(cap);
-        out.energy_j = energy_per_frame;
+        out.energy_j = p.energy_j;
         out.compute_ms = stats.latency_ms;
         ++next_live;
       } else {

@@ -75,7 +75,7 @@ struct alignas(64) ResponseSlot {
   std::uint64_t sequence = 0;  ///< echoes RequestSlot::sequence
   std::uint64_t trace_id = 0;  ///< echoes RequestSlot::trace_id
   double margin = 0.0;
-  double energy_j = 0.0;      ///< per-frame split of the batch energy
+  double energy_j = 0.0;      ///< this frame's Prediction::energy_j
   double compute_ms = 0.0;    ///< shard-side batch latency
   std::int32_t label = -1;
   std::int32_t rung = 0;

@@ -9,7 +9,7 @@
 // stack as Prometheus text format or a JSON snapshot in one call.
 //
 // Naming scheme (see README "Observability"): scbnn_<layer>_<what>[_unit],
-// counters end in _total, layers are server | session | fleet | executor.
+// counters end in _total, layers are server | fleet | executor.
 
 #include <atomic>
 #include <bit>

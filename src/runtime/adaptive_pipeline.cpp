@@ -140,6 +140,7 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
                                                 engine.kernels());
     s.sc_cycles = hw::backend_sc_cycles_per_frame(engine.name(), rung.bits,
                                                   engine.kernels());
+    s.exit_energy_j = (r > 0 ? state_[r - 1].exit_energy_j : 0.0) + s.energy_j;
     max_kernels = std::max(max_kernels, engine.kernels());
     max_classes = std::max(max_classes, s.plan->classes());
   }
@@ -230,8 +231,8 @@ ServeStats AdaptivePipeline::classify(const float* images, int n,
                                       Prediction* out) {
   const auto batch_start = Clock::now();
   // Sampled once per batch: every frame of this batch climbs the same
-  // (possibly supervisor-shortened) ladder, and the last allowed rung
-  // accepts all of its survivors.
+  // (possibly capped) ladder, and the last allowed rung accepts all of its
+  // survivors.
   const auto last_rung = static_cast<std::size_t>(max_rung());
   const std::uint64_t trace_id = obs::ambient_trace_id();
   const bool traced = obs::trace_sampled(trace_id);
@@ -292,6 +293,7 @@ ServeStats AdaptivePipeline::classify(const float* images, int n,
       p.rung = static_cast<int>(r);
       p.bits_used = rung.bits;
       p.rung_cap = stats_.rung_cap;
+      p.energy_j = s.exit_energy_j;
       // Compacts in place: escalated <= j, so no index is overwritten
       // before it is read.
       if (sm.margin < confidence_margin_ && !last) active[escalated++] = idx;

@@ -144,8 +144,8 @@ class AdaptivePipeline : public Servable {
   /// last allowed rung accepts every survivor). The cap is sampled once
   /// per classify() call, so a batch is internally consistent, and with
   /// the cap at the ladder top predictions are bit-identical to the
-  /// uncapped pipeline. Safe to call from a supervisor thread while the
-  /// batch former classifies.
+  /// uncapped pipeline. Safe to call from another thread while a batch
+  /// classifies.
   void set_max_rung(int cap) noexcept override {
     max_rung_.store(cap, std::memory_order_relaxed);
   }
@@ -194,6 +194,8 @@ class AdaptivePipeline : public Servable {
     std::vector<nn::InferencePlan::Arena> arenas;
     double energy_j = 0.0;
     double sc_cycles = 0.0;
+    /// Energy of one frame that exits here: rungs 0..r, one pass each.
+    double exit_energy_j = 0.0;
   };
 
   /// Rung `r`'s first layer over `m` contiguous frames into `out`

@@ -3,7 +3,7 @@
 // One definition of "p99" for the whole repo: linear interpolation between
 // closest ranks over a sorted sample (the same rule NumPy's default and the
 // previous bench-local helper used), so a percentile perfbench reports is
-// comparable to a SensorSession's StreamStats.
+// comparable to one the examples print.
 #pragma once
 
 #include <array>

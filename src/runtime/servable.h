@@ -31,9 +31,9 @@ using ServeClock = std::chrono::steady_clock;
                                 ServeClock::time_point end);
 
 /// One classified frame. The arithmetic fields (label, margin, rung,
-/// bits_used) are bit-identical however the frame reached the backend; the
-/// timing fields are filled by runtime::Server and stay zero on direct
-/// Servable::classify calls.
+/// bits_used, energy_j) are bit-identical however the frame reached the
+/// backend; the timing fields are filled by runtime::Server and stay zero
+/// on direct Servable::classify calls.
 struct Prediction {
   /// Trace id minted at submit (Server or FleetCoordinator); 0 on direct
   /// Servable::classify calls. Connects this prediction to its spans in a
@@ -49,16 +49,14 @@ struct Prediction {
   /// rung_cap < the backend's full ladder top means the frame was served
   /// degraded.
   int rung_cap = 0;
+  /// First-layer energy this frame cost: one pass of every rung it entered,
+  /// 0..rung, from the calibrated 65nm model (0 when the backend has none).
+  double energy_j = 0.0;
 
   // Request-level accounting (Server only).
   double queue_wait_ms = 0.0;  ///< enqueue -> batch dispatch
   double compute_ms = 0.0;     ///< batch dispatch -> backend done
   int batch_size = 0;          ///< size of the coalesced batch served with
-  /// First-layer energy attributed to this frame: the batch's energy split
-  /// evenly over its frames (batch-level attribution — an escalated frame
-  /// in an adaptive batch really cost more than a confident one). Filled by
-  /// runtime::Server; 0 on direct Servable::classify calls.
-  double energy_j = 0.0;
 
   /// End-to-end request latency as tracked by the Server.
   [[nodiscard]] double e2e_ms() const noexcept {

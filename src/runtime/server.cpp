@@ -145,7 +145,6 @@ void Server::serve_loop() {
             batch[static_cast<std::size_t>(i)].enqueued_at, dispatched_at);
         p.compute_ms = compute_ms;
         p.batch_size = m;
-        p.energy_j = batch_stats.energy_j / m;
         queue_wait_sum += p.queue_wait_ms;
       }
     }

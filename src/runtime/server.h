@@ -114,12 +114,8 @@ class Server {
   [[nodiscard]] ExecutorStats executor_stats() const {
     return backend_.executor_stats();
   }
-  [[nodiscard]] const ServerConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const Servable& backend() const noexcept { return backend_; }
-  /// Requests currently waiting for dispatch — the overload signal a
-  /// stream supervisor or backpressure policy watches.
+  /// Requests currently waiting for dispatch (the batch former has not yet
+  /// taken them).
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
  private:

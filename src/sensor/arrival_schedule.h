@@ -81,7 +81,4 @@ class ArrivalSchedule {
   int burst_left_ = 0; ///< frames remaining in the current burst
 };
 
-/// The frame sources grew up calling this an ArrivalModel; same type.
-using ArrivalModel = ArrivalSchedule;
-
 }  // namespace scbnn::sensor

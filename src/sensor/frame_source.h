@@ -19,7 +19,7 @@
 //
 // Everything is deterministically seeded: the same (source config, seed)
 // yields the same frames and the same gaps on every run and after every
-// reset(), which is what makes the session tests' bit-identity checks and
+// reset(), which is what makes the fleet tests' bit-identity checks and
 // the replay tests possible.
 #pragma once
 
@@ -82,7 +82,7 @@ class DatasetReplaySource : public FrameSource {
  private:
   data::Dataset dataset_;
   long total_frames_;
-  ArrivalModel arrivals_;
+  ArrivalSchedule arrivals_;
   long cursor_ = 0;
 };
 
@@ -114,7 +114,7 @@ class DriftingCameraSource : public FrameSource {
 
  private:
   long total_frames_;
-  ArrivalModel arrivals_;
+  ArrivalSchedule arrivals_;
   std::uint64_t seed_;
   CameraDrift drift_;
   long cursor_ = 0;

@@ -196,6 +196,7 @@ TEST_F(AdaptivePipelineTest, MaxRungCapShortensTheLadderAndRestores) {
   for (const Prediction& o : uncapped) {
     EXPECT_EQ(o.rung, 1);
     EXPECT_EQ(o.bits_used, 6u);
+    EXPECT_EQ(o.rung_cap, 1);
   }
 
   pipeline.set_max_rung(0);
@@ -205,6 +206,7 @@ TEST_F(AdaptivePipelineTest, MaxRungCapShortensTheLadderAndRestores) {
   for (const Prediction& o : capped) {
     EXPECT_EQ(o.rung, 0);
     EXPECT_EQ(o.bits_used, 3u);
+    EXPECT_EQ(o.rung_cap, 0);
   }
   // Capped runs spend only the cheap rung's cycles.
   EXPECT_LT(pipeline.last_stats().sc_cycles,
@@ -340,9 +342,17 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
   EXPECT_DOUBLE_EQ(stats.energy_j, energy);
   EXPECT_GT(stats.energy_j, 0.0);  // sc-proposed has a calibrated model
   EXPECT_GT(stats.latency_ms, 0.0);
-  double outcome_cycles = 0.0;
+  double outcome_cycles = 0.0, outcome_energy = 0.0;
   for (const Prediction& o : outcomes) {
     outcome_cycles += cycles_spent(pipeline, o.rung);
+    // A frame is charged one pass of each rung it entered, no more.
+    double spent = 0.0;
+    for (int r = 0; r <= o.rung; ++r) {
+      spent += hw::backend_energy_per_frame_j(
+          "sc-proposed", stats.rungs[static_cast<std::size_t>(r)].bits, 8);
+    }
+    EXPECT_EQ(o.energy_j, spent);
+    outcome_energy += o.energy_j;
     EXPECT_GE(o.label, 0);
     EXPECT_LT(o.label, 10);
     EXPECT_GE(o.margin, 0.0);
@@ -350,6 +360,7 @@ TEST_F(AdaptivePipelineTest, StatsAreConsistentAndEnergyPositive) {
     EXPECT_TRUE(o.bits_used == 3u || o.bits_used == 6u);
   }
   EXPECT_DOUBLE_EQ(outcome_cycles, stats.sc_cycles);
+  EXPECT_DOUBLE_EQ(outcome_energy, stats.energy_j);
   // The mean lies between the cheap rung alone and every rung.
   EXPECT_GE(stats.mean_cycles_per_image(),
             pipeline.rung_cycles_per_image(0) - 1e-9);

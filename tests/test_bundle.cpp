@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -83,6 +85,20 @@ void write_file(const std::string& path, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A bundle file in the working directory, named for this process so two
+/// copies of this binary running at once never share one, and removed when
+/// the test ends.
+struct ScratchBundle {
+  explicit ScratchBundle(const std::string& stem)
+      : path(stem + "_" + std::to_string(::getpid()) + ".bundle") {
+    std::remove(path.c_str());
+  }
+  ~ScratchBundle() { std::remove(path.c_str()); }
+  ScratchBundle(const ScratchBundle&) = delete;
+  ScratchBundle& operator=(const ScratchBundle&) = delete;
+  const std::string path;
+};
+
 TEST(DatasetFingerprint, DetectsContentAndShapeChanges) {
   TrainedArtifacts& art = artifacts();
   const DatasetFingerprint fp =
@@ -103,7 +119,8 @@ TEST(DatasetFingerprint, DetectsContentAndShapeChanges) {
 
 TEST(BundleRoundTrip, AdaptiveLadderBitIdenticalAfterReload) {
   TrainedArtifacts& art = artifacts();
-  const std::string path = "test_bundle_adaptive.bundle";
+  const ScratchBundle file("test_bundle_adaptive");
+  const std::string& path = file.path;
   save_bundle(art.bundle, path);
   EXPECT_TRUE(bundle_file_valid(path));
 
@@ -146,7 +163,8 @@ TEST(BundleRoundTrip, SingleRungConventionalScBitIdentical) {
   const auto original = trained.classify(art.prep.data.test.images);
 
   ModelBundle bundle = make_bundle(art.prep, cfg, std::move(ladder), 0.5);
-  const std::string path = "test_bundle_conventional.bundle";
+  const ScratchBundle file("test_bundle_conventional");
+  const std::string& path = file.path;
   save_bundle(bundle, path);
   ModelBundle loaded = load_bundle(path);
   EXPECT_EQ(loaded.backend, "sc-conventional");
@@ -159,7 +177,8 @@ TEST(BundleRoundTrip, SingleRungConventionalScBitIdentical) {
 
 TEST(BundleRoundTrip, HybridNetworkFromBundleMatchesServable) {
   TrainedArtifacts& art = artifacts();
-  const std::string path = "test_bundle_adaptive.bundle";
+  const ScratchBundle file("test_bundle_adaptive");
+  const std::string& path = file.path;
   save_bundle(art.bundle, path);
   ModelBundle loaded = load_bundle(path);
 
@@ -178,7 +197,8 @@ TEST(BundleRoundTrip, HybridNetworkFromBundleMatchesServable) {
 
 TEST(BundleRoundTrip, ParamsFileValidCoversBundleMagic) {
   TrainedArtifacts& art = artifacts();
-  const std::string path = "test_bundle_magic.bundle";
+  const ScratchBundle file("test_bundle_magic");
+  const std::string& path = file.path;
   save_bundle(art.bundle, path);
   EXPECT_TRUE(nn::params_file_valid(path));
   EXPECT_TRUE(bundle_file_valid(path));
@@ -187,7 +207,8 @@ TEST(BundleRoundTrip, ParamsFileValidCoversBundleMagic) {
 
 TEST(BundleErrors, RejectsBadMagicVersionTruncationAndTrailing) {
   TrainedArtifacts& art = artifacts();
-  const std::string path = "test_bundle_corrupt.bundle";
+  const ScratchBundle file("test_bundle_corrupt");
+  const std::string& path = file.path;
   save_bundle(art.bundle, path);
   const std::string good = read_file(path);
   ASSERT_GT(good.size(), 64u);
@@ -273,8 +294,8 @@ TEST(LoadOrTrain, TrainsOnceThenLoadsBitIdentical) {
   cfg.train_n = 80;
   cfg.test_n = 32;
   cfg.seed = 23;
-  const std::string path = "test_bundle_cache.bundle";
-  std::remove(path.c_str());
+  const ScratchBundle file("test_bundle_cache");
+  const std::string& path = file.path;
   const std::vector<unsigned> bits = {3u, 5u};
 
   auto resolved = data::resolve_dataset(cfg.train_n, cfg.test_n, cfg.seed);
@@ -323,8 +344,8 @@ TEST(LoadOrTrain, LadderMismatchRetrains) {
   cfg.train_n = 80;
   cfg.test_n = 32;
   cfg.seed = 29;
-  const std::string path = "test_bundle_ladder_mismatch.bundle";
-  std::remove(path.c_str());
+  const ScratchBundle file("test_bundle_ladder_mismatch");
+  const std::string& path = file.path;
 
   auto resolved = data::resolve_dataset(cfg.train_n, cfg.test_n, cfg.seed);
 

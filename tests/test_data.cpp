@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/dataset.h"
 #include "data/mnist.h"
@@ -131,7 +134,8 @@ TEST(Dataset, HeadTruncates) {
 class IdxRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "scbnn_idx_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("scbnn_idx_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -232,6 +232,7 @@ TEST(Fleet, PredictionsBitIdenticalToInProcessServable) {
     EXPECT_EQ(r.prediction.rung, reference[i].rung) << "frame " << i;
     EXPECT_EQ(r.prediction.bits_used, reference[i].bits_used)
         << "frame " << i;
+    EXPECT_EQ(r.prediction.energy_j, reference[i].energy_j) << "frame " << i;
   }
 
   const FleetStats stats = fleet.stats();

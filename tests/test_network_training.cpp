@@ -2,8 +2,11 @@
 // serialization behavior.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -159,7 +162,8 @@ TEST(Serialize, RoundTripPreservesPredictions) {
   const auto before = net.predict(x);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "scbnn_test_params.bin")
+      (std::filesystem::temp_directory_path() /
+       ("scbnn_test_params_" + std::to_string(::getpid()) + ".bin"))
           .string();
   save_params(net, path);
   EXPECT_TRUE(params_file_valid(path));
@@ -176,7 +180,8 @@ TEST(Serialize, LoadRejectsShapeMismatch) {
   Network small = make_mlp(rng, 4);
   Network big = make_mlp(rng, 8);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "scbnn_test_mismatch.bin")
+      (std::filesystem::temp_directory_path() /
+       ("scbnn_test_mismatch_" + std::to_string(::getpid()) + ".bin"))
           .string();
   save_params(small, path);
   EXPECT_THROW(load_params(big, path), std::runtime_error);

@@ -241,6 +241,7 @@ TEST(Server, EnginePredictionsBitIdenticalToDirectClassify) {
         EXPECT_EQ(got.margin, direct[i].margin) << "image " << i;
         EXPECT_EQ(got.bits_used, direct[i].bits_used);
         EXPECT_EQ(got.rung, direct[i].rung);
+        EXPECT_EQ(got.energy_j, direct[i].energy_j) << "image " << i;
       }
     }
   }
@@ -248,24 +249,32 @@ TEST(Server, EnginePredictionsBitIdenticalToDirectClassify) {
 
 TEST(Server, AdaptivePredictionsBitIdenticalToDirectClassify) {
   const data::DataSplit split = data::generate_synthetic_mnist(11, 1, 29);
-  for (unsigned threads : {1u, 2u}) {
-    const auto backend = make_adaptive_backend(threads);
-    const std::vector<Prediction> direct =
-        backend->Servable::classify(split.train.images);
+  // Uncapped, and capped at the cheap rung: a capped frame matches a
+  // direct classify under the same cap.
+  for (int cap : {Servable::kUncappedRung, 0}) {
+    for (unsigned threads : {1u, 2u}) {
+      const auto backend = make_adaptive_backend(threads);
+      backend->set_max_rung(cap);
+      const std::vector<Prediction> direct =
+          backend->Servable::classify(split.train.images);
 
-    for (int max_batch : {1, 4}) {
-      const auto fresh = make_adaptive_backend(threads);
-      ServerConfig cfg;
-      cfg.max_batch = max_batch;
-      cfg.max_delay_us = 300;
-      Server server(*fresh, cfg);
-      auto futures = submit_all(server, split.train.images);
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        const Prediction got = futures[i].get();
-        EXPECT_EQ(got.label, direct[i].label) << "image " << i;
-        EXPECT_EQ(got.margin, direct[i].margin) << "image " << i;
-        EXPECT_EQ(got.rung, direct[i].rung) << "image " << i;
-        EXPECT_EQ(got.bits_used, direct[i].bits_used) << "image " << i;
+      for (int max_batch : {1, 4}) {
+        const auto fresh = make_adaptive_backend(threads);
+        fresh->set_max_rung(cap);
+        ServerConfig cfg;
+        cfg.max_batch = max_batch;
+        cfg.max_delay_us = 300;
+        Server server(*fresh, cfg);
+        auto futures = submit_all(server, split.train.images);
+        for (std::size_t i = 0; i < futures.size(); ++i) {
+          const Prediction got = futures[i].get();
+          EXPECT_EQ(got.label, direct[i].label) << "image " << i;
+          EXPECT_EQ(got.margin, direct[i].margin) << "image " << i;
+          EXPECT_EQ(got.rung, direct[i].rung) << "image " << i;
+          EXPECT_EQ(got.bits_used, direct[i].bits_used) << "image " << i;
+          EXPECT_EQ(got.rung_cap, direct[i].rung_cap) << "image " << i;
+          EXPECT_EQ(got.energy_j, direct[i].energy_j) << "image " << i;
+        }
       }
     }
   }
@@ -308,6 +317,7 @@ TEST(Server, FullQueueRejectsInsteadOfBlocking) {
   cfg.queue_capacity = 2;
   Server server(backend, cfg);
   const std::vector<float> frame(kPixels, 0.5f);
+  EXPECT_EQ(server.queue_depth(), 0u);
 
   // First request is popped and pins the batch former inside classify().
   auto pinned = server.submit(frame.data());
@@ -315,6 +325,7 @@ TEST(Server, FullQueueRejectsInsteadOfBlocking) {
   // Now the queue itself can hold exactly two more.
   auto queued1 = server.submit(frame.data());
   auto queued2 = server.submit(frame.data());
+  EXPECT_EQ(server.queue_depth(), 2u);
   EXPECT_THROW((void)server.submit(frame.data()), QueueFullError);
   EXPECT_EQ(server.stats().rejected, 1);
 
@@ -322,6 +333,7 @@ TEST(Server, FullQueueRejectsInsteadOfBlocking) {
   EXPECT_EQ(pinned.get().label, 1);
   EXPECT_EQ(queued1.get().label, 1);
   EXPECT_EQ(queued2.get().label, 1);
+  EXPECT_EQ(server.queue_depth(), 0u);  // drained
 }
 
 // --------------------------------------------- graceful shutdown (criterion d)
