@@ -325,8 +325,9 @@ BENCHMARK(BM_GemmColBiasDenseShape)->Apply(add_simd_levels);
 
 void BM_FusedTailPlan(benchmark::State& state) {
   // The whole vectorized tail (pool-conv-pool-dense-dense with fused bias/
-  // ReLU, arena scratch) on one 8-image chunk — the per-worker unit of the
-  // serving runtime's tail stage. items_per_second is images.
+  // ReLU, arena scratch) on one 8-image batch. The serving runtime runs it
+  // one image at a time, right after that image's first layer.
+  // items_per_second is images.
   const auto level = bench_level(state);
   constexpr int kBatch = 8;
   const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};

@@ -57,6 +57,11 @@ std::vector<AdaptiveRung> one_rung(
   return rungs;
 }
 
+/// Work items of `chunk` frames covering `m` frames: ceil(m / chunk)
+/// without forming m + chunk, which overflows for a huge chunk. Item `job`
+/// then starts at job * chunk < m, which cannot overflow either.
+int job_count(int m, int chunk) { return m / chunk + (m % chunk != 0); }
+
 /// `buf`'s storage, grown to at least `n` elements and never shrunk. The
 /// contents are scratch, so outgrowing the capacity frees the old block
 /// before allocating the new one instead of copying it.
@@ -121,7 +126,6 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
   }
   state_.resize(rungs_.size());
   int max_kernels = 0;
-  int max_classes = 0;
   for (std::size_t r = 0; r < rungs_.size(); ++r) {
     AdaptiveRung& rung = rungs_[r];
     const hybrid::FirstLayerEngine& engine = *rung.engine;
@@ -134,7 +138,7 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
     s.arenas.reserve(pool_->size());
     for (unsigned w = 0; w < pool_->size(); ++w) {
       s.scratch.push_back(engine.make_scratch());
-      s.arenas.push_back(s.plan->make_arena(config_.chunk_images));
+      s.arenas.push_back(s.plan->make_arena(1));
     }
     s.energy_j = hw::backend_energy_per_frame_j(engine.name(), rung.bits,
                                                 engine.kernels());
@@ -142,19 +146,13 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
                                                   engine.kernels());
     s.exit_energy_j = (r > 0 ? state_[r - 1].exit_energy_j : 0.0) + s.energy_j;
     max_kernels = std::max(max_kernels, engine.kernels());
-    max_classes = std::max(max_classes, s.plan->classes());
   }
   stats_.rungs.resize(rungs_.size());
-  // Reserved (not yet touched) for one chunk per worker, so batches up to
-  // that size never regrow the buffers: a regrown buffer can strand its
-  // old block below later allocations and raise peak memory.
-  const std::size_t frames =
-      static_cast<std::size_t>(config_.chunk_images) * pool_->size();
-  active_.reserve(frames);
-  survivors_.reserve(frames * kPixels);
-  feats_.reserve(frames * static_cast<std::size_t>(max_kernels) *
-                 hybrid::kOutputsPerKernel);
-  logits_.reserve(frames * static_cast<std::size_t>(max_classes));
+  slots_.resize(pool_->size());
+  for (Slot& slot : slots_) {
+    slot.features.resize(static_cast<std::size_t>(max_kernels) *
+                         hybrid::kOutputsPerKernel);
+  }
 }
 
 AdaptivePipeline::AdaptivePipeline(
@@ -182,7 +180,7 @@ void AdaptivePipeline::run_first_layer(std::size_t r, const float* images,
   const int chunk = config_.chunk_images;
   const std::size_t out_stride =
       static_cast<std::size_t>(engine.kernels()) * hybrid::kOutputsPerKernel;
-  pool_->parallel_for((m + chunk - 1) / chunk, [&](int job, unsigned worker) {
+  pool_->parallel_for(job_count(m, chunk), [&](int job, unsigned worker) {
     const int first = job * chunk;
     engine.compute_batch(images + static_cast<std::size_t>(first) * kPixels,
                          std::min(chunk, m - first),
@@ -191,8 +189,10 @@ void AdaptivePipeline::run_first_layer(std::size_t r, const float* images,
   });
 }
 
-void AdaptivePipeline::run_tail(std::size_t r, const float* feats, int m,
-                                float* logits) {
+std::pair<ServeClock::time_point, ServeClock::time_point>
+AdaptivePipeline::run_rung(std::size_t r, const float* images,
+                           const int* active, int m, float* logits) {
+  const hybrid::FirstLayerEngine& engine = *rungs_[r].engine;
   RungState& s = state_[r];
   if (s.plan_stale) {
     s.plan->refresh_params();
@@ -201,13 +201,41 @@ void AdaptivePipeline::run_tail(std::size_t r, const float* feats, int m,
   const nn::InferencePlan& plan = *s.plan;
   const int chunk = config_.chunk_images;
   const nn::kern::Level level = nn::kern::active_level();
-  pool_->parallel_for((m + chunk - 1) / chunk, [&](int job, unsigned worker) {
+  for (Slot& slot : slots_) slot.first_layer = slot.tail = {};
+  const auto start = Clock::now();
+  pool_->parallel_for(job_count(m, chunk), [&](int job, unsigned worker) {
+    Slot& slot = slots_[worker];
+    float* const feats = slot.features.data();
     const int first = job * chunk;
-    plan.run(feats + static_cast<std::size_t>(first) * plan.input_size(),
-             std::min(chunk, m - first),
-             logits + static_cast<std::size_t>(first) * plan.classes(),
-             s.arenas[worker], level);
+    const int count = std::min(chunk, m - first);
+    auto frame_start = Clock::now();
+    for (int j = first; j < first + count; ++j) {
+      engine.compute_batch(
+          images + static_cast<std::size_t>(active[j]) * kPixels, 1, feats,
+          *s.scratch[worker]);
+      const auto tail_start = Clock::now();
+      plan.run(feats, 1,
+               logits + static_cast<std::size_t>(j) * plan.classes(),
+               s.arenas[worker], level);
+      const auto frame_end = Clock::now();
+      slot.first_layer += tail_start - frame_start;
+      slot.tail += frame_end - tail_start;
+      frame_start = frame_end;
+    }
   });
+  const auto end = Clock::now();
+
+  Clock::duration first_layer{}, tail{};
+  for (const Slot& slot : slots_) {
+    first_layer += slot.first_layer;
+    tail += slot.tail;
+  }
+  const double busy = static_cast<double>((first_layer + tail).count());
+  const double share =
+      busy > 0.0 ? static_cast<double>(first_layer.count()) / busy : 0.0;
+  const double wall = static_cast<double>((end - start).count());
+  return {start,
+          start + Clock::duration(static_cast<Clock::rep>(share * wall))};
 }
 
 nn::Tensor AdaptivePipeline::features(const nn::Tensor& images) {
@@ -255,31 +283,11 @@ ServeStats AdaptivePipeline::classify(const float* images, int n,
     obs::SpanScope rung_span(obs::SpanName::kPipelineRung, trace_id, r,
                              static_cast<std::uint64_t>(m), rung.bits);
 
-    // Rung 0 sees the full batch in place; later rungs gather the
-    // unconfident survivors into a dense sub-batch so the chunked first
-    // layer and the tail stay contiguous.
-    const float* batch = images;
-    if (r > 0) {
-      float* const survivors =
-          grow(survivors_, static_cast<std::size_t>(m) * kPixels);
-      for (int j = 0; j < m; ++j) {
-        std::copy_n(images + static_cast<std::size_t>(active[j]) * kPixels,
-                    kPixels, survivors + static_cast<std::size_t>(j) * kPixels);
-      }
-      batch = survivors;
-    }
-
-    const auto first_layer_start = Clock::now();
-    float* const feats =
-        grow(feats_, static_cast<std::size_t>(m) * rung.engine->kernels() *
-                         hybrid::kOutputsPerKernel);
-    run_first_layer(r, batch, m, feats);
-    const auto tail_start = Clock::now();
-
     const int classes = s.plan->classes();
     float* const logits =
         grow(logits_, static_cast<std::size_t>(m) * classes);
-    run_tail(r, feats, m, logits);
+    const auto [first_layer_start, tail_start] =
+        run_rung(r, images, active, m, logits);
     const bool last = r == last_rung;
     int escalated = 0;
     for (int j = 0; j < m; ++j) {
@@ -300,6 +308,7 @@ ServeStats AdaptivePipeline::classify(const float* images, int n,
     }
     const auto rung_end = Clock::now();
 
+    // Margins and the prediction fill count as tail time.
     stats_.first_layer_ms += ms_between(first_layer_start, tail_start);
     stats_.tail_ms += ms_between(tail_start, rung_end);
     if (traced) {

@@ -5,17 +5,20 @@
 // one {bits, FirstLayerEngine, retrained tail} triple; a fixed-precision
 // model is simply a one-rung pipeline. For more rungs the pipeline runs
 // the paper's dynamic energy-accuracy trade-off: a batch enters the
-// cheapest rung, the first layer and the tail are chunked across the
-// executor, and only the frames whose softmax top1-top2 margin falls below
-// the confidence threshold are compacted into a dense sub-batch and
-// escalated to the next rung.
+// cheapest rung, and only the frames whose softmax top1-top2 margin falls
+// below the confidence threshold escalate to the next rung.
+//
+// A rung is one executor fan-out. Each job walks its chunk of frames one
+// at a time: the frame's first layer writes its worker slot's own feature
+// block and the rung's tail reads it straight back, so no buffer holds a
+// batch's features. Later rungs read their surviving frames in place
+// through the list of active batch indices.
 //
 // Warm-path contract: after one warm-up batch, classify() performs zero
-// heap allocations. Every rung shares one set of grow-only buffers
-// (features, logits, survivors, active indices) — rungs run one after
-// another, so the buffers are sized by the largest rung, not their sum —
-// each tail runs out of per-worker plan arenas, and Predictions are
-// written in place.
+// heap allocations. The per-slot feature blocks, first-layer scratches and
+// one-frame plan arenas are built at construction; every rung shares two
+// grow-only buffers (logits and active indices), sized by the largest
+// batch seen; and Predictions are written in place.
 //
 // Determinism contract: escalation decisions depend only on per-image
 // arithmetic (first-layer features are bit-identical at any chunking, the
@@ -29,6 +32,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hybrid/first_layer.h"
@@ -41,7 +45,10 @@ namespace scbnn::runtime {
 
 struct RuntimeConfig {
   unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
-  int chunk_images = 8;  ///< images per work item handed to a worker
+  /// Frames per work item handed to a worker. A worker runs an item's
+  /// frames one at a time, so this only sets how finely a batch is split
+  /// across the executor; it sizes no buffer, and any value >= 1 is safe.
+  int chunk_images = 8;
   /// Shared executor to compute on. When set, the pipeline joins this pool
   /// instead of spawning a private one (`threads` is then ignored — the
   /// pool is already sized), so any number of models can serve from one
@@ -127,10 +134,12 @@ class AdaptivePipeline : public Servable {
   [[nodiscard]] nn::Network& tail();
 
   // ------------------------------------------------------------- Servable
-  /// Ladder escalation over `n` contiguous frames; Predictions carry the
-  /// accepting rung, its precision, and the margin. Updates last_stats()
-  /// with whole-call timing, the first_layer_ms/tail_ms stage split, and
-  /// the per-rung breakdown. Allocation-free once warm.
+  /// Ladder escalation over `n` contiguous frames, one fan-out per rung
+  /// entered; Predictions carry the accepting rung, its precision, and the
+  /// margin. Updates last_stats() with whole-call timing, the per-rung
+  /// breakdown, and the first_layer_ms/tail_ms stage split: each rung's
+  /// fan-out wall time cut in the ratio of the two stages' times summed
+  /// over the workers. Allocation-free once warm.
   ServeStats classify(const float* images, int n, Prediction* out) override;
   using Servable::classify;
   /// The backend name for a one-rung pipeline (e.g. "sc-proposed");
@@ -184,9 +193,9 @@ class AdaptivePipeline : public Servable {
   }
 
  private:
-  /// One rung's compiled serving state: its tail plan, one first-layer
-  /// scratch and one plan arena per executor worker, and its hardware
-  /// cost per frame, priced once at construction.
+  /// One rung's compiled serving state: its tail plan, a first-layer
+  /// scratch and a one-frame plan arena per executor worker, and its
+  /// hardware cost per frame, priced once at construction.
   struct RungState {
     std::unique_ptr<nn::InferencePlan> plan;
     bool plan_stale = false;  ///< tail() handed out mutable access
@@ -198,13 +207,27 @@ class AdaptivePipeline : public Servable {
     double exit_energy_j = 0.0;
   };
 
+  /// One executor worker slot's workspace, shared by every rung (rungs run
+  /// one after another): the feature block a frame's first layer writes
+  /// and its tail reads, and the time the slot's jobs spent in each stage
+  /// during the current fan-out.
+  struct alignas(64) Slot {
+    std::vector<float> features;  ///< widest rung's kernels x 784 floats
+    ServeClock::duration first_layer{};
+    ServeClock::duration tail{};
+  };
+
   /// Rung `r`'s first layer over `m` contiguous frames into `out`
   /// ([m, kernels, 28, 28]), chunked across the executor.
   void run_first_layer(std::size_t r, const float* images, int m, float* out);
-  /// Rung `r`'s tail plan over `m` feature images into `logits`
-  /// ([m, classes]), on the same deterministic chunk homes. Re-packs a
-  /// stale plan first.
-  void run_tail(std::size_t r, const float* feats, int m, float* logits);
+  /// Rung `r` over the frames active[0, m) of `images` in one fan-out: each
+  /// frame's first layer and tail back to back, logits row j belonging to
+  /// frame active[j]. Re-packs a stale plan first. Returns the fan-out's
+  /// start and the point that cuts its wall interval in the ratio of the
+  /// first-layer and tail times its workers summed.
+  std::pair<ServeClock::time_point, ServeClock::time_point> run_rung(
+      std::size_t r, const float* images, const int* active, int m,
+      float* logits);
 
   std::vector<AdaptiveRung> rungs_;
   std::atomic<int> max_rung_{kUncappedRung};
@@ -212,8 +235,9 @@ class AdaptivePipeline : public Servable {
   RuntimeConfig config_;
   std::shared_ptr<Executor> pool_;  ///< private or shared (config.executor)
   std::vector<RungState> state_;  ///< parallel to rungs_
+  std::vector<Slot> slots_;       ///< one per executor worker
   // Grow-only warm-path buffers shared by every rung.
-  std::vector<float> feats_, logits_, survivors_;
+  std::vector<float> logits_;
   std::vector<int> active_;  ///< frames still climbing, as batch indices
   PipelineStats stats_;
 };

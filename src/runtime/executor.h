@@ -1,8 +1,8 @@
 // The compute executor of the serving runtime: a fork-join pool.
 //
-// Every pipeline rung fans its first-layer and tail batches out through
-// parallel_for() on one of these — a private one, or one shared through
-// RuntimeConfig::executor by every model a process serves.
+// Every pipeline rung fans its batch out through one parallel_for() on one
+// of these — a private one, or one shared through RuntimeConfig::executor
+// by every model a process serves.
 //
 // parallel_for's contract is load-bearing for the whole runtime:
 //

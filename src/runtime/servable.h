@@ -76,9 +76,11 @@ struct ServeStats {
   double sc_cycles = 0.0;
   /// Stage split of latency_ms: time in the stochastic first layer vs the
   /// binary tail (conv/dense GEMMs + margins + prediction fill), summed
-  /// over rungs. Both 0 when the backend doesn't separate stages. They
-  /// need not sum exactly to latency_ms — glue (survivor compaction,
-  /// stats) stays outside both.
+  /// over rungs. Both 0 when the backend doesn't separate stages. When
+  /// both stages run in one fan-out, its wall time is cut in the ratio of
+  /// the two stages' times summed over the workers. They need not sum
+  /// exactly to latency_ms — glue (buffer growth, stats) stays outside
+  /// both.
   double first_layer_ms = 0.0;
   double tail_ms = 0.0;
 

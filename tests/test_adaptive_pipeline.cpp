@@ -1,12 +1,16 @@
 // Adaptive-precision pipeline tests: ladder validation, escalation edge
-// cases, per-rung stats, kernel-derived cycle accounting, thread-count
-// bit-identity, and equivalence with a serial rung-by-rung escalation
-// reference.
+// cases, per-rung stats, kernel-derived cycle accounting, thread-count and
+// chunk-size bit-identity, and equivalence with a serial rung-by-rung
+// escalation reference.
 #include "runtime/adaptive_pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -315,6 +319,43 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
     EXPECT_EQ(g.bits_used, e.bits_used) << "image " << i;
     EXPECT_EQ(g.margin, e.margin) << "image " << i;
     EXPECT_EQ(cycles_spent(pipeline, g.rung), e.cycles) << "image " << i;
+  }
+}
+
+// chunk_images sizes no buffer, so INT_MAX is a valid config: one work
+// item takes the whole batch (counting the items must not overflow), and
+// every frame is served bit-identically to ordinary chunks, through
+// features() and an escalating ladder alike.
+TEST_F(AdaptivePipelineTest, HugeChunkServesBitIdenticallyToSmallChunks) {
+  const auto build = [&](int chunk) {
+    RuntimeConfig rc;
+    rc.threads = 3;
+    rc.chunk_images = chunk;
+    return std::make_unique<AdaptivePipeline>(
+        make_rungs(base_, tiny_lenet(), {3u, 5u}), 0.35, rc);
+  };
+  const auto small = build(8);
+  const auto huge = build(std::numeric_limits<int>::max());
+  const auto want = small->classify(split_.train.images);
+  const auto got = huge->classify(split_.train.images);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label) << "image " << i;
+    EXPECT_EQ(got[i].rung, want[i].rung) << "image " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].margin),
+              std::bit_cast<std::uint64_t>(want[i].margin))
+        << "image " << i;
+    EXPECT_EQ(got[i].energy_j, want[i].energy_j) << "image " << i;
+  }
+  EXPECT_GT(huge->last_stats().rungs[1].images_in, 0);
+
+  const nn::Tensor want_features = small->features(split_.train.images);
+  const nn::Tensor got_features = huge->features(split_.train.images);
+  ASSERT_EQ(got_features.shape(), want_features.shape());
+  for (std::size_t i = 0; i < got_features.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_features[i]),
+              std::bit_cast<std::uint32_t>(want_features[i]))
+        << "feature " << i;
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -58,11 +59,26 @@ namespace {
 
 constexpr std::uint64_t kSeed = 7;
 
+/// A bundle saved under a per-process name, so concurrent test runs never
+/// share a file, and removed when the test binary exits. Forked shards
+/// leave through std::_Exit, so they never run the destructor and never
+/// delete the file under their coordinator.
+struct SavedBundle {
+  SavedBundle(const std::string& stem, hybrid::ModelBundle bundle)
+      : path(stem + "_" + std::to_string(::getpid()) + ".bundle") {
+    hybrid::save_bundle(bundle, path);
+  }
+  ~SavedBundle() { std::remove(path.c_str()); }
+  SavedBundle(const SavedBundle&) = delete;
+  SavedBundle& operator=(const SavedBundle&) = delete;
+  const std::string path;
+};
+
 /// A tiny deterministic frozen-weight bundle (no training), saved once per
 /// test binary run — the artifact every shard and the in-process reference
 /// instantiate from.
 std::string frozen_bundle_path() {
-  static const std::string path = [] {
+  static const SavedBundle file("test_fleet_frozen", [] {
     const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
     nn::Rng base_rng(kSeed);
     nn::Network base = hybrid::build_lenet(lenet, base_rng);
@@ -81,11 +97,9 @@ std::string frozen_bundle_path() {
     rung.tail = hybrid::build_tail(lenet, tail_rng);
     hybrid::copy_tail_params(base, rung.tail);
     bundle.rungs.push_back(std::move(rung));
-    const std::string p = "test_fleet_frozen.bundle";
-    hybrid::save_bundle(bundle, p);
-    return p;
-  }();
-  return path;
+    return bundle;
+  }());
+  return file.path;
 }
 
 /// Restores process-global trace state however the test exits. Mode must
@@ -101,7 +115,7 @@ struct TraceModeGuard {
 /// 4 bits) so the shards instantiate an AdaptivePipeline and the connected-
 /// trace test sees per-rung spans.
 std::string ladder_bundle_path() {
-  static const std::string path = [] {
+  static const SavedBundle file("test_fleet_ladder", [] {
     const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
     nn::Rng base_rng(kSeed);
     nn::Network base = hybrid::build_lenet(lenet, base_rng);
@@ -123,11 +137,9 @@ std::string ladder_bundle_path() {
       hybrid::copy_tail_params(base, rung.tail);
       bundle.rungs.push_back(std::move(rung));
     }
-    const std::string p = "test_fleet_ladder.bundle";
-    hybrid::save_bundle(bundle, p);
-    return p;
-  }();
-  return path;
+    return bundle;
+  }());
+  return file.path;
 }
 
 FleetConfig small_config(int shards) {

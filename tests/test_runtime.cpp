@@ -2,8 +2,8 @@
 // determinism contract of the serving pipeline's chunked first layer (same
 // seed => bit-identical features at any thread count), and the vectorized
 // tail (bit-identity vs the Network::forward reference, the warm-path
-// allocation count of one-rung and escalating pipelines, InferencePlan
-// error paths).
+// allocation count of one-rung and escalating pipelines, the bytes a larger
+// batch allocates, InferencePlan error paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -469,6 +469,48 @@ TEST(FastTail, EscalatingLadderWarmPathIsAllocationFree) {
     const PipelineStats& stats = pipeline->last_stats();
     EXPECT_GT(stats.rungs[1].images_in, 0) << backend;
     EXPECT_LT(stats.rungs[1].images_in, stats.rungs[0].images_in) << backend;
+  }
+}
+
+// The footprint contract: a frame's features live in its worker's one
+// feature block, built with the pipeline, so a batch larger than any
+// before it grows only the logits and active-index buffers (44 bytes a
+// frame here) — no buffer holds a batch's features or survivors.
+long long bytes_to_grow_batch(AdaptivePipeline& pipeline,
+                              const nn::Tensor& images) {
+  const int n = images.dim(0);
+  std::vector<Prediction> preds(static_cast<std::size_t>(n));
+  (void)pipeline.classify(images.data(), 1, preds.data());
+  const long long before = g_heap_bytes.load(std::memory_order_relaxed);
+  (void)pipeline.classify(images.data(), n, preds.data());
+  return g_heap_bytes.load(std::memory_order_relaxed) - before;
+}
+
+TEST(FastTail, LargerBatchGrowsOnlyLogitsAndActiveIndices) {
+  const data::DataSplit split = data::generate_synthetic_mnist(32, 1, 61);
+  for (const char* backend : kWarmPathBackends) {
+    FastTailRig rig(1, 4, backend);
+    EXPECT_LT(bytes_to_grow_batch(*rig.pipeline, split.train.images), 4096)
+        << backend << " one rung";
+
+    // Margin 1 escalates every frame, so both rungs serve all 32.
+    std::vector<AdaptiveRung> rungs;
+    for (const unsigned bits : {4u, 6u}) {
+      hybrid::FirstLayerConfig cfg;
+      cfg.bits = bits;
+      AdaptiveRung rung;
+      rung.bits = bits;
+      rung.engine = BackendRegistry::instance().create(
+          backend, sample_qweights(kTestLeNet.conv1_kernels, bits, 9), cfg);
+      rung.tail = test_tail();
+      rungs.push_back(std::move(rung));
+    }
+    RuntimeConfig rc;
+    rc.threads = 1;
+    AdaptivePipeline ladder(std::move(rungs), 1.0, rc);
+    EXPECT_LT(bytes_to_grow_batch(ladder, split.train.images), 4096)
+        << backend << " two rungs";
+    EXPECT_EQ(ladder.last_stats().rungs[1].images_in, 32) << backend;
   }
 }
 
