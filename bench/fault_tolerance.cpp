@@ -78,8 +78,8 @@ void system_level_study(const std::vector<double>& bers) {
   std::vector<float> clean_sc(8 * 784), clean_bin(8 * 784);
   const auto sc_scratch = sc_engine.make_scratch();
   const auto bin_scratch = bin_engine.make_scratch();
-  sc_engine.compute_batch(img.data(), 1, clean_sc.data(), *sc_scratch);
-  bin_engine.compute_batch(img.data(), 1, clean_bin.data(), *bin_scratch);
+  sc_engine.compute(img.data(), clean_sc.data(), *sc_scratch);
+  bin_engine.compute(img.data(), clean_bin.data(), *bin_scratch);
 
   std::printf("%10s %26s %26s\n", "BER", "SC features flipped (%)",
               "binary features flipped (%)");
@@ -97,7 +97,7 @@ void system_level_study(const std::vector<double>& bers) {
           img_sc[i] + static_cast<float>(delta) / 256.0f, 0.0f, 1.0f);
     }
     std::vector<float> faulted_sc(8 * 784);
-    sc_engine.compute_batch(img_sc.data(), 1, faulted_sc.data(), *sc_scratch);
+    sc_engine.compute(img_sc.data(), faulted_sc.data(), *sc_scratch);
 
     // Binary: fault the 8-bit pixel words feeding the integer datapath.
     nn::Tensor img_bin = img;
@@ -109,8 +109,7 @@ void system_level_study(const std::vector<double>& bers) {
       img_bin[i] = static_cast<float>(faulted) / 255.0f;
     }
     std::vector<float> faulted_bin(8 * 784);
-    bin_engine.compute_batch(img_bin.data(), 1, faulted_bin.data(),
-                             *bin_scratch);
+    bin_engine.compute(img_bin.data(), faulted_bin.data(), *bin_scratch);
 
     auto flipped_pct = [](const std::vector<float>& a,
                           const std::vector<float>& b) {

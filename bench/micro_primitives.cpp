@@ -105,7 +105,7 @@ void BM_ScFirstLayerImage(benchmark::State& state) {
   // runtime's per-worker scratch achieves, without per-image allocation.
   const auto scratch = engine.make_scratch();
   for (auto _ : state) {
-    engine.compute_batch(img.data(), 1, out.data(), *scratch);
+    engine.compute(img.data(), out.data(), *scratch);
     benchmark::ClobberMemory();
   }
   state.SetLabel("bit-exact 32-kernel stochastic conv, one 28x28 image");
@@ -125,7 +125,7 @@ void BM_BinaryFirstLayerImage(benchmark::State& state) {
   std::vector<float> out(32 * 28 * 28);
   const auto scratch = engine.make_scratch();
   for (auto _ : state) {
-    engine.compute_batch(img.data(), 1, out.data(), *scratch);
+    engine.compute(img.data(), out.data(), *scratch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -154,7 +154,7 @@ void BM_FastScFirstLayerImage(benchmark::State& state) {
   std::vector<float> out(32 * 28 * 28);
   const auto scratch = engine->make_scratch();
   for (auto _ : state) {
-    engine->compute_batch(img.data(), 1, out.data(), *scratch);
+    engine->compute(img.data(), out.data(), *scratch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -303,10 +303,10 @@ void BM_GemmRowBiasConvShape(benchmark::State& state) {
 BENCHMARK(BM_GemmRowBiasConvShape)->Apply(add_simd_levels);
 
 void BM_GemmColBiasDenseShape(benchmark::State& state) {
-  // The plan's whole-batch dense step: 8 images x 200 features -> 32 units,
+  // The plan's first dense step: one image's 200 features -> 32 units,
   // weights pre-packed [in, out].
   const auto level = bench_level(state);
-  constexpr int kM = 8, kK = 200, kN = 32;
+  constexpr int kM = 1, kK = 200, kN = 32;
   const auto a = random_floats(static_cast<std::size_t>(kM) * kK, 4);
   const auto b = random_floats(static_cast<std::size_t>(kK) * kN, 5);
   const auto bias = random_floats(kN, 6);
@@ -325,27 +325,24 @@ BENCHMARK(BM_GemmColBiasDenseShape)->Apply(add_simd_levels);
 
 void BM_FusedTailPlan(benchmark::State& state) {
   // The whole vectorized tail (pool-conv-pool-dense-dense with fused bias/
-  // ReLU, arena scratch) on one 8-image batch. The serving runtime runs it
-  // one image at a time, right after that image's first layer.
-  // items_per_second is images.
+  // ReLU, arena scratch) on one image, as the serving runtime runs it right
+  // after that image's first layer. items_per_second is images.
   const auto level = bench_level(state);
-  constexpr int kBatch = 8;
   const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
   nn::Rng rng(7);
   nn::Network tail = hybrid::build_tail(lenet, rng);
   const nn::InferencePlan plan(tail, lenet.conv1_kernels, hybrid::kImageSize,
                                hybrid::kImageSize);
-  nn::InferencePlan::Arena arena = plan.make_arena(kBatch);
-  const auto x = random_floats(kBatch * plan.input_size(), 8);
-  std::vector<float> logits(static_cast<std::size_t>(kBatch) *
-                            plan.classes());
+  nn::InferencePlan::Arena arena = plan.make_arena();
+  const auto x = random_floats(plan.input_size(), 8);
+  std::vector<float> logits(static_cast<std::size_t>(plan.classes()));
   for (auto _ : state) {
-    plan.run(x.data(), kBatch, logits.data(), arena, level);
+    plan.run(x.data(), logits.data(), arena, level);
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.SetItemsProcessed(state.iterations());
   state.counters["flops"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * kBatch *
+      static_cast<double>(state.iterations()) *
           static_cast<double>(plan.flops_per_image()),
       benchmark::Counter::kIsRate);
 }

@@ -49,8 +49,7 @@ const FleetConfig& FleetConfig::validate() const {
 }
 
 FleetCoordinator::FleetCoordinator(FleetConfig config)
-    : config_(config.validate()),
-      placement_(config.vnodes, config.load_factor) {
+    : config_(config.validate()) {
   shards_.resize(static_cast<std::size_t>(config_.shards));
   const std::size_t response_slots = config_.ring_capacity * 2;
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.shards);

@@ -94,9 +94,6 @@ struct FleetConfig {
   /// death; this catches alive-but-stuck.
   double wedged_threshold_ms = 1000.0;
 
-  int vnodes = 64;            ///< consistent-hash points per shard
-  double load_factor = 1.25;  ///< bounded-load ceiling multiplier
-
   /// shards >= 1, power-of-two ring_capacity >= 2, max_batch >= 1,
   /// non-empty bundle path. Throws std::invalid_argument naming the field.
   const FleetConfig& validate() const;

@@ -105,20 +105,13 @@ BinaryFirstLayer::BinaryFirstLayer(const nn::QuantizedConvWeights& weights,
   if (threshold_ < -limit) threshold_ = -limit;
 }
 
-void BinaryFirstLayer::compute_batch(const float* images, int n, float* out,
-                                     Scratch& /*scratch*/) const {
+void BinaryFirstLayer::compute(const float* image, float* out,
+                               Scratch& /*scratch*/) const {
   // The level image and the dots live on the stack; any scratch works.
-  const std::size_t in_stride = kImageSize * kImageSize;
-  const std::size_t out_stride =
-      static_cast<std::size_t>(kernels_) * kOutputsPerKernel;
-  for (int i = 0; i < n; ++i) {
-    const float* image = images + static_cast<std::size_t>(i) * in_stride;
-    float* feats = out + static_cast<std::size_t>(i) * out_stride;
-    if (bits_ <= kMaxFloatBits) {
-      compute_float(image, feats);
-    } else {
-      compute_double(image, feats);
-    }
+  if (bits_ <= kMaxFloatBits) {
+    compute_float(image, out);
+  } else {
+    compute_double(image, out);
   }
 }
 

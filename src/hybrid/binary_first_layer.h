@@ -28,9 +28,8 @@ class BinaryFirstLayer final : public FirstLayerEngine {
   BinaryFirstLayer(const nn::QuantizedConvWeights& weights,
                    const FirstLayerConfig& config);
 
-  using FirstLayerEngine::compute_batch;
-  void compute_batch(const float* images, int n, float* out,
-                     Scratch& scratch) const override;
+  void compute(const float* image, float* out,
+               Scratch& scratch) const override;
   [[nodiscard]] std::string name() const override { return "binary-quantized"; }
   [[nodiscard]] int kernels() const noexcept override { return kernels_; }
   [[nodiscard]] unsigned bits() const noexcept override { return bits_; }

@@ -3,8 +3,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
+#include "hybrid/bundle.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -52,6 +55,36 @@ std::size_t env_size(const char* name, std::size_t fallback, long lo = 1,
 bool env_flag(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
+
+/// First word of a base-model cache file (see base_identity).
+constexpr std::uint32_t kBaseCacheMagic = 0x5CB11C01;
+
+/// Everything the trained base model depends on, as the bytes that open
+/// its cache file: the dataset fingerprint (sizes, seed, content hash),
+/// the LeNet shape and the base-training recipe. A parameter snapshot
+/// (nn::save_params) follows them, and a cache loads only when these bytes
+/// match exactly.
+std::string base_identity(const ExperimentConfig& c,
+                          const PreparedExperiment& prep) {
+  namespace io = nn::io;
+  const DatasetFingerprint fp =
+      fingerprint_dataset(prep.data, c.seed, prep.real_mnist);
+  std::ostringstream out;
+  io::write_u32(out, kBaseCacheMagic);
+  io::write_u64(out, fp.train_n);
+  io::write_u64(out, fp.test_n);
+  io::write_u64(out, fp.seed);
+  io::write_u32(out, fp.real_mnist ? 1 : 0);
+  io::write_u64(out, fp.content_hash);
+  io::write_i32(out, c.lenet.conv1_kernels);
+  io::write_i32(out, c.lenet.conv2_kernels);
+  io::write_i32(out, c.lenet.dense_units);
+  io::write_f32(out, c.lenet.dropout);
+  io::write_i32(out, c.base_epochs);
+  io::write_f32(out, c.base_lr);
+  io::write_i32(out, c.batch_size);
+  return std::move(out).str();
 }
 
 }  // namespace
@@ -103,13 +136,20 @@ PreparedExperiment prepare_experiment(const ExperimentConfig& config,
   nn::Rng rng(config.seed);
   prep.base = build_lenet(config.lenet, rng);
 
-  if (!config.cache_path.empty() &&
-      nn::params_file_valid(config.cache_path)) {
-    try {
-      nn::load_params(prep.base, config.cache_path);
-      prep.base_from_cache = true;
-    } catch (const std::exception&) {
-      prep.base_from_cache = false;  // shape changed: retrain below
+  const std::string identity =
+      config.cache_path.empty() ? std::string() : base_identity(config, prep);
+  if (!identity.empty()) {
+    std::ifstream f(config.cache_path, std::ios::binary);
+    std::string header(identity.size(), '\0');
+    if (f.read(header.data(), static_cast<std::streamsize>(header.size())) &&
+        header == identity) {
+      try {
+        nn::load_params(prep.base, f, config.cache_path);
+        prep.base_from_cache = true;
+      } catch (const std::exception&) {
+        // A corrupt snapshot loads nothing (load_params stages every
+        // tensor first): retrain below.
+      }
     }
   }
 
@@ -122,8 +162,14 @@ PreparedExperiment prepare_experiment(const ExperimentConfig& config,
     tc.shuffle_seed = config.seed;
     (void)nn::fit(prep.base, opt, prep.data.train.images,
                   prep.data.train.labels, tc);
-    if (!config.cache_path.empty()) {
-      nn::save_params(prep.base, config.cache_path);
+    if (!identity.empty()) {
+      std::ofstream f(config.cache_path, std::ios::binary | std::ios::trunc);
+      f.write(identity.data(), static_cast<std::streamsize>(identity.size()));
+      nn::save_params(prep.base, f);
+      if (!f) {
+        throw std::runtime_error("prepare_experiment: cannot write cache " +
+                                 config.cache_path);
+      }
     }
   }
 

@@ -30,7 +30,11 @@ struct ExperimentConfig {
   int batch_size = 64;
   double sc_soft_threshold = 0.30;  ///< dead zone for SC engines only
   std::uint64_t seed = 7;
-  std::string cache_path;  ///< base-model parameter cache ("" = no cache)
+  /// Base-model cache ("" = no cache). It loads only when the dataset,
+  /// seed, LeNet shape, base_epochs, base_lr and batch_size it was trained
+  /// on all match this config; otherwise the model retrains and the cache
+  /// is overwritten.
+  std::string cache_path;
   bool verbose = false;
   unsigned threads = 0;  ///< first-layer runtime workers; 0 = hardware
 

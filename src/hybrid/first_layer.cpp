@@ -15,11 +15,6 @@ std::unique_ptr<FirstLayerEngine::Scratch> FirstLayerEngine::make_scratch()
   return std::make_unique<Scratch>();
 }
 
-void FirstLayerEngine::compute(const float* image, float* out) const {
-  const auto scratch = make_scratch();
-  compute_batch(image, 1, out, *scratch);
-}
-
 nn::Tensor FirstLayerEngine::compute_batch(const nn::Tensor& images) const {
   if (images.rank() != 4 || images.dim(1) != 1 ||
       images.dim(2) != kImageSize || images.dim(3) != kImageSize) {
@@ -29,7 +24,13 @@ nn::Tensor FirstLayerEngine::compute_batch(const nn::Tensor& images) const {
   const int n = images.dim(0);
   nn::Tensor out({n, kernels(), kImageSize, kImageSize});
   const auto scratch = make_scratch();
-  compute_batch(images.data(), n, out.data(), *scratch);
+  constexpr std::size_t kPixels = kImageSize * kImageSize;
+  const std::size_t out_stride =
+      static_cast<std::size_t>(kernels()) * kOutputsPerKernel;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    compute(images.data() + i * kPixels, out.data() + i * out_stride,
+            *scratch);
+  }
   return out;
 }
 

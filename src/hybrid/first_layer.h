@@ -8,11 +8,12 @@
 // feature maps; implementations differ in the arithmetic used (exact
 // quantized binary vs bit-exact stochastic simulation, old or new design).
 //
-// Batched evaluation is the primary entry point: engines process a run of
-// images against caller-provided per-thread scratch, so the serving runtime
-// (runtime::AdaptivePipeline) can chunk a batch across its executor without
-// per-image allocation. Results are independent of batch split and thread
-// count — same seed, same features, bit for bit.
+// One frame is the unit of work, as the sensor delivers it: an engine maps
+// one image to its feature block against caller-provided per-thread
+// scratch, so the serving runtime (runtime::AdaptivePipeline) can hand
+// each executor job one frame without per-frame allocation. A frame's
+// features depend on that frame alone — same seed, same features, bit for
+// bit, whatever the batch or thread count.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +51,7 @@ struct FirstLayerConfig {
 class FirstLayerEngine {
  public:
   /// Opaque per-thread workspace. A Scratch may be reused across any number
-  /// of compute_batch calls on the same engine, but never shared between
+  /// of compute calls on the same engine, but never shared between
   /// threads concurrently. Engines that need no workspace use this base.
   class Scratch {
    public:
@@ -59,12 +60,11 @@ class FirstLayerEngine {
 
   virtual ~FirstLayerEngine();
 
-  /// Primary entry point: `n` images (28x28 floats in [0,1] each,
-  /// contiguous) -> `n` feature blocks (kernels x 28 x 28 floats in
-  /// {-1, 0, +1}, row-major, kernel-major). `scratch` must come from this
-  /// engine's make_scratch().
-  virtual void compute_batch(const float* images, int n, float* out,
-                             Scratch& scratch) const = 0;
+  /// The entry point: one image (28x28 floats in [0,1]) -> one feature
+  /// block (kernels x 28 x 28 floats in {-1, 0, +1}, row-major,
+  /// kernel-major). `scratch` must come from this engine's make_scratch().
+  virtual void compute(const float* image, float* out,
+                       Scratch& scratch) const = 0;
 
   /// Allocate a workspace sized for this engine.
   [[nodiscard]] virtual std::unique_ptr<Scratch> make_scratch() const;
@@ -74,12 +74,10 @@ class FirstLayerEngine {
   /// Precision the engine was built at (stream length is 2^bits for SC).
   [[nodiscard]] virtual unsigned bits() const noexcept = 0;
 
-  /// Single-image convenience; allocates a fresh scratch per call.
-  void compute(const float* image, float* out) const;
-
-  /// Tensor convenience: [N,1,28,28] -> [N, kernels, 28, 28], evaluated on
-  /// the calling thread. Throughput paths should go through
-  /// runtime::AdaptivePipeline, which chunks batches across its executor.
+  /// Tensor convenience: [N,1,28,28] -> [N, kernels, 28, 28], one compute
+  /// call per image on the calling thread. Throughput paths should go
+  /// through runtime::AdaptivePipeline, which spreads frames across its
+  /// executor.
   [[nodiscard]] nn::Tensor compute_batch(const nn::Tensor& images) const;
 };
 

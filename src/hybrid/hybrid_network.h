@@ -49,10 +49,10 @@ void copy_tail_params(nn::Network& base, nn::Network& tail);
 [[nodiscard]] const nn::Tensor& base_conv1_weights(nn::Network& base);
 
 /// A frozen first-layer engine plus a trainable binary tail, held as a
-/// one-rung runtime::AdaptivePipeline: features() chunks each batch across
-/// the executor with bit-identical results at any thread count, and the
-/// whole network is directly a runtime::Servable (see servable()) that can
-/// sit behind a runtime::Server without any adapter.
+/// one-rung runtime::AdaptivePipeline: features() spreads a batch's frames
+/// across the executor with bit-identical results at any thread count, and
+/// the whole network is directly a runtime::Servable (see servable()) that
+/// can sit behind a runtime::Server without any adapter.
 class HybridNetwork {
  public:
   HybridNetwork(std::unique_ptr<FirstLayerEngine> first_layer,

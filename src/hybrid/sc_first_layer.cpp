@@ -163,20 +163,9 @@ std::unique_ptr<FirstLayerEngine::Scratch> StochasticFirstLayer::make_scratch()
   return std::make_unique<SlotScratch>(words_);
 }
 
-void StochasticFirstLayer::compute_batch(const float* images, int n,
-                                         float* out, Scratch& scratch) const {
-  auto& slots = dynamic_cast<SlotScratch&>(scratch);
-  const std::size_t in_stride = kImageSize * kImageSize;
-  const std::size_t out_stride =
-      static_cast<std::size_t>(kernels_) * kOutputsPerKernel;
-  for (int i = 0; i < n; ++i) {
-    compute_one(images + static_cast<std::size_t>(i) * in_stride,
-                out + static_cast<std::size_t>(i) * out_stride, slots);
-  }
-}
-
-void StochasticFirstLayer::compute_one(const float* image, float* out,
-                                       SlotScratch& scratch) const {
+void StochasticFirstLayer::compute(const float* image, float* out,
+                                   Scratch& scratch) const {
+  auto& banks = dynamic_cast<SlotScratch&>(scratch);
   const auto full = static_cast<double>(n_);
   // Quantize pixels to levels once per image (the analog-to-stochastic
   // converter's resolution).
@@ -187,8 +176,8 @@ void StochasticFirstLayer::compute_one(const float* image, float* out,
         std::lround(static_cast<double>(v) * full));
   }
 
-  std::vector<std::uint64_t>& pos_slots = scratch.pos;
-  std::vector<std::uint64_t>& neg_slots = scratch.neg;
+  std::vector<std::uint64_t>& pos_slots = banks.pos;
+  std::vector<std::uint64_t>& neg_slots = banks.neg;
 
   // Normalized value of one count difference: counts encode dot/(32*N) of
   // unit-range inputs; multiply back by 32/N to get dot in [-25, 25] units.

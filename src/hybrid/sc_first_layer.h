@@ -13,8 +13,8 @@
 //     comparator with a soft-threshold dead zone emits {-1, 0, +1}.
 //
 // All stream tables are computed once in the constructor and read-only
-// afterwards, so compute_batch is safe to call from many threads as long as
-// each thread brings its own Scratch (the per-window slot banks).
+// afterwards, so compute is safe to call from many threads as long as each
+// thread brings its own Scratch (the per-window slot banks).
 //
 // This is the *reference* implementation: one output position at a time,
 // every stream simulated bit by bit. It is the referee for the count-domain
@@ -75,9 +75,8 @@ class StochasticFirstLayer final : public FirstLayerEngine {
   StochasticFirstLayer(Style style, const nn::QuantizedConvWeights& weights,
                        const FirstLayerConfig& config);
 
-  using FirstLayerEngine::compute_batch;
-  void compute_batch(const float* images, int n, float* out,
-                     Scratch& scratch) const override;
+  void compute(const float* image, float* out,
+               Scratch& scratch) const override;
   [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
 
   [[nodiscard]] std::string name() const override {
@@ -102,7 +101,6 @@ class StochasticFirstLayer final : public FirstLayerEngine {
     std::vector<std::uint64_t> pos, neg;
   };
 
-  void compute_one(const float* image, float* out, SlotScratch& s) const;
   void reduce_tree(std::uint64_t* slots) const;  // in-place, result in slot 0
 
   Style style_;

@@ -162,21 +162,9 @@ FastStochasticFirstLayer::make_scratch() const {
   return std::make_unique<CountScratch>(0, 0);
 }
 
-void FastStochasticFirstLayer::compute_batch(const float* images, int n,
-                                             float* out,
-                                             Scratch& scratch) const {
+void FastStochasticFirstLayer::compute(const float* image, float* out,
+                                       Scratch& scratch) const {
   auto& s = dynamic_cast<CountScratch&>(scratch);
-  const std::size_t in_stride = kImageSize * kImageSize;
-  const std::size_t out_stride =
-      static_cast<std::size_t>(kernels_) * kOutputsPerKernel;
-  for (int i = 0; i < n; ++i) {
-    compute_one(images + static_cast<std::size_t>(i) * in_stride,
-                out + static_cast<std::size_t>(i) * out_stride, s);
-  }
-}
-
-void FastStochasticFirstLayer::compute_one(const float* image, float* out,
-                                           CountScratch& s) const {
   const auto full = static_cast<double>(n_);
   // Identical pixel quantization to the reference engine, into the
   // interior of the padded image (the pads were zeroed at construction).

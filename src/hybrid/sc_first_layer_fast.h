@@ -51,9 +51,8 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
                            const nn::QuantizedConvWeights& weights,
                            const FirstLayerConfig& config);
 
-  using FirstLayerEngine::compute_batch;
-  void compute_batch(const float* images, int n, float* out,
-                     Scratch& scratch) const override;
+  void compute(const float* image, float* out,
+               Scratch& scratch) const override;
   [[nodiscard]] std::unique_ptr<Scratch> make_scratch() const override;
 
   [[nodiscard]] std::string name() const override {
@@ -76,7 +75,6 @@ class FastStochasticFirstLayer final : public FirstLayerEngine {
     std::vector<std::int16_t> diff;     // pos - neg count per lane
   };
 
-  void compute_one(const float* image, float* out, CountScratch& s) const;
   /// Proposed: kernel k's w_pos and w_neg TFF trees into s.diff.
   void tff_diff(int k, CountScratch& s) const;
   /// Conventional: kernel k's live MUX-routed taps summed into s.diff.

@@ -176,30 +176,19 @@ void InferencePlan::refresh_params() {
   }
 }
 
-InferencePlan::Arena InferencePlan::make_arena(int max_images) const {
-  if (max_images <= 0) {
-    throw std::invalid_argument("InferencePlan::make_arena: max_images < 1");
-  }
+InferencePlan::Arena InferencePlan::make_arena() const {
   Arena a;
-  a.max_images = max_images;
-  a.ping.resize(max_act_ * static_cast<std::size_t>(max_images));
-  a.pong.resize(max_act_ * static_cast<std::size_t>(max_images));
+  a.ping.resize(max_act_);
+  a.pong.resize(max_act_);
   a.bordered.resize(bordered_size_);
   a.lanes.resize(lanes_size_);
   return a;
 }
 
-void InferencePlan::run(const float* x, int n, float* logits, Arena& arena,
+void InferencePlan::run(const float* x, float* logits, Arena& arena,
                         kern::Level level) const {
-  if (n <= 0) return;
-  if (n > arena.max_images) {
-    throw std::invalid_argument("InferencePlan::run: arena sized for " +
-                                std::to_string(arena.max_images) +
-                                " images, got " + std::to_string(n));
-  }
   if (steps_.empty()) {
-    std::memcpy(logits, x, static_cast<std::size_t>(n) * in_size_ *
-                               sizeof(float));
+    std::memcpy(logits, x, in_size_ * sizeof(float));
     return;
   }
   const float* cur = x;
@@ -209,49 +198,43 @@ void InferencePlan::run(const float* x, int n, float* logits, Arena& arena,
     float* out = s + 1 == steps_.size() ? logits : bufs[s % 2];
     switch (step.kind) {
       case Step::Kind::kPool:
-        kern::maxpool2(cur, n * step.in_c, step.in_h, step.in_w, out, level);
+        kern::maxpool2(cur, step.in_c, step.in_h, step.in_w, out, level);
         break;
       case Step::Kind::kConv: {
-        const int krows = static_cast<int>(step.b_row.size());
+        const float* src = cur;
+        if (step.pad > 0) {
+          copy_bordered(cur, step.in_c, step.in_h, step.in_w, step.pad,
+                        arena.bordered.data());
+          src = arena.bordered.data();
+        }
+        kern::gemm_rowbias_act(step.w, src, step.b_row.data(), step.b,
+                               arena.lanes.data(), step.out_c,
+                               static_cast<int>(step.b_row.size()),
+                               step.lanes, step.relu, level);
         const std::size_t row_bytes =
             static_cast<std::size_t>(step.out_w) * sizeof(float);
         float* dst = out;
-        for (int img = 0; img < n; ++img) {
-          const float* src =
-              cur + static_cast<std::size_t>(img) * step.in_size();
-          if (step.pad > 0) {
-            copy_bordered(src, step.in_c, step.in_h, step.in_w, step.pad,
-                          arena.bordered.data());
-            src = arena.bordered.data();
-          }
-          kern::gemm_rowbias_act(step.w, src, step.b_row.data(), step.b,
-                                 arena.lanes.data(), step.out_c, krows,
-                                 step.lanes, step.relu, level);
-          for (int oc = 0; oc < step.out_c; ++oc) {
-            const float* lane_row = arena.lanes.data() +
-                                    static_cast<std::size_t>(oc) * step.lanes;
-            for (int oi = 0; oi < step.out_h; ++oi) {
-              std::memcpy(dst, lane_row, row_bytes);
-              dst += step.out_w;
-              lane_row += step.src_w;
-            }
+        for (int oc = 0; oc < step.out_c; ++oc) {
+          const float* lane_row =
+              arena.lanes.data() + static_cast<std::size_t>(oc) * step.lanes;
+          for (int oi = 0; oi < step.out_h; ++oi) {
+            std::memcpy(dst, lane_row, row_bytes);
+            dst += step.out_w;
+            lane_row += step.src_w;
           }
         }
         break;
       }
       case Step::Kind::kDense:
         kern::gemm_colbias_act(cur, packed_.data() + step.packed_off, step.b,
-                               out, n, step.in_c, step.out_c, step.relu,
+                               out, 1, step.in_c, step.out_c, step.relu,
                                level);
         break;
-      case Step::Kind::kRelu: {
-        const std::size_t total =
-            static_cast<std::size_t>(n) * step.in_size();
-        for (std::size_t i = 0; i < total; ++i) {
+      case Step::Kind::kRelu:
+        for (std::size_t i = 0; i < step.in_size(); ++i) {
           out[i] = cur[i] > 0.0f ? cur[i] : 0.0f;
         }
         break;
-      }
     }
     cur = out;
   }

@@ -6,17 +6,16 @@
 // Dense weights into GEMM-friendly layout, and fuses conv→bias→ReLU and
 // dense→bias→ReLU into single microkernel calls (nn/gemm.h). A conv step
 // builds no im2col panel: its GEMM reads the input image in place through
-// a plan-time table of tap offsets (see Step). At run time the plan
-// executes out of a caller-owned Arena (ping-pong activation buffers plus
-// one image of conv scratch), so the warm path performs ZERO heap
-// allocations per batch — a property regression tests enforce by counting
-// operator new calls.
+// a plan-time table of tap offsets (see Step). The plan runs one image at
+// a time, the unit the serving runtime hands each worker, out of a
+// caller-owned Arena (ping-pong activation buffers plus conv scratch), so
+// the warm path performs ZERO heap allocations per image — a property
+// regression tests enforce by counting operator new calls.
 //
 // Bit-identity: the microkernels replay the reference layers' float
 // operation order element for element (see nn/gemm.h), so plan logits are
-// bit-exact matches of Network::forward at every dispatch level. Per-image
-// independence means a batch can be split across workers at any chunk
-// boundary without changing a single bit.
+// bit-exact matches of Network::forward at every dispatch level, and an
+// image's logits never depend on which worker ran it or on its batchmates.
 #pragma once
 
 #include <cstddef>
@@ -32,14 +31,12 @@ class Dense;
 class InferencePlan {
  public:
   /// Caller-owned scratch for one worker: two ping-pong activation buffers
-  /// sized for `max_images()` images at the widest intermediate shape,
-  /// plus one image of conv scratch: the zero-bordered copy of a padded
-  /// conv's input, and the conv GEMM's lanes before the real ones are
-  /// kept. Build with make_arena(); a given Arena is only valid for the
-  /// plan that built it.
+  /// sized for the widest intermediate shape, plus conv scratch: the
+  /// zero-bordered copy of a padded conv's input, and the conv GEMM's
+  /// lanes before the real ones are kept. Build with make_arena(); a given
+  /// Arena is only valid for the plan that built it.
   struct Arena {
     std::vector<float> ping, pong, bordered, lanes;
-    int max_images = 0;
   };
 
   /// Build a plan for `net` on per-image input shape [in_c, in_h, in_w].
@@ -49,13 +46,11 @@ class InferencePlan {
   /// to Network::forward.
   InferencePlan(Network& net, int in_c, int in_h, int in_w);
 
-  [[nodiscard]] Arena make_arena(int max_images) const;
+  [[nodiscard]] Arena make_arena() const;
 
-  /// Run `n` images (n <= arena.max_images) from `x` ([n, in_c, in_h,
-  /// in_w] row-major) to `logits` ([n, classes()] row-major) at the given
-  /// dispatch level. No heap allocation; throws std::invalid_argument if
-  /// the arena is too small.
-  void run(const float* x, int n, float* logits, Arena& arena,
+  /// Run one image from `x` ([in_c, in_h, in_w] row-major) to `logits`
+  /// (classes() floats) at the given dispatch level. No heap allocation.
+  void run(const float* x, float* logits, Arena& arena,
            kern::Level level) const;
 
   /// Re-pack the Dense weight copies from the (possibly retrained)
@@ -101,11 +96,11 @@ class InferencePlan {
   std::vector<float> packed_;  ///< dense weights repacked to [in, out]
   int in_c_ = 0, in_h_ = 0, in_w_ = 0;
   std::size_t in_size_ = 0;
-  /// Widest per-image step output: what the ping-pong buffers hold. The
-  /// input is read in place and never copied into them.
+  /// Widest step output: what the ping-pong buffers hold. The input is
+  /// read in place and never copied into them.
   std::size_t max_act_ = 0;
-  std::size_t bordered_size_ = 0;  ///< widest one-image padded conv input
-  std::size_t lanes_size_ = 0;     ///< widest one-image conv GEMM output
+  std::size_t bordered_size_ = 0;  ///< widest padded conv input
+  std::size_t lanes_size_ = 0;     ///< widest conv GEMM output
   int classes_ = 0;
   double flops_ = 0.0;
 };

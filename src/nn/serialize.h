@@ -2,7 +2,8 @@
 // primitives shared with the model-bundle format (hybrid/bundle.h).
 //
 // Two magics identify files this serializer writes: kParamsMagic for a bare
-// parameter snapshot (the float base-model cache) and kBundleMagic for a
+// parameter snapshot (also the body of the float base-model cache, after
+// its identity header; see hybrid/experiment.cpp) and kBundleMagic for a
 // versioned ModelBundle. Every reader is strict: truncated files, dimension
 // overflow, and out-of-range counts are rejected with a std::runtime_error
 // naming the offending field — never a partial read into a live network.

@@ -57,11 +57,6 @@ std::vector<AdaptiveRung> one_rung(
   return rungs;
 }
 
-/// Work items of `chunk` frames covering `m` frames: ceil(m / chunk)
-/// without forming m + chunk, which overflows for a huge chunk. Item `job`
-/// then starts at job * chunk < m, which cannot overflow either.
-int job_count(int m, int chunk) { return m / chunk + (m % chunk != 0); }
-
 /// `buf`'s storage, grown to at least `n` elements and never shrunk. The
 /// contents are scratch, so outgrowing the capacity frees the old block
 /// before allocating the new one instead of copying it.
@@ -95,11 +90,6 @@ void record_stage(obs::SpanName name, std::uint64_t trace_id, int images,
 }  // namespace
 
 const RuntimeConfig& RuntimeConfig::validate() const {
-  if (chunk_images < 1) {
-    throw std::invalid_argument(
-        "RuntimeConfig: chunk_images must be >= 1, got " +
-        std::to_string(chunk_images));
-  }
   if (threads > Executor::kMaxThreads) {
     throw std::invalid_argument(
         "RuntimeConfig: threads must be <= " +
@@ -119,8 +109,7 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
                                    RuntimeConfig config)
     : rungs_(validate_rungs(std::move(rungs))),
       confidence_margin_(confidence_margin),
-      config_(config.validate()),
-      pool_(config.resolve_executor()) {
+      pool_(config.validate().resolve_executor()) {
   if (confidence_margin < 0.0 || confidence_margin > 1.0) {
     throw std::invalid_argument("AdaptivePipeline: margin must be in [0,1]");
   }
@@ -138,7 +127,7 @@ AdaptivePipeline::AdaptivePipeline(std::vector<AdaptiveRung> rungs,
     s.arenas.reserve(pool_->size());
     for (unsigned w = 0; w < pool_->size(); ++w) {
       s.scratch.push_back(engine.make_scratch());
-      s.arenas.push_back(s.plan->make_arena(1));
+      s.arenas.push_back(s.plan->make_arena());
     }
     s.energy_j = hw::backend_energy_per_frame_j(engine.name(), rung.bits,
                                                 engine.kernels());
@@ -177,15 +166,12 @@ void AdaptivePipeline::run_first_layer(std::size_t r, const float* images,
                                        int m, float* out) {
   const hybrid::FirstLayerEngine& engine = *rungs_[r].engine;
   RungState& s = state_[r];
-  const int chunk = config_.chunk_images;
   const std::size_t out_stride =
       static_cast<std::size_t>(engine.kernels()) * hybrid::kOutputsPerKernel;
-  pool_->parallel_for(job_count(m, chunk), [&](int job, unsigned worker) {
-    const int first = job * chunk;
-    engine.compute_batch(images + static_cast<std::size_t>(first) * kPixels,
-                         std::min(chunk, m - first),
-                         out + static_cast<std::size_t>(first) * out_stride,
-                         *s.scratch[worker]);
+  pool_->parallel_for(m, [&](int j, unsigned worker) {
+    engine.compute(images + static_cast<std::size_t>(j) * kPixels,
+                   out + static_cast<std::size_t>(j) * out_stride,
+                   *s.scratch[worker]);
   });
 }
 
@@ -199,29 +185,21 @@ AdaptivePipeline::run_rung(std::size_t r, const float* images,
     s.plan_stale = false;
   }
   const nn::InferencePlan& plan = *s.plan;
-  const int chunk = config_.chunk_images;
   const nn::kern::Level level = nn::kern::active_level();
   for (Slot& slot : slots_) slot.first_layer = slot.tail = {};
   const auto start = Clock::now();
-  pool_->parallel_for(job_count(m, chunk), [&](int job, unsigned worker) {
+  pool_->parallel_for(m, [&](int j, unsigned worker) {
     Slot& slot = slots_[worker];
     float* const feats = slot.features.data();
-    const int first = job * chunk;
-    const int count = std::min(chunk, m - first);
-    auto frame_start = Clock::now();
-    for (int j = first; j < first + count; ++j) {
-      engine.compute_batch(
-          images + static_cast<std::size_t>(active[j]) * kPixels, 1, feats,
-          *s.scratch[worker]);
-      const auto tail_start = Clock::now();
-      plan.run(feats, 1,
-               logits + static_cast<std::size_t>(j) * plan.classes(),
-               s.arenas[worker], level);
-      const auto frame_end = Clock::now();
-      slot.first_layer += tail_start - frame_start;
-      slot.tail += frame_end - tail_start;
-      frame_start = frame_end;
-    }
+    const auto frame_start = Clock::now();
+    engine.compute(images + static_cast<std::size_t>(active[j]) * kPixels,
+                   feats, *s.scratch[worker]);
+    const auto tail_start = Clock::now();
+    plan.run(feats, logits + static_cast<std::size_t>(j) * plan.classes(),
+             s.arenas[worker], level);
+    const auto frame_end = Clock::now();
+    slot.first_layer += tail_start - frame_start;
+    slot.tail += frame_end - tail_start;
   });
   const auto end = Clock::now();
 

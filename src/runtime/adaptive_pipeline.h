@@ -8,11 +8,12 @@
 // cheapest rung, and only the frames whose softmax top1-top2 margin falls
 // below the confidence threshold escalate to the next rung.
 //
-// A rung is one executor fan-out. Each job walks its chunk of frames one
-// at a time: the frame's first layer writes its worker slot's own feature
-// block and the rung's tail reads it straight back, so no buffer holds a
-// batch's features. Later rungs read their surviving frames in place
-// through the list of active batch indices.
+// A rung is one executor fan-out with one job per frame: the frame's first
+// layer writes its worker slot's own feature block and the rung's tail
+// reads it straight back, so no buffer holds a batch's features. The
+// executor groups the jobs into at most one contiguous chunk per worker.
+// Later rungs read their surviving frames in place through the list of
+// active batch indices.
 //
 // Warm-path contract: after one warm-up batch, classify() performs zero
 // heap allocations. The per-slot feature blocks, first-layer scratches and
@@ -21,8 +22,8 @@
 // batch seen; and Predictions are written in place.
 //
 // Determinism contract: escalation decisions depend only on per-image
-// arithmetic (first-layer features are bit-identical at any chunking, the
-// tail plan is per-image independent and bit-exact against
+// arithmetic (a frame's first-layer features depend on that frame alone,
+// and the tail plan runs one image at a time, bit-exact against
 // Network::forward), so predictions, margins, and cycle totals are
 // bit-identical across thread counts and match a serial rung-by-rung
 // escalation of each image.
@@ -45,10 +46,6 @@ namespace scbnn::runtime {
 
 struct RuntimeConfig {
   unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
-  /// Frames per work item handed to a worker. A worker runs an item's
-  /// frames one at a time, so this only sets how finely a batch is split
-  /// across the executor; it sizes no buffer, and any value >= 1 is safe.
-  int chunk_images = 8;
   /// Shared executor to compute on. When set, the pipeline joins this pool
   /// instead of spawning a private one (`threads` is then ignored — the
   /// pool is already sized), so any number of models can serve from one
@@ -56,11 +53,10 @@ struct RuntimeConfig {
   /// default), a private Executor of `threads` workers is built.
   std::shared_ptr<Executor> executor;
 
-  /// Reject nonsense before any pool or scratch is built: chunk_images must
-  /// be >= 1 and threads must not exceed Executor::kMaxThreads (0 stays
-  /// the documented "auto" setting). Throws std::invalid_argument naming
-  /// the offending field; returns *this so constructors can validate in
-  /// their initializer lists.
+  /// Reject nonsense before any pool or scratch is built: threads must not
+  /// exceed Executor::kMaxThreads (0 stays the documented "auto" setting).
+  /// Throws std::invalid_argument naming the offending field; returns
+  /// *this so constructors can validate in their initializer lists.
   const RuntimeConfig& validate() const;
 
   /// The executor this config resolves to: the shared executor if set,
@@ -120,7 +116,7 @@ class AdaptivePipeline : public Servable {
                    nn::Network tail, RuntimeConfig config = {});
 
   /// [N,1,28,28] -> [N, kernels, 28, 28] ternary features of rung 0's first
-  /// layer, chunked across the executor — the frozen-layer pass tail
+  /// layer, one executor job per frame — the frozen-layer pass tail
   /// retraining consumes. Leaves last_stats() alone.
   [[nodiscard]] nn::Tensor features(const nn::Tensor& images);
 
@@ -179,12 +175,6 @@ class AdaptivePipeline : public Servable {
   [[nodiscard]] const AdaptiveRung& rung(std::size_t i) const {
     return rungs_.at(i);
   }
-  [[nodiscard]] double confidence_margin() const noexcept {
-    return confidence_margin_;
-  }
-  [[nodiscard]] const RuntimeConfig& config() const noexcept {
-    return config_;
-  }
 
   /// SC cycles one image costs at rung `i` (hw::backend_sc_cycles_per_frame
   /// with the rung engine's own kernel count; 0 for binary rungs).
@@ -218,11 +208,11 @@ class AdaptivePipeline : public Servable {
   };
 
   /// Rung `r`'s first layer over `m` contiguous frames into `out`
-  /// ([m, kernels, 28, 28]), chunked across the executor.
+  /// ([m, kernels, 28, 28]), one executor job per frame.
   void run_first_layer(std::size_t r, const float* images, int m, float* out);
-  /// Rung `r` over the frames active[0, m) of `images` in one fan-out: each
-  /// frame's first layer and tail back to back, logits row j belonging to
-  /// frame active[j]. Re-packs a stale plan first. Returns the fan-out's
+  /// Rung `r` over the frames active[0, m) of `images` in one fan-out of m
+  /// jobs: job j runs frame active[j]'s first layer and tail back to back
+  /// into logits row j. Re-packs a stale plan first. Returns the fan-out's
   /// start and the point that cuts its wall interval in the ratio of the
   /// first-layer and tail times its workers summed.
   std::pair<ServeClock::time_point, ServeClock::time_point> run_rung(
@@ -232,7 +222,6 @@ class AdaptivePipeline : public Servable {
   std::vector<AdaptiveRung> rungs_;
   std::atomic<int> max_rung_{kUncappedRung};
   double confidence_margin_;
-  RuntimeConfig config_;
   std::shared_ptr<Executor> pool_;  ///< private or shared (config.executor)
   std::vector<RungState> state_;  ///< parallel to rungs_
   std::vector<Slot> slots_;       ///< one per executor worker

@@ -1,16 +1,13 @@
 // Adaptive-precision pipeline tests: ladder validation, escalation edge
-// cases, per-rung stats, kernel-derived cycle accounting, thread-count and
-// chunk-size bit-identity, and equivalence with a serial rung-by-rung
-// escalation reference.
+// cases, per-rung stats, kernel-derived cycle accounting, thread-count
+// bit-identity, and equivalence with a serial rung-by-rung escalation
+// reference.
 #include "runtime/adaptive_pipeline.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -118,11 +115,6 @@ TEST_F(AdaptivePipelineTest, NullEngineAndBadMarginThrow) {
 
 TEST_F(AdaptivePipelineTest, RuntimeConfigValidatedOnConstruction) {
   RuntimeConfig rc;
-  rc.chunk_images = 0;
-  EXPECT_THROW(AdaptivePipeline(make_rungs(base_, tiny_lenet(), {3u}), 0.5,
-                                rc),
-               std::invalid_argument);
-  rc.chunk_images = 8;
   rc.threads = Executor::kMaxThreads + 1;
   EXPECT_THROW(AdaptivePipeline(make_rungs(base_, tiny_lenet(), {3u}), 0.5,
                                 rc),
@@ -251,8 +243,7 @@ TEST_F(AdaptivePipelineTest, BitIdenticalAcrossThreadCounts) {
   const double margin = 0.35;
   auto run = [&](unsigned threads) {
     RuntimeConfig rc;
-    rc.threads = threads;
-    rc.chunk_images = 3;  // 14 images -> 5 uneven chunks
+    rc.threads = threads;  // 4 workers: 14 frames -> 4 uneven chunks
     AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 5u, 7u}),
                               margin, rc);
     auto preds = pipeline.classify(split_.train.images);
@@ -293,7 +284,8 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
       AdaptiveRung& rung = ref_rungs[r];
       const int k = rung.engine->kernels();
       nn::Tensor features({1, k, 28, 28});
-      rung.engine->compute(image, features.data());
+      rung.engine->compute(image, features.data(),
+                           *rung.engine->make_scratch());
       const auto margins =
           nn::softmax_margins(rung.tail.forward(features, false));
       o.label = margins[0].best;
@@ -307,7 +299,6 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
 
   RuntimeConfig rc;
   rc.threads = 3;
-  rc.chunk_images = 4;
   AdaptivePipeline pipeline(make_rungs(base_, tiny_lenet(), {3u, 5u, 7u}),
                             margin, rc);
   const auto got = pipeline.classify(split_.train.images);
@@ -319,43 +310,6 @@ TEST_F(AdaptivePipelineTest, MatchesSerialRungByRungEscalationReference) {
     EXPECT_EQ(g.bits_used, e.bits_used) << "image " << i;
     EXPECT_EQ(g.margin, e.margin) << "image " << i;
     EXPECT_EQ(cycles_spent(pipeline, g.rung), e.cycles) << "image " << i;
-  }
-}
-
-// chunk_images sizes no buffer, so INT_MAX is a valid config: one work
-// item takes the whole batch (counting the items must not overflow), and
-// every frame is served bit-identically to ordinary chunks, through
-// features() and an escalating ladder alike.
-TEST_F(AdaptivePipelineTest, HugeChunkServesBitIdenticallyToSmallChunks) {
-  const auto build = [&](int chunk) {
-    RuntimeConfig rc;
-    rc.threads = 3;
-    rc.chunk_images = chunk;
-    return std::make_unique<AdaptivePipeline>(
-        make_rungs(base_, tiny_lenet(), {3u, 5u}), 0.35, rc);
-  };
-  const auto small = build(8);
-  const auto huge = build(std::numeric_limits<int>::max());
-  const auto want = small->classify(split_.train.images);
-  const auto got = huge->classify(split_.train.images);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].label, want[i].label) << "image " << i;
-    EXPECT_EQ(got[i].rung, want[i].rung) << "image " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].margin),
-              std::bit_cast<std::uint64_t>(want[i].margin))
-        << "image " << i;
-    EXPECT_EQ(got[i].energy_j, want[i].energy_j) << "image " << i;
-  }
-  EXPECT_GT(huge->last_stats().rungs[1].images_in, 0);
-
-  const nn::Tensor want_features = small->features(split_.train.images);
-  const nn::Tensor got_features = huge->features(split_.train.images);
-  ASSERT_EQ(got_features.shape(), want_features.shape());
-  for (std::size_t i = 0; i < got_features.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_features[i]),
-              std::bit_cast<std::uint32_t>(want_features[i]))
-        << "feature " << i;
   }
 }
 

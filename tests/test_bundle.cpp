@@ -142,7 +142,6 @@ TEST(BundleRoundTrip, InstantiatedLadderMatchesAcrossThreadCounts) {
   for (unsigned threads : {1u, 3u}) {
     runtime::RuntimeConfig rc;
     rc.threads = threads;
-    rc.chunk_images = 5;
     runtime::AdaptivePipeline pipeline(instantiate_bundle_ladder(art.bundle),
                                        0.4, rc);
     expect_bit_identical(pipeline.classify(art.prep.data.test.images),

@@ -226,8 +226,7 @@ TEST(Executor, FeaturesBitIdenticalAcrossWorkerCounts) {
   for (const char* backend : {"sc-proposed-fast", "sc-conventional-fast"}) {
     auto features_with = [&](unsigned threads) {
       RuntimeConfig rc;
-      rc.threads = threads;
-      rc.chunk_images = 3;  // 23 images -> uneven chunks
+      rc.threads = threads;  // 4 workers: 23 frames -> uneven chunks
       return one_rung(backend, qw, cfg, rc)->features(split.train.images);
     };
     const nn::Tensor reference = features_with(1);

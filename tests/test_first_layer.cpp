@@ -42,7 +42,7 @@ double agreement(const std::vector<float>& a, const std::vector<float>& b) {
 std::vector<float> run_engine(const FirstLayerEngine& e,
                               const nn::Tensor& img) {
   std::vector<float> out(static_cast<std::size_t>(e.kernels()) * 28 * 28);
-  e.compute(img.data(), out.data());
+  e.compute(img.data(), out.data(), *e.make_scratch());
   return out;
 }
 
@@ -393,10 +393,12 @@ TEST(FirstLayerEngine, BatchWrapperShapesAndParallelism) {
     const auto engine = make_first_layer_engine(design, qw, cfg);
     const nn::Tensor feats = engine->compute_batch(split.train.images);
     EXPECT_EQ(feats.shape(), (std::vector<int>{12, 3, 28, 28}));
-    // Batch result must equal the single-image path, image by image.
+    // The batch reuses one scratch; each frame must read as it does on a
+    // fresh scratch of its own.
     std::vector<float> single(3 * 784);
     for (int img = 0; img < 12; ++img) {
-      engine->compute(split.train.images.data() + img * 784, single.data());
+      engine->compute(split.train.images.data() + img * 784, single.data(),
+                      *engine->make_scratch());
       for (std::size_t i = 0; i < single.size(); ++i) {
         ASSERT_EQ(feats[static_cast<std::size_t>(img) * single.size() + i],
                   single[i])
@@ -556,7 +558,8 @@ TEST(FastFirstLayer, BatchMatchesSingleImagePath) {
     EXPECT_EQ(feats.shape(), (std::vector<int>{8, 3, 28, 28}));
     std::vector<float> single(3 * 784);
     for (int img = 0; img < 8; ++img) {
-      fast.compute(split.train.images.data() + img * 784, single.data());
+      fast.compute(split.train.images.data() + img * 784, single.data(),
+                   *fast.make_scratch());
       for (std::size_t i = 0; i < single.size(); ++i) {
         ASSERT_EQ(feats[static_cast<std::size_t>(img) * single.size() + i],
                   single[i])

@@ -278,6 +278,15 @@ TEST(Experiment, CacheRoundTrip) {
   PreparedExperiment second = prepare_experiment(cfg);
   EXPECT_TRUE(second.base_from_cache);
   EXPECT_DOUBLE_EQ(first.float_accuracy, second.float_accuracy);
+
+  // Same shape, different training: each differs from what the cache then
+  // holds in one field, and must retrain rather than load it.
+  ExperimentConfig more_epochs = cfg;
+  more_epochs.base_epochs = 2;
+  EXPECT_FALSE(prepare_experiment(more_epochs).base_from_cache);
+  ExperimentConfig more_data = more_epochs;
+  more_data.train_n = 120;
+  EXPECT_FALSE(prepare_experiment(more_data).base_from_cache);
   std::remove(cache.c_str());
 }
 

@@ -87,7 +87,7 @@ TEST_P(CrossImplementationTest, ProposedEnginesAgreeOnSign) {
   hybrid::StochasticFirstLayer engine(
       hybrid::StochasticFirstLayer::Style::kProposed, qw, cfg);
   std::vector<float> out(784);
-  engine.compute(wc.image.data(), out.data());
+  engine.compute(wc.image.data(), out.data(), *engine.make_scratch());
   const float engine_sign = out[14 * 28 + 14];
 
   EXPECT_EQ(static_cast<float>(component.sign), engine_sign)
@@ -113,7 +113,7 @@ TEST_P(CrossImplementationTest, ConventionalEnginesAgreeOnSign) {
   hybrid::StochasticFirstLayer engine(
       hybrid::StochasticFirstLayer::Style::kConventional, qw, cfg);
   std::vector<float> out(784);
-  engine.compute(wc.image.data(), out.data());
+  engine.compute(wc.image.data(), out.data(), *engine.make_scratch());
   const float engine_sign = out[14 * 28 + 14];
 
   EXPECT_EQ(static_cast<float>(component.sign), engine_sign)
@@ -155,8 +155,8 @@ TEST(CrossImplementation, CountsMatchExactlyAtEightBit) {
     hybrid::StochasticFirstLayer ea(
         hybrid::StochasticFirstLayer::Style::kProposed, qw, above);
     std::vector<float> ob(784), oa(784);
-    eb.compute(wc.image.data(), ob.data());
-    ea.compute(wc.image.data(), oa.data());
+    eb.compute(wc.image.data(), ob.data(), *eb.make_scratch());
+    ea.compute(wc.image.data(), oa.data(), *ea.make_scratch());
     EXPECT_EQ(ob[14 * 28 + 14], v > 0 ? 1.0f : -1.0f);
     EXPECT_EQ(oa[14 * 28 + 14], 0.0f);
   }

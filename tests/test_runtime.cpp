@@ -1,9 +1,10 @@
 // Serving-runtime tests: executor sizing, the backend registry, the
-// determinism contract of the serving pipeline's chunked first layer (same
-// seed => bit-identical features at any thread count), and the vectorized
-// tail (bit-identity vs the Network::forward reference, the warm-path
-// allocation count of one-rung and escalating pipelines, the bytes a larger
-// batch allocates, InferencePlan error paths).
+// determinism contract of the serving pipeline's first layer (same seed =>
+// bit-identical features at any thread count), its one executor job per
+// frame, and the vectorized tail (bit-identity vs the Network::forward
+// reference, the warm-path allocation count of one-rung and escalating
+// pipelines, the bytes a larger batch allocates, InferencePlan error
+// paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,10 +120,6 @@ TEST(OneRungPipeline, RejectsNullEngineAndBadConfig) {
   hybrid::FirstLayerConfig cfg;
   cfg.bits = 4;
   RuntimeConfig rc;
-  rc.chunk_images = 0;
-  EXPECT_THROW(one_rung("sc-proposed", qw, cfg, rc, tiny_tail(2)),
-               std::invalid_argument);
-  rc.chunk_images = 8;
   rc.threads = Executor::kMaxThreads + 1;  // absurd, not silently clamped
   EXPECT_THROW(one_rung("sc-proposed", qw, cfg, rc, tiny_tail(2)),
                std::invalid_argument);
@@ -147,20 +144,6 @@ TEST(RuntimeConfig, ValidateAcceptsDefaultsAndRejectsNonsense) {
   EXPECT_NO_THROW(rc.validate());
   rc.threads = Executor::kMaxThreads + 1;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
-  rc.threads = 0;
-  rc.chunk_images = -3;
-  EXPECT_THROW(rc.validate(), std::invalid_argument);
-  // Exact edge cases: zero chunks is as invalid as negative, and the error
-  // message names the offending field and value.
-  rc.chunk_images = 0;
-  try {
-    (void)rc.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("chunk_images"), std::string::npos);
-  }
-  rc.chunk_images = 1;  // minimum legal chunk
-  EXPECT_NO_THROW(rc.validate());
 }
 
 TEST(OneRungPipeline, FeaturesMatchSerialReference) {
@@ -175,8 +158,7 @@ TEST(OneRungPipeline, FeaturesMatchSerialReference) {
   const nn::Tensor expect = serial->compute_batch(split.train.images);
 
   RuntimeConfig rc;
-  rc.threads = 3;
-  rc.chunk_images = 4;  // 17 images -> 5 uneven chunks
+  rc.threads = 3;  // 17 frames -> 3 uneven chunks
   const auto pipeline = one_rung("sc-proposed", qw, cfg, rc, tiny_tail(3));
   const nn::Tensor got = pipeline->features(split.train.images);
 
@@ -200,7 +182,6 @@ TEST(OneRungPipeline, DeterministicAcrossThreadCounts) {
   for (unsigned threads : {1u, 2u, 5u}) {
     RuntimeConfig rc;
     rc.threads = threads;
-    rc.chunk_images = 3;
     const auto pipeline =
         one_rung("sc-conventional", qw, cfg, rc, tiny_tail(4));
     features.push_back(pipeline->features(split.train.images));
@@ -225,7 +206,6 @@ TEST(OneRungPipeline, PredictionsIdenticalAt1VsNThreads) {
   auto predictions_with = [&](unsigned threads) {
     RuntimeConfig rc;
     rc.threads = threads;
-    rc.chunk_images = 2;
     nn::Rng rng(99);  // same seed => same tail weights
     hybrid::HybridNetwork net(
         hybrid::make_first_layer_engine(hybrid::FirstLayerDesign::kScProposed,
@@ -234,6 +214,33 @@ TEST(OneRungPipeline, PredictionsIdenticalAt1VsNThreads) {
     return net.predict(split.train.images);
   };
   EXPECT_EQ(predictions_with(1), predictions_with(4));
+}
+
+// One executor job per frame: the executor groups a fan-out's jobs into at
+// most one chunk per worker, so on two workers a one-frame batch runs one
+// chunk and every larger batch runs two, keeping both workers busy.
+TEST(OneRungPipeline, RunsOneExecutorJobPerFrame) {
+  const auto qw = sample_qweights(3, 4, 12);
+  hybrid::FirstLayerConfig cfg;
+  cfg.bits = 4;
+  const data::DataSplit split = data::generate_synthetic_mnist(5, 1, 37);
+
+  RuntimeConfig rc;
+  rc.threads = 2;
+  const auto pipeline =
+      one_rung("sc-proposed-fast", qw, cfg, rc, tiny_tail(3));
+  std::vector<Prediction> preds(5);
+  struct Case {
+    int frames;
+    std::uint64_t chunks;
+  };
+  for (const Case c : {Case{1, 1}, Case{2, 2}, Case{5, 2}}) {
+    const std::uint64_t before = pipeline->executor_stats().chunks_run;
+    (void)pipeline->classify(split.train.images.data(), c.frames,
+                             preds.data());
+    EXPECT_EQ(pipeline->executor_stats().chunks_run - before, c.chunks)
+        << c.frames << " frames";
+  }
 }
 
 TEST(OneRungPipeline, StatsReportBatchAndEnergy) {
@@ -291,11 +298,10 @@ struct FastTailRig {
   std::unique_ptr<AdaptivePipeline> pipeline;
   nn::Network ref_tail = test_tail();
 
-  explicit FastTailRig(unsigned threads, int chunk_images = 4,
+  explicit FastTailRig(unsigned threads,
                        const std::string& backend = "sc-proposed") {
     RuntimeConfig rc;
     rc.threads = threads;
-    rc.chunk_images = chunk_images;
     pipeline = one_rung(backend,
                         sample_qweights(kTestLeNet.conv1_kernels, 4, 9),
                         four_bit(), rc, test_tail());
@@ -312,7 +318,7 @@ TEST(FastTail, ClassifyBitIdenticalToReferenceAcrossThreadsAndBatches) {
   for (const std::string& backend : BackendRegistry::instance().names()) {
     std::map<int, std::vector<Prediction>> one_thread;  // by batch size
     for (const unsigned threads : {1u, 3u}) {
-      FastTailRig rig(threads, 3, backend);
+      FastTailRig rig(threads, backend);
       for (const int n : {1, 7, 16}) {
         nn::Tensor batch({n, 1, 28, 28});
         std::copy(split.train.images.data(),
@@ -398,10 +404,10 @@ TEST(FastTail, RetrainedTailParametersAreNotStale) {
 }
 
 // The warm-path contract: after warm-up batches, classify() performs ZERO
-// heap allocations — features/logits/survivors/active indices live in
-// grow-only buffers shared by every rung, each plan runs out of per-worker
-// arenas, margins are computed on the stack, Predictions are written in
-// place, and the executor's parallel_for frames are pooled. `n` frames,
+// heap allocations — features live in per-worker blocks, logits and active
+// indices in grow-only buffers shared by every rung, each plan runs out of
+// per-worker arenas, margins are computed on the stack, Predictions are
+// written in place, and the executor's parallel_for frames are pooled. `n` frames,
 // then a smaller follow-up batch that must reuse the grown buffers.
 long long warm_classify_allocations(AdaptivePipeline& pipeline,
                                     const nn::Tensor& images) {
@@ -427,7 +433,7 @@ const char* const kWarmPathBackends[] = {"sc-proposed", "sc-proposed-fast",
 TEST(FastTail, OneRungWarmPathIsAllocationFree) {
   const data::DataSplit split = data::generate_synthetic_mnist(12, 1, 59);
   for (const char* backend : kWarmPathBackends) {
-    FastTailRig rig(3, 4, backend);
+    FastTailRig rig(3, backend);
     EXPECT_EQ(warm_classify_allocations(*rig.pipeline, split.train.images), 0)
         << backend;
   }
@@ -489,7 +495,7 @@ long long bytes_to_grow_batch(AdaptivePipeline& pipeline,
 TEST(FastTail, LargerBatchGrowsOnlyLogitsAndActiveIndices) {
   const data::DataSplit split = data::generate_synthetic_mnist(32, 1, 61);
   for (const char* backend : kWarmPathBackends) {
-    FastTailRig rig(1, 4, backend);
+    FastTailRig rig(1, backend);
     EXPECT_LT(bytes_to_grow_batch(*rig.pipeline, split.train.images), 4096)
         << backend << " one rung";
 
@@ -533,21 +539,12 @@ void expect_plan_matches_forward(nn::Network& net, int in_c) {
   const nn::Tensor want = net.forward(x, false);
 
   for (const nn::kern::Level level : nn::kern::available_levels()) {
-    // Whole batch in one run, and image-by-image (chunk boundaries must
-    // not change a bit).
-    auto arena = plan.make_arena(kBatch);
-    std::vector<float> got(static_cast<std::size_t>(kBatch) * 10);
-    plan.run(x.data(), kBatch, got.data(), arena, level);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(want[i]))
-          << "level " << nn::kern::to_string(level) << " logit " << i;
-    }
-    auto arena1 = plan.make_arena(1);
+    // Image by image through one arena, as a serving worker runs them.
+    auto arena = plan.make_arena();
     for (int b = 0; b < kBatch; ++b) {
       std::vector<float> row(10);
-      plan.run(x.data() + static_cast<std::size_t>(b) * plan.input_size(), 1,
-               row.data(), arena1, level);
+      plan.run(x.data() + static_cast<std::size_t>(b) * plan.input_size(),
+               row.data(), arena, level);
       for (int c = 0; c < 10; ++c) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(c)]),
                   std::bit_cast<std::uint32_t>(want.at2(b, c)))
@@ -599,14 +596,6 @@ TEST(InferencePlan, RejectsUnsupportedLayersAndBadShapes) {
     net.add<nn::Conv2D>(1, 2, 5, 0, rng);
     EXPECT_THROW(nn::InferencePlan(net, 1, 4, 4), std::invalid_argument);
   }
-  EXPECT_THROW(
-      {
-        nn::Network net;
-        net.add<nn::Dense>(784, 10, rng);
-        nn::InferencePlan plan(net, 1, 28, 28);
-        (void)plan.make_arena(0);
-      },
-      std::invalid_argument);
 }
 
 // The ping-pong buffers hold step outputs only — run() reads the input in
@@ -618,36 +607,25 @@ TEST(InferencePlan, ArenaSizedByWidestStepOutputNotInput) {
   net.add<nn::MaxPool2>();          // 4x8x8 = 256 -> 4x4x4 = 64
   net.add<nn::Dense>(64, 10, rng);  // 64 -> 10
   nn::InferencePlan plan(net, 4, 8, 8);
-  const auto arena = plan.make_arena(3);
-  EXPECT_EQ(arena.ping.size(), 3u * 64u);
-  EXPECT_EQ(arena.pong.size(), 3u * 64u);
+  auto arena = plan.make_arena();
+  EXPECT_EQ(arena.ping.size(), 64u);
+  EXPECT_EQ(arena.pong.size(), 64u);
 
   nn::Tensor x({3, 4, 8, 8});
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = static_cast<float>(i % 17) * 0.125f - 1.0f;
   }
   const nn::Tensor want = net.forward(x, false);
-  auto run_arena = plan.make_arena(3);
   std::vector<float> got(static_cast<std::size_t>(3) * 10);
-  plan.run(x.data(), 3, got.data(), run_arena, nn::kern::Level::kScalar);
+  for (std::size_t b = 0; b < 3; ++b) {
+    plan.run(x.data() + b * plan.input_size(), got.data() + b * 10, arena,
+             nn::kern::Level::kScalar);
+  }
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
               std::bit_cast<std::uint32_t>(want[i]))
         << "logit " << i;
   }
-}
-
-TEST(InferencePlan, RunRejectsBatchBeyondArenaCapacity) {
-  nn::Rng rng(6);
-  nn::Network net;
-  net.add<nn::Dense>(784, 10, rng);
-  nn::InferencePlan plan(net, 1, 28, 28);
-  auto arena = plan.make_arena(2);
-  std::vector<float> x(static_cast<std::size_t>(3) * 784, 0.5f);
-  std::vector<float> logits(static_cast<std::size_t>(3) * 10);
-  EXPECT_THROW(plan.run(x.data(), 3, logits.data(), arena,
-                        nn::kern::Level::kScalar),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -54,7 +54,6 @@ std::unique_ptr<AdaptivePipeline> make_backend(unsigned bits,
   hybrid::FirstLayerConfig flc;
   flc.bits = bits;
   flc.soft_threshold = 0.3;
-  rc.chunk_images = 3;
   nn::Rng tail_rng(7);
   nn::Network tail = hybrid::build_tail(tiny_lenet(), tail_rng);
   hybrid::copy_tail_params(base, tail);
@@ -97,7 +96,6 @@ std::unique_ptr<AdaptivePipeline> make_adaptive_backend(unsigned threads) {
   }
   RuntimeConfig rc;
   rc.threads = threads;
-  rc.chunk_images = 3;
   return std::make_unique<AdaptivePipeline>(std::move(rungs), 0.5, rc);
 }
 
