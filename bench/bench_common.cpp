@@ -141,9 +141,9 @@ double ms_since(runtime::ServeClock::time_point start) {
 }
 
 hybrid::ModelBundle make_frozen_bundle(
-    const std::string& entry, const std::vector<unsigned>& ladder_bits) {
+    const std::string& entry, const std::vector<unsigned>& ladder_bits,
+    const hybrid::LeNetConfig& lenet) {
   constexpr std::uint64_t kSeed = 7;
-  const hybrid::LeNetConfig lenet{32, 8, 32, 0.0f};
   nn::Rng base_rng(kSeed);
   nn::Network base = hybrid::build_lenet(lenet, base_rng);
 
@@ -160,8 +160,7 @@ hybrid::ModelBundle make_frozen_bundle(
     rung.flc.bits = bits;
     rung.flc.soft_threshold = 0.30;
     rung.flc.seed = static_cast<std::uint32_t>(kSeed | 1u);
-    nn::Rng tail_rng(kSeed + 1);
-    rung.tail = hybrid::build_tail(lenet, tail_rng);
+    rung.tail = hybrid::build_tail(lenet);
     hybrid::copy_tail_params(base, rung.tail);
     bundle.rungs.push_back(std::move(rung));
   }

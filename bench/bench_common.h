@@ -66,9 +66,11 @@ class Flags {
 /// ladder with one entry yields a fixed-precision bundle, more entries an
 /// escalation ladder (bits strictly increasing). Deterministic: equal
 /// arguments give bit-identical bundles, so fleet shards and an in-process
-/// referee built from the same call agree to the bit.
+/// referee built from the same call agree to the bit. `lenet` defaults to
+/// the perfbench workloads' shrunken tail.
 [[nodiscard]] hybrid::ModelBundle make_frozen_bundle(
-    const std::string& entry, const std::vector<unsigned>& ladder_bits);
+    const std::string& entry, const std::vector<unsigned>& ladder_bits,
+    const hybrid::LeNetConfig& lenet = {32, 8, 32, 0.0f});
 
 /// Peak resident set size of this process in bytes (a thin veneer over
 /// runtime::peak_rss_bytes).

@@ -7,12 +7,18 @@
 // single-worker inline path, and chunk-steal throughput of the Executor.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "data/synthetic_mnist.h"
 #include "hybrid/binary_first_layer.h"
+#include "hybrid/bundle.h"
 #include "hybrid/hybrid_network.h"
 #include "hybrid/sc_first_layer.h"
 #include "nn/conv2d.h"
@@ -89,12 +95,18 @@ void BM_AdderMseExhaustive4Bit(benchmark::State& state) {
 }
 BENCHMARK(BM_AdderMseExhaustive4Bit);
 
-void BM_ScFirstLayerImage(benchmark::State& state) {
-  const auto bits = static_cast<unsigned>(state.range(0));
+/// 32 random 5x5 kernels quantized to `bits`: every first-layer benchmark's
+/// weights.
+nn::QuantizedConvWeights random_conv1_weights(unsigned bits) {
   nn::Rng rng(1);
   nn::Tensor w({32, 1, 5, 5});
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
-  const auto qw = nn::quantize_conv_weights(w, bits);
+  return nn::quantize_conv_weights(w, bits);
+}
+
+void BM_ScFirstLayerImage(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  const auto qw = random_conv1_weights(bits);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = bits;
   hybrid::StochasticFirstLayer engine(
@@ -114,10 +126,7 @@ BENCHMARK(BM_ScFirstLayerImage)->Arg(4)->Arg(8);
 
 void BM_BinaryFirstLayerImage(benchmark::State& state) {
   const auto bits = static_cast<unsigned>(state.range(0));
-  nn::Rng rng(1);
-  nn::Tensor w({32, 1, 5, 5});
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
-  const auto qw = nn::quantize_conv_weights(w, bits);
+  const auto qw = random_conv1_weights(bits);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = bits;
   hybrid::BinaryFirstLayer engine(qw, cfg);
@@ -142,10 +151,7 @@ void BM_FastScFirstLayerImage(benchmark::State& state) {
   // forms never touch a stream bit — reads off one report.
   const bool proposed = state.range(0) == 0;
   const auto bits = static_cast<unsigned>(state.range(1));
-  nn::Rng rng(1);
-  nn::Tensor w({32, 1, 5, 5});
-  for (std::size_t i = 0; i < w.size(); ++i) w[i] = rng.normal(0.0f, 0.3f);
-  const auto qw = nn::quantize_conv_weights(w, bits);
+  const auto qw = random_conv1_weights(bits);
   hybrid::FirstLayerConfig cfg;
   cfg.bits = bits;
   const auto engine = runtime::BackendRegistry::instance().create(
@@ -163,6 +169,58 @@ void BM_FastScFirstLayerImage(benchmark::State& state) {
 }
 BENCHMARK(BM_FastScFirstLayerImage)
     ->ArgsProduct({{0, 1}, {2, 4, 6, 8}});
+
+// --- Cold start -------------------------------------------------------------
+// What a node that power-gates between bursts, or a respawned fleet shard,
+// pays before its first answer: the count-domain engines' table builds, and
+// a whole bundle reload.
+
+void BM_FastScEngineBuild(benchmark::State& state) {
+  // Construction alone, on BM_FastScFirstLayerImage's kernels: range(0) is
+  // the style (0 = sc-proposed-fast, 1 = sc-conventional-fast), range(1)
+  // the precision.
+  const std::string backend =
+      state.range(0) == 0 ? "sc-proposed-fast" : "sc-conventional-fast";
+  const auto bits = static_cast<unsigned>(state.range(1));
+  const auto qw = random_conv1_weights(bits);
+  hybrid::FirstLayerConfig cfg;
+  cfg.bits = bits;
+  const runtime::BackendRegistry& registry =
+      runtime::BackendRegistry::instance();
+  for (auto _ : state) {
+    const auto engine = registry.create(backend, qw, cfg);
+    benchmark::DoNotOptimize(engine.get());
+  }
+  state.SetLabel(backend + ": count tables for 32 kernels");
+}
+BENCHMARK(BM_FastScEngineBuild)
+    ->ArgsProduct({{0, 1}, {4, 8}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_BundleColdStart(benchmark::State& state) {
+  // Bundle file -> servable at the paper's LeNet {32, 64, 512}: load_bundle
+  // and instantiate_servable of a 3/5/8-bit sc-proposed-fast ladder on one
+  // thread. The file is written once, outside the timed loop.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("scbnn_cold_start_" + std::to_string(::getpid()) + ".bundle"))
+          .string();
+  {
+    hybrid::ModelBundle bundle = bench::make_frozen_bundle(
+        "sc-proposed-fast", {3, 5, 8}, hybrid::LeNetConfig{});
+    hybrid::save_bundle(bundle, path);
+  }
+  runtime::RuntimeConfig rc;
+  rc.threads = 1;
+  for (auto _ : state) {
+    hybrid::ModelBundle bundle = hybrid::load_bundle(path);
+    const auto servable = hybrid::instantiate_servable(bundle, rc);
+    benchmark::DoNotOptimize(servable.get());
+  }
+  std::remove(path.c_str());
+  state.SetLabel("sc-proposed-fast 3/5/8-bit ladder, LeNet {32, 64, 512}");
+}
+BENCHMARK(BM_BundleColdStart)->Unit(benchmark::kMillisecond);
 
 // --- Executor micro-benchmarks (runtime/) -----------------------------------
 // The overhead of the scheduling layer itself, with trivial job bodies so

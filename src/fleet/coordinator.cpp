@@ -218,6 +218,10 @@ void FleetCoordinator::complete_response(std::uint32_t shard,
       ++stats_.duplicates;
       return;
     }
+    // A response from a respawned incarnation proves it ready: record
+    // the recovery before the frame's future resolves, rather than at the
+    // supervisor's next tick, so whoever waited on the frame sees it.
+    note_recovery(shards_[shard]);
     Pending pending = std::move(it->second);
     pending_.erase(it);
     if (auto inflight = tenant_inflight_.find(pending.tenant);
@@ -320,14 +324,9 @@ void FleetCoordinator::supervisor_loop() {
         awaiting_ready = slot.awaiting_ready;
       }
 
-      if (awaiting_ready &&
-          slot.channel.status->ready.load(std::memory_order_acquire) != 0) {
+      if (awaiting_ready) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (slot.awaiting_ready) {
-          slot.awaiting_ready = false;
-          stats_.recovery_ready_ms.push_back(runtime::ms_between(
-              slot.death_detected, Clock::now()));
-        }
+        note_recovery(slot);
       }
 
       if (!alive) continue;
@@ -372,6 +371,9 @@ void FleetCoordinator::supervisor_loop() {
         slot.alive = false;
         slot.death_detected = Clock::now();
       }
+      // A killed shard never lowers its ready flag; lower it here, before
+      // the respawn, so the flag reports the next incarnation.
+      slot.channel.status->ready.store(0, std::memory_order_release);
       watchdog.forget(i);
       // A shard killed between its last push and its ring left responses
       // unannounced; wake the collector for them now.
@@ -402,6 +404,15 @@ void FleetCoordinator::supervisor_loop() {
         slot.awaiting_ready = true;
       }
     }
+  }
+}
+
+void FleetCoordinator::note_recovery(ShardSlot& slot) {
+  if (slot.awaiting_ready &&
+      slot.channel.status->ready.load(std::memory_order_acquire) != 0) {
+    slot.awaiting_ready = false;
+    stats_.recovery_ready_ms.push_back(
+        runtime::ms_between(slot.death_detected, Clock::now()));
   }
 }
 

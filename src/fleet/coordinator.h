@@ -223,6 +223,9 @@ class FleetCoordinator {
   void collector_loop();
   void supervisor_loop();
   void complete_response(std::uint32_t shard, const ResponseSlot& slot);
+  /// Records `slot`'s recovery time once its respawned incarnation has
+  /// raised its ready flag. Caller holds mutex_.
+  void note_recovery(ShardSlot& slot);
 
   FleetConfig config_;
   /// The collector's doorbell, in its own shared page mapped before any

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/init.h"
 #include "nn/serialize.h"
 #include "runtime/backend_registry.h"
 
@@ -83,11 +82,10 @@ nn::QuantizedConvWeights read_quantized_weights(std::istream& in,
 
 /// A freshly built tail for `lenet` holding `src`'s trained parameters —
 /// the one way every instantiation path stamps weights, so bundles and
-/// in-process ladders stay bit-identical.
-nn::Network tail_twin(const LeNetConfig& lenet, std::uint64_t seed,
-                      nn::Network& src) {
-  nn::Rng rng(seed + 1);
-  nn::Network twin = build_tail(lenet, rng);
+/// in-process ladders stay bit-identical. Shape-only: the copy overwrites
+/// every parameter.
+nn::Network tail_twin(const LeNetConfig& lenet, nn::Network& src) {
+  nn::Network twin = build_tail(lenet);
   nn::copy_params(src, twin);
   return twin;
 }
@@ -289,8 +287,7 @@ ModelBundle load_bundle(const std::string& path) {
       throw std::runtime_error(where +
                                ": rung bits must be strictly increasing");
     }
-    nn::Rng rng(bundle.trained_seed + 1);
-    rung.tail = build_tail(bundle.lenet, rng);
+    rung.tail = build_tail(bundle.lenet);  // load_params fills every value
     nn::load_params(rung.tail, f, rw + ".tail");
     bundle.rungs.push_back(std::move(rung));
   }
@@ -327,7 +324,7 @@ std::vector<runtime::AdaptiveRung> instantiate_bundle_ladder(
     runtime::AdaptiveRung rung;
     rung.bits = src.bits;
     rung.engine = registry.create(bundle.backend, src.qw, src.flc);
-    rung.tail = tail_twin(bundle.lenet, bundle.trained_seed, src.tail);
+    rung.tail = tail_twin(bundle.lenet, src.tail);
     rungs.push_back(std::move(rung));
   }
   return rungs;
@@ -348,7 +345,7 @@ HybridNetwork instantiate_hybrid(ModelBundle& bundle, std::size_t rung_index,
   return HybridNetwork(
       runtime::BackendRegistry::instance().create(bundle.backend, rung.qw,
                                                   rung.flc),
-      tail_twin(bundle.lenet, bundle.trained_seed, rung.tail), config);
+      tail_twin(bundle.lenet, rung.tail), config);
 }
 
 ModelBundle load_or_train_bundle(const ExperimentConfig& config,

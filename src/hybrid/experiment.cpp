@@ -133,9 +133,6 @@ PreparedExperiment prepare_experiment(const ExperimentConfig& config,
   prep.data = std::move(resolved.split);
   prep.real_mnist = resolved.real_mnist;
 
-  nn::Rng rng(config.seed);
-  prep.base = build_lenet(config.lenet, rng);
-
   const std::string identity =
       config.cache_path.empty() ? std::string() : base_identity(config, prep);
   if (!identity.empty()) {
@@ -143,17 +140,21 @@ PreparedExperiment prepare_experiment(const ExperimentConfig& config,
     std::string header(identity.size(), '\0');
     if (f.read(header.data(), static_cast<std::streamsize>(header.size())) &&
         header == identity) {
+      // Shape-only: the snapshot overwrites every value.
+      nn::Network cached = build_lenet(config.lenet);
       try {
-        nn::load_params(prep.base, f, config.cache_path);
+        nn::load_params(cached, f, config.cache_path);
+        prep.base = std::move(cached);
         prep.base_from_cache = true;
       } catch (const std::exception&) {
-        // A corrupt snapshot loads nothing (load_params stages every
-        // tensor first): retrain below.
+        // A corrupt snapshot: retrain below.
       }
     }
   }
 
   if (!prep.base_from_cache) {
+    nn::Rng rng(config.seed);
+    prep.base = build_lenet(config.lenet, rng);
     nn::Adam opt(config.base_lr);
     nn::TrainConfig tc;
     tc.epochs = config.base_epochs;
@@ -201,8 +202,7 @@ DesignPointResult evaluate_design_point(PreparedExperiment& prep,
   // Tail initialized from the trained base model (= paper's retraining
   // starting point), evaluated before and after retraining. The first
   // layer serves batches through the threaded inference runtime.
-  nn::Rng rng(config.seed + 1);
-  nn::Network tail = build_tail(config.lenet, rng);
+  nn::Network tail = build_tail(config.lenet);
   copy_tail_params(prep.base, tail);
   HybridNetwork hybrid(make_first_layer_engine(design, qw, flc),
                        std::move(tail), config.runtime_config());
@@ -216,11 +216,10 @@ DesignPointResult evaluate_design_point(PreparedExperiment& prep,
     // Same soft threshold on the reference so the metric measures SC
     // arithmetic noise, not the intentional dead zone.
     // features() never runs the reference's tail; it only completes the
-    // rung.
-    nn::Rng ref_rng(config.seed + 1);
+    // rung, so it stays shape-only.
     HybridNetwork ref(
         make_first_layer_engine(FirstLayerDesign::kBinaryQuantized, qw, flc),
-        build_tail(config.lenet, ref_rng), config.runtime_config());
+        build_tail(config.lenet), config.runtime_config());
     nn::Tensor ref_feat = ref.features(prep.data.test.images);
     std::size_t same = 0;
     for (std::size_t i = 0; i < ref_feat.size(); ++i) {
@@ -273,8 +272,7 @@ std::vector<TrainedRung> train_precision_ladder(PreparedExperiment& prep,
                                   : config.sc_soft_threshold;
     rung.flc.seed = static_cast<std::uint32_t>(config.seed | 1u);
 
-    nn::Rng rng(config.seed + 1);
-    nn::Network tail = build_tail(config.lenet, rng);
+    nn::Network tail = build_tail(config.lenet);
     copy_tail_params(prep.base, tail);
     HybridNetwork hybrid(make_first_layer_engine(design, rung.qw, rung.flc),
                          std::move(tail), config.runtime_config());
@@ -287,8 +285,7 @@ std::vector<TrainedRung> train_precision_ladder(PreparedExperiment& prep,
     (void)hybrid.retrain(features, prep.data.train.labels, tc,
                          config.retrain_lr);
 
-    nn::Rng twin_rng(config.seed + 1);
-    rung.tail = build_tail(config.lenet, twin_rng);
+    rung.tail = build_tail(config.lenet);
     nn::copy_params(hybrid.tail(), rung.tail);
     rungs.push_back(std::move(rung));
   }
@@ -304,8 +301,7 @@ std::vector<runtime::AdaptiveRung> instantiate_ladder(
     rung.bits = trained.bits;
     rung.engine =
         make_first_layer_engine(trained.design, trained.qw, trained.flc);
-    nn::Rng rng(config.seed + 1);
-    rung.tail = build_tail(config.lenet, rng);
+    rung.tail = build_tail(config.lenet);
     nn::copy_params(trained.tail, rung.tail);
     rungs.push_back(std::move(rung));
   }

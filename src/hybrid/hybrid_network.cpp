@@ -11,37 +11,47 @@
 
 namespace scbnn::hybrid {
 
-nn::Network build_lenet(const LeNetConfig& cfg, nn::Rng& rng) {
+namespace {
+
+/// The base model's layers, or with `head` false only its tail (from the
+/// first pool on). With an `rng` the conv and dense layers draw their
+/// initial weights from it in layer order; without one they start at zero.
+template <typename... Init>
+nn::Network lenet_layers(const LeNetConfig& cfg, bool head, Init&... rng) {
   nn::Network net;
-  net.add<nn::Conv2D>(1, cfg.conv1_kernels, kKernelSize, kPad, rng);
-  net.add<nn::ReLU>();
-  // Tail (shared shape with build_tail from here on):
+  if (head) {
+    net.add<nn::Conv2D>(1, cfg.conv1_kernels, kKernelSize, kPad, rng...);
+    net.add<nn::ReLU>();
+  }
   net.add<nn::MaxPool2>();
   net.add<nn::Conv2D>(cfg.conv1_kernels, cfg.conv2_kernels, kKernelSize, 0,
-                      rng);
+                      rng...);
   net.add<nn::ReLU>();
   net.add<nn::MaxPool2>();
   const int flat = cfg.conv2_kernels * 5 * 5;  // 14x14 -> 10x10 -> 5x5
-  net.add<nn::Dense>(flat, cfg.dense_units, rng);
+  net.add<nn::Dense>(flat, cfg.dense_units, rng...);
   net.add<nn::ReLU>();
   net.add<nn::Dropout>(cfg.dropout);
-  net.add<nn::Dense>(cfg.dense_units, 10, rng);
+  net.add<nn::Dense>(cfg.dense_units, 10, rng...);
   return net;
 }
 
+}  // namespace
+
+nn::Network build_lenet(const LeNetConfig& cfg, nn::Rng& rng) {
+  return lenet_layers(cfg, true, rng);
+}
+
+nn::Network build_lenet(const LeNetConfig& cfg) {
+  return lenet_layers(cfg, true);
+}
+
 nn::Network build_tail(const LeNetConfig& cfg, nn::Rng& rng) {
-  nn::Network net;
-  net.add<nn::MaxPool2>();
-  net.add<nn::Conv2D>(cfg.conv1_kernels, cfg.conv2_kernels, kKernelSize, 0,
-                      rng);
-  net.add<nn::ReLU>();
-  net.add<nn::MaxPool2>();
-  const int flat = cfg.conv2_kernels * 5 * 5;
-  net.add<nn::Dense>(flat, cfg.dense_units, rng);
-  net.add<nn::ReLU>();
-  net.add<nn::Dropout>(cfg.dropout);
-  net.add<nn::Dense>(cfg.dense_units, 10, rng);
-  return net;
+  return lenet_layers(cfg, false, rng);
+}
+
+nn::Network build_tail(const LeNetConfig& cfg) {
+  return lenet_layers(cfg, false);
 }
 
 void copy_tail_params(nn::Network& base, nn::Network& tail) {

@@ -34,15 +34,24 @@ struct LeNetConfig {
 };
 
 /// Full float base model: conv1-ReLU-pool-conv2-ReLU-pool-dense-ReLU-
-/// dropout-dense10.
+/// dropout-dense10, its weights drawn from `rng` (He for conv, Glorot for
+/// dense, in layer order).
 [[nodiscard]] nn::Network build_lenet(const LeNetConfig& cfg, nn::Rng& rng);
+/// The same model with every parameter zero and no random draw: the shape
+/// for a model whose parameters are loaded right after (nn::load_params).
+[[nodiscard]] nn::Network build_lenet(const LeNetConfig& cfg);
 
 /// The binary tail: pool-conv2-ReLU-pool-dense-ReLU-dropout-dense10,
-/// consuming first-layer feature maps [N, conv1_kernels, 28, 28].
+/// consuming first-layer feature maps [N, conv1_kernels, 28, 28], its
+/// weights drawn from `rng`.
 [[nodiscard]] nn::Network build_tail(const LeNetConfig& cfg, nn::Rng& rng);
+/// The same tail with every parameter zero and no random draw: the shape
+/// for a tail whose parameters are loaded or copied in right after.
+[[nodiscard]] nn::Network build_tail(const LeNetConfig& cfg);
 
 /// Copy the trained tail parameters of a base model (built by build_lenet)
-/// into a tail network (built by build_tail with the same config).
+/// into a tail network (built by build_tail with the same config; it
+/// overwrites every parameter, so build that tail shape-only).
 void copy_tail_params(nn::Network& base, nn::Network& tail);
 
 /// First-layer conv weights of a base model.

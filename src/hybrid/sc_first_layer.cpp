@@ -16,17 +16,23 @@ namespace scbnn::hybrid {
 
 namespace detail {
 
+std::vector<std::uint32_t> sc_input_sequence(ScStyle style, unsigned bits,
+                                             std::uint32_t seed,
+                                             std::size_t n) {
+  if (style == ScStyle::kProposed) {
+    sc::RampSource ramp(bits);
+    return sc::source_sequence(ramp, n);
+  }
+  sc::Lfsr lfsr(bits, sc::fold_lfsr_seed(bits, seed));
+  return sc::source_sequence(lfsr, n);
+}
+
 std::vector<std::uint64_t> sc_input_level_table(ScStyle style, unsigned bits,
                                                 std::uint32_t seed,
                                                 std::size_t n,
                                                 std::size_t words) {
-  const auto level_count = static_cast<std::uint32_t>(n) + 1;
-  if (style == ScStyle::kProposed) {
-    sc::RampSource ramp(bits);
-    return sc::packed_level_table(ramp, n, words, level_count);
-  }
-  sc::Lfsr lfsr(bits, sc::fold_lfsr_seed(bits, seed));
-  return sc::packed_level_table(lfsr, n, words, level_count);
+  return sc::packed_level_table(sc_input_sequence(style, bits, seed, n),
+                                words, static_cast<std::uint32_t>(n) + 1);
 }
 
 std::vector<std::uint64_t> sc_weight_level_table(ScStyle style, unsigned bits,
@@ -36,11 +42,13 @@ std::vector<std::uint64_t> sc_weight_level_table(ScStyle style, unsigned bits,
   const auto level_count = static_cast<std::uint32_t>(n) + 1;
   if (style == ScStyle::kProposed) {
     sc::VanDerCorputSource vdc(bits);
-    return sc::packed_level_table(vdc, n, words, level_count);
+    return sc::packed_level_table(sc::source_sequence(vdc, n), words,
+                                  level_count);
   }
   sc::Lfsr lfsr(bits, sc::fold_lfsr_seed(bits, seed * 2 + 3),
                 sc::maximal_lfsr_taps_alt(bits));
-  return sc::packed_level_table(lfsr, n, words, level_count);
+  return sc::packed_level_table(sc::source_sequence(lfsr, n), words,
+                                level_count);
 }
 
 std::vector<std::uint64_t> sc_mux_select_table(unsigned bits,

@@ -36,9 +36,16 @@ enum class ScStyle { kProposed, kConventional };
 
 namespace detail {
 
+/// Input-side comparator sequence over n cycles: the ramp converter's
+/// (proposed) or an LFSR's seeded from `seed` (conventional). Pixel level
+/// b's stream has bit t set iff seq[t] < b.
+[[nodiscard]] std::vector<std::uint32_t> sc_input_sequence(ScStyle style,
+                                                           unsigned bits,
+                                                           std::uint32_t seed,
+                                                           std::size_t n);
+
 /// Input-side packed level table: levels+1 streams of n cycles, entry b is
-/// the comparator-SNG output for level b. Proposed uses the ramp converter,
-/// conventional an LFSR seeded from `seed`.
+/// the comparator-SNG output for level b over sc_input_sequence.
 [[nodiscard]] std::vector<std::uint64_t> sc_input_level_table(
     ScStyle style, unsigned bits, std::uint32_t seed, std::size_t n,
     std::size_t words);

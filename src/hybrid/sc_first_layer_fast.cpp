@@ -14,21 +14,29 @@ bool all_zero(const std::uint64_t* stream, std::size_t words) {
                      [](std::uint64_t w) { return w == 0; });
 }
 
-/// Writes table[level] = sign * popcount(in[level] & x) for every pixel
-/// level; returns false when that is zero at every level.
+/// Writes table[b] = sign * popcount(in[b] & x) for every pixel level
+/// b < levels, where in[b] is the input comparator SNG's level-b stream
+/// (bit t set iff seq[t] < b). That count is #{t in x : seq[t] < b}, so the
+/// table is a prefix sum over levels of the histogram of seq on the cycles
+/// x keeps. Returns false when the table is zero at every level, that is,
+/// when its last, largest entry is.
 template <typename T>
-bool count_table(const std::vector<std::uint64_t>& input_table,
-                 std::size_t levels, std::size_t words,
+bool count_table(const std::vector<std::uint32_t>& seq, std::size_t levels,
                  const std::uint64_t* x, int sign, T* table) {
-  bool live = false;
-  for (std::size_t lev = 0; lev < levels; ++lev) {
-    const std::uint64_t* in = input_table.data() + lev * words;
-    int ones = 0;
-    for (std::size_t w = 0; w < words; ++w) ones += std::popcount(in[w] & x[w]);
-    table[lev] = static_cast<T>(sign * ones);
-    live = live || ones != 0;
+  // table[v + 1] first counts x's cycles with seq[t] == v.
+  std::fill_n(table, levels, T{0});
+  for (std::size_t w = 0; 64 * w < seq.size(); ++w) {
+    for (std::uint64_t kept = x[w]; kept != 0; kept &= kept - 1) {
+      const std::size_t t =
+          64 * w + static_cast<std::size_t>(std::countr_zero(kept));
+      const std::size_t v = std::size_t{seq[t]} + 1;
+      if (v < levels) table[v] = static_cast<T>(table[v] + sign);
+    }
   }
-  return live;
+  for (std::size_t b = 1; b < levels; ++b) {
+    table[b] = static_cast<T>(table[b] + table[b - 1]);
+  }
+  return table[levels - 1] != 0;
 }
 
 }  // namespace
@@ -53,17 +61,20 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
   const std::size_t words = (n_ + 63) / 64;
   const std::size_t levels = n_ + 1;
 
-  // Same stream tables as the reference engine — bit-identity starts here.
-  const std::vector<std::uint64_t> input_table =
-      detail::sc_input_level_table(style_, bits_, config.seed, n_, words);
+  // Same stream sources as the reference engine — bit-identity starts
+  // here: the input comparator's sequence, and the packed weight streams.
+  const std::vector<std::uint32_t> seq =
+      detail::sc_input_sequence(style_, bits_, config.seed, n_);
   const std::vector<std::uint64_t> wtable =
       detail::sc_weight_level_table(style_, bits_, config.seed, n_, words);
   // Level-0 streams must be all-zero: the padded level image reads level 0
   // outside the image (the reference's zero padding), and a weight feeds
-  // only its own sign's tree (the other sign's leaf is level 0).
-  if (!all_zero(input_table.data(), words) || !all_zero(wtable.data(), words)) {
+  // only its own sign's tree (the other sign's leaf is level 0). Every
+  // count table's level-0 entry is zero by construction; the weight
+  // streams are checked.
+  if (!all_zero(wtable.data(), words)) {
     throw std::logic_error(
-        "FastStochasticFirstLayer: level-0 stream is not all-zero");
+        "FastStochasticFirstLayer: level-0 weight stream is not all-zero");
   }
 
   // The reference comparator, tabulated over every count difference.
@@ -100,9 +111,9 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
         if (map_of[mag] == -2) {
           const std::size_t at = counts_.size();
           counts_.resize(at + levels);
-          const bool live =
-              count_table(input_table, levels, words,
-                          wtable.data() + mag * words, 1, counts_.data() + at);
+          const bool live = count_table(seq, levels,
+                                        wtable.data() + mag * words, 1,
+                                        counts_.data() + at);
           map_of[mag] = live ? static_cast<std::int32_t>(at / levels) : -1;
           if (!live) counts_.resize(at);
         }
@@ -136,9 +147,8 @@ FastStochasticFirstLayer::FastStochasticFirstLayer(
         }
         const std::size_t at = tap_tables_.size();
         tap_tables_.resize(at + levels);
-        const bool live =
-            count_table(input_table, levels, words, routed.data(),
-                        w < 0 ? -1 : 1, tap_tables_.data() + at);
+        const bool live = count_table(seq, levels, routed.data(),
+                                      w < 0 ? -1 : 1, tap_tables_.data() + at);
         index = live ? static_cast<std::int32_t>(at / levels) : -1;
         if (!live) tap_tables_.resize(at);
       }

@@ -34,6 +34,11 @@
 // Both styles end in one shared step: the count difference pos - neg
 // indexes a precomputed {-1, 0, +1} table built with the reference
 // engine's exact comparator arithmetic.
+//
+// Every input stream is a comparator SNG (bit t of level b iff seq[t] < b),
+// so the constructor builds each count table without a popcount:
+// popcount(in[b] & x) = #{t in x : seq[t] < b} is a prefix sum over levels
+// of the histogram of seq on the cycles the weight stream x keeps.
 #pragma once
 
 #include <cstdint>

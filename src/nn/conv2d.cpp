@@ -7,8 +7,7 @@
 
 namespace scbnn::nn {
 
-Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int pad,
-               Rng& rng)
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int pad)
     : in_c_(in_channels),
       out_c_(out_channels),
       kernel_(kernel),
@@ -16,7 +15,11 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int pad,
       w_({out_channels, in_channels, kernel, kernel}),
       b_({out_channels}),
       dw_({out_channels, in_channels, kernel, kernel}),
-      db_({out_channels}) {
+      db_({out_channels}) {}
+
+Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int pad,
+               Rng& rng)
+    : Conv2D(in_channels, out_channels, kernel, pad) {
   he_init(w_, in_channels * kernel * kernel, rng);
 }
 

@@ -11,7 +11,10 @@ namespace scbnn::nn {
 class Conv2D final : public Layer {
  public:
   /// `pad` in pixels on each side: pad = kernel/2 gives "same" output size
-  /// for odd kernels; pad = 0 gives "valid".
+  /// for odd kernels; pad = 0 gives "valid". Weights and bias start at
+  /// zero: the shape for a layer whose parameters are loaded or copied in.
+  Conv2D(int in_channels, int out_channels, int kernel, int pad);
+  /// The same layer with He-initialized weights drawn from `rng`.
   Conv2D(int in_channels, int out_channels, int kernel, int pad, Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x, bool training) override;

@@ -4,13 +4,16 @@
 
 namespace scbnn::nn {
 
-Dense::Dense(int in_features, int out_features, Rng& rng)
+Dense::Dense(int in_features, int out_features)
     : in_f_(in_features),
       out_f_(out_features),
       w_({out_features, in_features}),
       b_({out_features}),
       dw_({out_features, in_features}),
-      db_({out_features}) {
+      db_({out_features}) {}
+
+Dense::Dense(int in_features, int out_features, Rng& rng)
+    : Dense(in_features, out_features) {
   glorot_init(w_, in_features, out_features, rng);
 }
 

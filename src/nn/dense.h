@@ -8,6 +8,10 @@ namespace scbnn::nn {
 
 class Dense final : public Layer {
  public:
+  /// Weights and bias start at zero: the shape for a layer whose
+  /// parameters are loaded or copied in.
+  Dense(int in_features, int out_features);
+  /// The same layer with Glorot-initialized weights drawn from `rng`.
   Dense(int in_features, int out_features, Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x, bool training) override;

@@ -37,17 +37,22 @@ Bitstream analog_to_stochastic(double analog_value, unsigned bits,
   return out;
 }
 
-std::vector<std::uint64_t> packed_level_table(NumberSource& source,
-                                              std::size_t n, std::size_t words,
-                                              std::uint32_t levels) {
+std::vector<std::uint32_t> source_sequence(NumberSource& source,
+                                           std::size_t n) {
   std::vector<std::uint32_t> seq(n);
   source.reset();
   for (std::size_t t = 0; t < n; ++t) seq[t] = source.next();
+  return seq;
+}
+
+std::vector<std::uint64_t> packed_level_table(
+    const std::vector<std::uint32_t>& seq, std::size_t words,
+    std::uint32_t levels) {
   std::vector<std::uint64_t> table(static_cast<std::size_t>(levels) * words,
                                    0u);
   for (std::uint32_t b = 0; b < levels; ++b) {
     std::uint64_t* dst = table.data() + static_cast<std::size_t>(b) * words;
-    for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t t = 0; t < seq.size(); ++t) {
       if (seq[t] < b) dst[t / 64] |= std::uint64_t{1} << (t % 64);
     }
   }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sc/bitstream.h"
 #include "sc/rng_source.h"
@@ -32,13 +33,19 @@ namespace scbnn::sc {
 [[nodiscard]] std::uint32_t quantize_unipolar(double analog_value,
                                               unsigned bits);
 
+/// The source's first `n` values after a reset: seq[t] is what a
+/// comparator SNG driven by it compares its level against on cycle t.
+[[nodiscard]] std::vector<std::uint32_t> source_sequence(NumberSource& source,
+                                                         std::size_t n);
+
 /// Pack a comparator-SNG level table into raw words: entry b (b < levels)
-/// holds the packed stream for level b over `n` cycles (bit t set iff
-/// seq[t] < b, with seq the source's reset sequence), each stream spanning
-/// `words` 64-bit words. This is the construction-time workhorse of the
-/// packed first-layer engines: one source sweep amortized over every level.
+/// holds the packed stream for level b over the seq.size() cycles of
+/// `seq` (a source_sequence): bit t set iff seq[t] < b, each stream
+/// spanning `words` 64-bit words. This is the construction-time workhorse
+/// of the packed first-layer engines: one source sweep amortized over
+/// every level.
 [[nodiscard]] std::vector<std::uint64_t> packed_level_table(
-    NumberSource& source, std::size_t n, std::size_t words,
+    const std::vector<std::uint32_t>& seq, std::size_t words,
     std::uint32_t levels);
 
 }  // namespace scbnn::sc

@@ -476,7 +476,11 @@ const FastCase kFastCases[] = {{ScStyle::kProposed, "sc-proposed-fast"},
                                 "sc-conventional-fast"}};
 
 /// Registry-built fast engine vs the bit-level reference over 32 kernels
-/// of weight seed `weight_seed`, on `images` consecutive sample images.
+/// of weight seed `weight_seed`, on `images` consecutive sample images and
+/// then on a full-scale image. Every pixel of that one sits at level
+/// 2^bits, so each tap reads its count table's top entry, the last step of
+/// the prefix sum it is built by; a sampled digit reaches it only where a
+/// pixel happens to be 1.0.
 void expect_fast_matches_reference(const FastCase& c, unsigned bits,
                                    std::uint64_t weight_seed,
                                    std::uint64_t first_image, int images,
@@ -493,6 +497,10 @@ void expect_fast_matches_reference(const FastCase& c, unsigned bits,
     EXPECT_EQ(run_engine(ref, img), run_engine(*fast, img))
         << c.backend << " bits=" << bits << " image=" << i;
   }
+  nn::Tensor full({1, 28, 28});
+  full.fill(1.0f);
+  EXPECT_EQ(run_engine(ref, full), run_engine(*fast, full))
+      << c.backend << " bits=" << bits << " full-scale image";
 }
 
 class FastBitIdentity : public ::testing::TestWithParam<unsigned> {};

@@ -3,10 +3,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <future>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic_mnist.h"
@@ -31,6 +34,27 @@ LeNetConfig tiny_lenet() {
   return cfg;
 }
 
+/// FNV-1a over every parameter value's bytes, in params() order.
+std::uint64_t param_hash(nn::Network& net) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  for (const nn::Param& p : net.params()) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p.value->data());
+    for (std::size_t i = 0; i < p.value->size() * sizeof(float); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;  // FNV prime
+    }
+  }
+  return h;
+}
+
+// bench::make_frozen_bundle builds every perfbench model from this seeded
+// network, so a constructor change that reorders, adds or drops a draw
+// would silently swap every workload's model. The value is pinned.
+TEST(LeNetBuilder, SeededDrawsArePinned) {
+  nn::Rng rng(7);
+  nn::Network net = build_lenet({32, 8, 32, 0.0f}, rng);
+  EXPECT_EQ(param_hash(net), 0x3787b1b0bdb371c8ull);
+}
+
 TEST(LeNetBuilder, ShapesFlowEndToEnd) {
   nn::Rng rng(1);
   nn::Network net = build_lenet(tiny_lenet(), rng);
@@ -41,17 +65,49 @@ TEST(LeNetBuilder, ShapesFlowEndToEnd) {
 
 TEST(LeNetBuilder, TailConsumesFirstLayerFeatures) {
   nn::Rng rng(2);
-  nn::Network tail = build_tail(tiny_lenet(), rng);
-  nn::Tensor feats({2, 8, 28, 28});
-  nn::Tensor y = tail.forward(feats, false);
-  EXPECT_EQ(y.shape(), (std::vector<int>{2, 10}));
+  nn::Network tails[] = {build_tail(tiny_lenet(), rng),
+                         build_tail(tiny_lenet())};
+  for (nn::Network& tail : tails) {
+    nn::Tensor feats({2, 8, 28, 28});
+    nn::Tensor y = tail.forward(feats, false);
+    EXPECT_EQ(y.shape(), (std::vector<int>{2, 10}));
+  }
 }
 
 TEST(LeNetBuilder, TailHasTwoFewerParamTensors) {
   nn::Rng rng(3);
   nn::Network base = build_lenet(tiny_lenet(), rng);
-  nn::Network tail = build_tail(tiny_lenet(), rng);
-  EXPECT_EQ(base.params().size(), tail.params().size() + 2);
+  nn::Network tails[] = {build_tail(tiny_lenet(), rng),
+                         build_tail(tiny_lenet())};
+  for (nn::Network& tail : tails) {
+    EXPECT_EQ(base.params().size(), tail.params().size() + 2);
+  }
+}
+
+// The shape-only builders make what loading and copying fill in: the
+// seeded network's layer kinds and parameter shapes, every value zero.
+TEST(LeNetBuilder, ShapeOnlyMatchesSeededLayoutWithZeros) {
+  nn::Rng rng(9);
+  std::pair<nn::Network, nn::Network> pairs[] = {
+      {build_lenet(tiny_lenet(), rng), build_lenet(tiny_lenet())},
+      {build_tail(tiny_lenet(), rng), build_tail(tiny_lenet())}};
+  for (auto& [seeded, shaped] : pairs) {
+    ASSERT_EQ(shaped.layer_count(), seeded.layer_count());
+    for (std::size_t i = 0; i < seeded.layer_count(); ++i) {
+      EXPECT_EQ(shaped.layer(i).name(), seeded.layer(i).name()) << i;
+    }
+    const auto sp = seeded.params();
+    const auto zp = shaped.params();
+    ASSERT_EQ(zp.size(), sp.size());
+    for (std::size_t i = 0; i < sp.size(); ++i) {
+      EXPECT_EQ(zp[i].name, sp[i].name);
+      EXPECT_EQ(zp[i].value->shape(), sp[i].value->shape()) << zp[i].name;
+      const nn::Tensor& z = *zp[i].value;
+      EXPECT_TRUE(std::all_of(z.data(), z.data() + z.size(),
+                              [](float v) { return v == 0.0f; }))
+          << zp[i].name;
+    }
+  }
 }
 
 TEST(CopyTailParams, TransfersExactly) {
